@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = [
     "LowerConfidenceBound",
@@ -71,9 +71,10 @@ def score(acq: AcquisitionSpec, mean, variance) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             z = np.where(std > 0, gap / np.where(std > 0, std, 1.0), 0.0)
         z = np.clip(z, -40.0, 40.0)  # cdf/pdf are saturated past this anyway
+        pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
         ei = np.where(
             std > 0,
-            gap * norm.cdf(z) + std * norm.pdf(z),
+            gap * ndtr(z) + std * pdf,
             np.maximum(gap, 0.0),
         )
         return -ei

@@ -3,7 +3,13 @@
 Targets are standardized internally (zero mean, unit standard deviation);
 predictions are mapped back to the original scale.  The marginal likelihood
 and its analytic gradient drive hyperparameter training by projected
-gradient ascent with restarts.
+gradient ascent with restarts.  Training evaluates them through one objective
+per dataset: it keeps the standardized targets, the raw pairwise space and
+time differences and the constant term, takes the log-hyperparameter vector
+directly, and reuses the Cholesky factor of the last vector it evaluated, so
+the gradient at an accepted line-search probe costs no second factorization.
+``log_marginal_likelihood`` and ``lml_and_gradient`` are thin wrappers over
+the same objective.
 """
 
 from __future__ import annotations
@@ -12,14 +18,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from dynabo.kernels import (
     Hyperparameters,
     KernelForm,
     KernelSpec,
+    _cov,
+    _cov_grads,
+    _diffs,
+    _params_from_vector,
     cross_gram,
-    grad_gram_log_hp,
+    grad_gram_log_hp,  # noqa: F401  bench/tracing.py wraps it in this namespace
     gram,
     hp_from_vector,
     hp_to_vector,
@@ -115,58 +126,109 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
     Jitter starts at 1e-9 times the mean diagonal and grows tenfold per
     attempt up to 1e-3 times the mean diagonal; a matrix that still fails
-    raises ``FactorizationError``.
+    raises ``FactorizationError``.  This is the one place factorizations
+    happen and where a non-finite matrix is rejected (``ValueError``).
+    LAPACK ``dpotrf`` is called directly: it is the routine
+    ``scipy.linalg.cholesky`` runs, without its per-call wrapper cost.
     """
-    mean_diag = float(np.mean(np.diag(matrix)))
-    if not (np.isfinite(mean_diag) and mean_diag > 0):
+    matrix = np.asarray(matrix, dtype=float)
+    mean_diag = float(matrix.diagonal().mean())
+    if not (math.isfinite(mean_diag) and mean_diag > 0):
         raise FactorizationError("matrix diagonal is not positive")
+    np.asarray_chkfinite(matrix)
     jitters = [0.0] + [mean_diag * 10.0**e for e in range(-9, -2)]
     for jitter in jitters:
-        try:
-            shifted = matrix if jitter == 0.0 else matrix + jitter * np.eye(len(matrix))
-            return cholesky(shifted, lower=True), jitter
-        except np.linalg.LinAlgError:
-            continue
+        shifted = matrix if jitter == 0.0 else matrix + jitter * np.eye(len(matrix))
+        el, info = dpotrf(shifted, lower=1, clean=1)
+        if info == 0:
+            return el, jitter
+        if info < 0:
+            raise ValueError(f"dpotrf rejected argument {-info}")
     raise FactorizationError(
         f"factorization failed up to jitter {jitters[-1]:.3e}"
     )
 
 
-def _factor(dataset: Dataset, spec: KernelSpec, hp: Hyperparameters):
-    k = gram(dataset.points, spec, hp, with_noise=True)
-    el, _ = chol_with_jitter(k)
-    alpha = cho_solve((el, True), dataset.normalized_targets)
-    return el, alpha
+def _cho_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((el, True), b)`` through LAPACK ``dpotrs``
+    directly; ``el`` comes from ``chol_with_jitter``, so it is finite."""
+    x, info = dpotrs(el, b, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs rejected argument {-info}")
+    return x
 
 
-def _lml_from_factor(el: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
-    n = y.shape[0]
-    return float(
-        -0.5 * y @ alpha - np.sum(np.log(np.diag(el))) - 0.5 * n * math.log(2 * math.pi)
-    )
+def _lml_from_factor(
+    el: np.ndarray, alpha: np.ndarray, y: np.ndarray, log_norm: float
+) -> float:
+    """``log_norm`` is the constant term ``0.5 * n * log(2 pi)``."""
+    return float(-0.5 * y @ alpha - np.log(el.diagonal()).sum() - log_norm)
+
+
+def _log_norm(n: int) -> float:
+    return 0.5 * n * math.log(2 * math.pi)
+
+
+class _MarginalLikelihood:
+    """Log marginal likelihood of one dataset as a function of the
+    log-hyperparameter vector, in ``hp_to_vector`` order.
+
+    Remembers the factorization of the last vector it evaluated; a gradient
+    requested at that vector reuses it.  Every factorization goes through
+    ``chol_with_jitter``, which rejects a non-finite gram matrix.
+    """
+
+    def __init__(self, dataset: Dataset, spec: KernelSpec):
+        d = dataset.spatial_dim
+        x, t = dataset.points[:, :d], dataset.points[:, d:]
+        self._spec, self._d = spec, d
+        self._y = dataset.normalized_targets
+        self._dx, self._dt = _diffs(x, x), _diffs(t, t)
+        self._eye = np.eye(dataset.n)
+        self._log_norm = _log_norm(dataset.n)
+        self._last = None  # (theta bytes, params, factor, alpha, value)
+
+    def _evaluate(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()  # bit-equal vectors give bit-equal results
+        if self._last is not None and self._last[0] == key:
+            return self._last
+        p = _params_from_vector(theta.copy(), self._spec, self._d)
+        if not np.isfinite(theta).all():
+            raise ValueError("hyperparameters must be finite")
+        k = _cov(self._spec, self._dx, self._dt, p)
+        el, _ = chol_with_jitter(k + float(np.exp(p.log_noise_variance)) * self._eye)
+        alpha = _cho_solve(el, self._y)
+        value = _lml_from_factor(el, alpha, self._y, self._log_norm)
+        self._last = (key, p, el, alpha, value)
+        return self._last
+
+    def value(self, theta) -> float:
+        return self._evaluate(theta)[4]
+
+    def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
+        _, p, el, alpha, value = self._evaluate(theta)
+        k_inv = _cho_solve(el, self._eye)
+        grads = _cov_grads(self._spec, self._dx, self._dt, p, self._eye)
+        out = np.empty(len(grads))
+        for i, dk in enumerate(grads):
+            # 0.5 * tr((alpha alpha^T - K^-1) dK)
+            out[i] = 0.5 * (alpha @ dk @ alpha - (k_inv * dk).sum())
+        return value, out
 
 
 def log_marginal_likelihood(
     dataset: Dataset, spec: KernelSpec, hp: Hyperparameters
 ) -> float:
     """Log marginal likelihood of the standardized targets under ``hp``."""
-    el, alpha = _factor(dataset, spec, hp)
-    return _lml_from_factor(el, alpha, dataset.normalized_targets)
+    return _MarginalLikelihood(dataset, spec).value(hp_to_vector(hp, spec))
 
 
 def lml_and_gradient(
     dataset: Dataset, spec: KernelSpec, hp: Hyperparameters
 ) -> tuple[float, np.ndarray]:
     """Marginal likelihood and its gradient in the log-hyperparameter vector order."""
-    el, alpha = _factor(dataset, spec, hp)
-    value = _lml_from_factor(el, alpha, dataset.normalized_targets)
-    k_inv = cho_solve((el, True), np.eye(dataset.n))
-    grads = grad_gram_log_hp(dataset.points, spec, hp)
-    out = np.empty(len(grads))
-    for i, dk in enumerate(grads):
-        # 0.5 * tr((alpha alpha^T - K^-1) dK)
-        out[i] = 0.5 * (alpha @ dk @ alpha - np.sum(k_inv * dk))
-    return value, out
+    return _MarginalLikelihood(dataset, spec).value_and_gradient(hp_to_vector(hp, spec))
 
 
 @dataclass(frozen=True)
@@ -178,15 +240,21 @@ class GpModel:
     hp: Hyperparameters
     _factor_l: np.ndarray = field(repr=False)
     _alpha: np.ndarray = field(repr=False)
+    # the dataset's target mean and guarded std, computed once per fit
+    _target_mean: float = field(repr=False)
+    _target_std: float = field(repr=False)
     lml: float = 0.0
 
     @classmethod
     def fit(cls, dataset: Dataset, spec: KernelSpec, hp: Hyperparameters) -> "GpModel":
         if hp.spatial_dim != dataset.spatial_dim:
             raise ValueError("hyperparameter dimensionality does not match data")
-        el, alpha = _factor(dataset, spec, hp)
-        lml = _lml_from_factor(el, alpha, dataset.normalized_targets)
-        return cls(dataset, spec, hp, el, alpha, lml)
+        mean, std = dataset.target_mean, dataset.target_std
+        y = (dataset.targets - mean) / std
+        el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
+        alpha = _cho_solve(el, y)
+        lml = _lml_from_factor(el, alpha, y, _log_norm(dataset.n))
+        return cls(dataset, spec, hp, el, alpha, mean, std, lml)
 
     def _query(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -208,8 +276,8 @@ class GpModel:
     def predict(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance of the latent objective (no noise term)."""
         mean, var = self.predict_normalized(points)
-        std = self.dataset.target_std
-        return self.dataset.target_mean + std * mean, std**2 * var
+        std = self._target_std
+        return self._target_mean + std * mean, std**2 * var
 
     @property
     def time_lengthscale(self) -> float:
@@ -312,7 +380,8 @@ def train(
         widths = dataset.points[:, :d].max(axis=0) - dataset.points[:, :d].min(axis=0)
         t_width = dataset.times.max() - dataset.times.min()
         bounds = default_log_bounds(spec, np.maximum(widths, 1.0), max(t_width, 1.0))
-    bounds = np.asarray(bounds, dtype=float)
+    # a copy: tying below must not write into the caller's array
+    bounds = np.array(bounds, dtype=float)
     if bounds.shape != (n_hp, 2):
         raise ValueError(f"bounds must have shape ({n_hp}, 2)")
     tie_blocks = _tie_blocks(spec, d, config.tie_lengthscales)
@@ -327,14 +396,16 @@ def train(
             theta[block] = theta[block].mean()
         return theta
 
+    likelihood = _MarginalLikelihood(dataset, spec)
+
     def objective(theta: np.ndarray) -> float:
         try:
-            return log_marginal_likelihood(dataset, spec, hp_from_vector(theta, spec, d))
+            return likelihood.value(theta)
         except (FactorizationError, np.linalg.LinAlgError):
             return -np.inf
 
     def gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = lml_and_gradient(dataset, spec, hp_from_vector(theta, spec, d))
+        value, grad = likelihood.value_and_gradient(theta)
         for block in tie_blocks:
             grad[block] = grad[block].mean()
         return value, grad

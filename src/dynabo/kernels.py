@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,14 +211,13 @@ def eval_matern12(distance, lengthscale, variance):
     return out if out.ndim else float(out)
 
 
-def _scaled_diffs(xa: np.ndarray, xb: np.ndarray, log_ells: np.ndarray) -> np.ndarray:
-    """Pairwise per-dimension differences scaled by length-scales, (n, m, p)."""
-    ells = np.exp(log_ells)
-    return (xa[:, None, :] - xb[None, :, :]) / ells
+def _diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Raw pairwise per-dimension differences, (n, m, p)."""
+    return xa[:, None, :] - xb[None, :, :]
 
 
 def _plain_cov(form: KernelForm, z: np.ndarray) -> np.ndarray:
-    s = np.sum(z * z, axis=-1)
+    s = (z * z).sum(axis=-1)
     if form is KernelForm.SE:
         return np.exp(-0.5 * s)
     return np.exp(-np.sqrt(s))
@@ -225,22 +225,21 @@ def _plain_cov(form: KernelForm, z: np.ndarray) -> np.ndarray:
 
 def _part_cov(
     form: KernelForm,
-    xa: np.ndarray,
-    xb: np.ndarray,
+    diffs: np.ndarray,
     log_ells: np.ndarray,
     log_vars: np.ndarray | None,
 ) -> np.ndarray:
     if form is KernelForm.SUM:
         va, vb = np.exp(log_vars)
-        k_se = _plain_cov(KernelForm.SE, _scaled_diffs(xa, xb, log_ells[0]))
-        k_m12 = _plain_cov(KernelForm.MATERN12, _scaled_diffs(xa, xb, log_ells[1]))
+        k_se = _plain_cov(KernelForm.SE, diffs / np.exp(log_ells[0]))
+        k_m12 = _plain_cov(KernelForm.MATERN12, diffs / np.exp(log_ells[1]))
         return va * k_se + vb * k_m12
-    return _plain_cov(form, _scaled_diffs(xa, xb, log_ells))
+    return _plain_cov(form, diffs / np.exp(log_ells))
 
 
 def _plain_cov_grads(form: KernelForm, z: np.ndarray):
     """Covariance of a unit-variance plain part plus d/dlog(l_j) matrices."""
-    s = np.sum(z * z, axis=-1)
+    s = (z * z).sum(axis=-1)
     if form is KernelForm.SE:
         k = np.exp(-0.5 * s)
         grads = [k * z[..., j] ** 2 for j in range(z.shape[-1])]
@@ -255,23 +254,85 @@ def _plain_cov_grads(form: KernelForm, z: np.ndarray):
 
 def _part_cov_grads(
     form: KernelForm,
-    xa: np.ndarray,
-    xb: np.ndarray,
+    diffs: np.ndarray,
     log_ells: np.ndarray,
     log_vars: np.ndarray | None,
 ):
     """Part covariance and gradient matrices, length-scale block then variances."""
     if form is KernelForm.SUM:
         va, vb = np.exp(log_vars)
-        k_se, g_se = _plain_cov_grads(KernelForm.SE, _scaled_diffs(xa, xb, log_ells[0]))
-        k_m12, g_m12 = _plain_cov_grads(
-            KernelForm.MATERN12, _scaled_diffs(xa, xb, log_ells[1])
-        )
+        k_se, g_se = _plain_cov_grads(KernelForm.SE, diffs / np.exp(log_ells[0]))
+        k_m12, g_m12 = _plain_cov_grads(KernelForm.MATERN12, diffs / np.exp(log_ells[1]))
         k = va * k_se + vb * k_m12
         grads = [va * g for g in g_se] + [vb * g for g in g_m12]
         grads += [va * k_se, vb * k_m12]
         return k, grads
-    return _plain_cov_grads(form, _scaled_diffs(xa, xb, log_ells))
+    return _plain_cov_grads(form, diffs / np.exp(log_ells))
+
+
+class _Params(NamedTuple):
+    """Log-hyperparameters in the shapes the covariance code consumes."""
+
+    spatial_log_ells: np.ndarray  # (D,), or (2, D) for the sum form
+    spatial_log_vars: np.ndarray | None
+    temporal_log_ells: np.ndarray  # (1,), or (2, 1) for the sum form
+    temporal_log_vars: np.ndarray | None
+    log_signal_variance: float
+    log_noise_variance: float
+
+
+def _params(spec: KernelSpec, hp: Hyperparameters) -> _Params:
+    """``hp`` in the covariance shapes, after checking it against ``spec``."""
+    _check_shapes(spec, hp)
+    tls = np.atleast_1d(np.asarray(hp.log_temporal_lengthscale))
+    return _Params(
+        hp.log_spatial_lengthscales,
+        hp.log_spatial_variances,
+        tls[:, None] if spec.temporal is KernelForm.SUM else tls,
+        hp.log_temporal_variances,
+        hp.log_signal_variance,
+        hp.log_noise_variance,
+    )
+
+
+def _params_from_vector(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> _Params:
+    """Views into a log-hyperparameter vector laid out as ``hp_to_vector`` does."""
+    expected = n_hyperparameters(spec, spatial_dim)
+    if theta.shape != (expected,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({expected},)")
+    d = spatial_dim
+    if spec.spatial is KernelForm.SUM:
+        sls, svar, i = theta[: 2 * d].reshape(2, d), theta[2 * d : 2 * d + 2], 2 * d + 2
+    else:
+        sls, svar, i = theta[:d], None, d
+    if spec.temporal is KernelForm.SUM:
+        tls, tvar, i = theta[i : i + 2, None], theta[i + 2 : i + 4], i + 4
+    else:
+        tls, tvar, i = theta[i : i + 1], None, i + 1
+    sig = float(theta[i]) if spec.signal_variance_free else 0.0
+    return _Params(sls, svar, tls, tvar, sig, float(theta[-1]))
+
+
+def _cov(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params) -> np.ndarray:
+    """Noise-free covariance from raw spatial and temporal differences."""
+    k_s = _part_cov(spec.spatial, dx, p.spatial_log_ells, p.spatial_log_vars)
+    k_t = _part_cov(spec.temporal, dt, p.temporal_log_ells, p.temporal_log_vars)
+    return np.exp(p.log_signal_variance) * k_s * k_t
+
+
+def _cov_grads(
+    spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params, eye: np.ndarray
+) -> list[np.ndarray]:
+    """Noisy-gram derivatives in ``hp_to_vector`` order (see ``grad_gram_log_hp``)."""
+    s2 = np.exp(p.log_signal_variance)
+    k_s, gs = _part_cov_grads(spec.spatial, dx, p.spatial_log_ells, p.spatial_log_vars)
+    k_t, gt = _part_cov_grads(spec.temporal, dt, p.temporal_log_ells, p.temporal_log_vars)
+    grads = [s2 * g * k_t for g in gs]
+    grads += [s2 * k_s * g for g in gt]
+    if spec.signal_variance_free:
+        grads.append(s2 * k_s * k_t)
+    grads.append(float(np.exp(p.log_noise_variance)) * eye)
+    return grads
 
 
 def _split_points(points: np.ndarray, spatial_dim: int):
@@ -281,13 +342,6 @@ def _split_points(points: np.ndarray, spatial_dim: int):
             f"points have {points.shape[1]} columns, expected {spatial_dim + 1}"
         )
     return points[:, :spatial_dim], points[:, spatial_dim:]
-
-
-def _temporal_log_ells(spec: KernelSpec, hp: Hyperparameters) -> np.ndarray:
-    tls = np.atleast_1d(np.asarray(hp.log_temporal_lengthscale))
-    if spec.temporal is KernelForm.SUM:
-        return tls[:, None]  # (2, 1): one length-scale per component
-    return tls  # (1,)
 
 
 def eval_spatiotemporal(a, b, spec: KernelSpec, hp: Hyperparameters) -> float:
@@ -300,17 +354,11 @@ def cross_gram(
     points_a: np.ndarray, points_b: np.ndarray, spec: KernelSpec, hp: Hyperparameters
 ) -> np.ndarray:
     """Covariance matrix between two point sets, without observation noise."""
-    _check_shapes(spec, hp)
+    p = _params(spec, hp)
     d = hp.spatial_dim
     xa, ta = _split_points(points_a, d)
     xb, tb = _split_points(points_b, d)
-    k_s = _part_cov(
-        spec.spatial, xa, xb, hp.log_spatial_lengthscales, hp.log_spatial_variances
-    )
-    k_t = _part_cov(
-        spec.temporal, ta, tb, _temporal_log_ells(spec, hp), hp.log_temporal_variances
-    )
-    return np.exp(hp.log_signal_variance) * k_s * k_t
+    return _cov(spec, _diffs(xa, xb), _diffs(ta, tb), p)
 
 
 def gram(
@@ -343,22 +391,9 @@ def grad_gram_log_hp(
     component variances (sum form), signal variance (plain forms only),
     noise variance.  The noise derivative is ``noise_variance * I``.
     """
-    _check_shapes(spec, hp)
-    d = hp.spatial_dim
-    x, t = _split_points(points, d)
-    s2 = np.exp(hp.log_signal_variance)
-    k_s, gs = _part_cov_grads(
-        spec.spatial, x, x, hp.log_spatial_lengthscales, hp.log_spatial_variances
-    )
-    k_t, gt = _part_cov_grads(
-        spec.temporal, t, t, _temporal_log_ells(spec, hp), hp.log_temporal_variances
-    )
-    grads = [s2 * g * k_t for g in gs]
-    grads += [s2 * k_s * g for g in gt]
-    if spec.signal_variance_free:
-        grads.append(s2 * k_s * k_t)
-    grads.append(hp.noise_variance * np.eye(points.shape[0]))
-    return grads
+    p = _params(spec, hp)
+    x, t = _split_points(points, hp.spatial_dim)
+    return _cov_grads(spec, _diffs(x, x), _diffs(t, t), p, np.eye(x.shape[0]))
 
 
 def n_hyperparameters(spec: KernelSpec, spatial_dim: int) -> int:
@@ -407,40 +442,13 @@ def hp_from_vector(
     theta: np.ndarray, spec: KernelSpec, spatial_dim: int
 ) -> Hyperparameters:
     """Inverse of ``hp_to_vector``."""
-    theta = np.asarray(theta, dtype=float)
-    expected = n_hyperparameters(spec, spatial_dim)
-    if theta.shape != (expected,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({expected},)")
-    i = 0
-    if spec.spatial is KernelForm.SUM:
-        sls = theta[i : i + 2 * spatial_dim].reshape(2, spatial_dim)
-        i += 2 * spatial_dim
-        svar = theta[i : i + 2]
-        i += 2
-    else:
-        sls = theta[i : i + spatial_dim]
-        i += spatial_dim
-        svar = None
-    if spec.temporal is KernelForm.SUM:
-        tls = theta[i : i + 2]
-        i += 2
-        tvar = theta[i : i + 2]
-        i += 2
-    else:
-        tls = float(theta[i])
-        i += 1
-        tvar = None
-    if spec.signal_variance_free:
-        sig = float(theta[i])
-        i += 1
-    else:
-        sig = 0.0
-    noise = float(theta[i])
+    p = _params_from_vector(np.asarray(theta, dtype=float), spec, spatial_dim)
+    tls = p.temporal_log_ells
     return Hyperparameters(
-        log_spatial_lengthscales=sls,
-        log_temporal_lengthscale=tls,
-        log_signal_variance=sig,
-        log_noise_variance=noise,
-        log_spatial_variances=svar,
-        log_temporal_variances=tvar,
+        log_spatial_lengthscales=p.spatial_log_ells,
+        log_temporal_lengthscale=tls[:, 0] if spec.temporal is KernelForm.SUM else float(tls[0]),
+        log_signal_variance=p.log_signal_variance,
+        log_noise_variance=p.log_noise_variance,
+        log_spatial_variances=p.spatial_log_vars,
+        log_temporal_variances=p.temporal_log_vars,
     )

@@ -1,6 +1,10 @@
 """Acquisition score tests against closed-form values."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,30 @@ def test_expected_improvement_closed_form():
     z = gap / 0.5
     expected = -(gap * norm.cdf(z) + 0.5 * norm.pdf(z))
     assert score(acq, mean, var) == pytest.approx(expected)
+
+
+def test_expected_improvement_equals_scipy_stats_formula_exactly():
+    # the normal cdf/pdf are spelled out without scipy.stats; the scores must
+    # not move by a single bit, including in the clipped tails
+    acq = ExpectedImprovement(best_value=0.0)
+    mean = np.linspace(-45.0, 45.0, 20001)
+    var = 1.0
+    z = np.clip(-mean, -40.0, 40.0)
+    expected = -(-mean * norm.cdf(z) + 1.0 * norm.pdf(z))
+    assert np.array_equal(score(acq, mean, var), expected)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs most of the package's import time
+    import dynabo
+
+    src = str(Path(dynabo.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, dynabo; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_expected_improvement_zero_variance():

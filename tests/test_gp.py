@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
+from dynabo import gp
 from dynabo.gp import (
     Dataset,
     FactorizationError,
@@ -28,6 +30,7 @@ from dynabo.kernels import (
     KernelForm,
     KernelSpec,
     cross_gram,
+    grad_gram_log_hp,
     gram,
     hp_from_vector,
     hp_to_vector,
@@ -304,3 +307,176 @@ def test_predict_rejects_bad_queries():
         model.predict(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         model.predict(np.array([[np.nan, 0.0]]))
+
+
+def test_train_leaves_caller_bounds_untouched():
+    rng = np.random.default_rng(8)
+    spec = KernelSpec(KernelForm.SE, KernelForm.SE)
+    dataset = Dataset(rng.uniform(0, 3, size=(8, 4)), rng.normal(size=8))
+    b = default_log_bounds(spec, [1.0, 3.0, 2.0], 1.0)
+    before = b.copy()
+    train(
+        dataset,
+        spec,
+        Hyperparameters.default(3, spec),
+        TrainConfig(restarts=2, seed=0, log_bounds=b, tie_lengthscales="spatial"),
+    )
+    assert np.array_equal(b, before)
+
+
+# -- the fused objective against the unfused formulas, bit for bit -----------
+
+
+def reference_lml(dataset, spec, hp):
+    """Log marginal likelihood from the public gram and a fresh factorization."""
+    y = dataset.normalized_targets
+    el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
+    alpha = cho_solve((el, True), y)
+    value = float(
+        -0.5 * y @ alpha
+        - np.sum(np.log(np.diag(el)))
+        - 0.5 * dataset.n * math.log(2 * math.pi)
+    )
+    return value, el, alpha
+
+
+def reference_lml_and_gradient(dataset, spec, hp):
+    value, el, alpha = reference_lml(dataset, spec, hp)
+    k_inv = cho_solve((el, True), np.eye(dataset.n))
+    grads = grad_gram_log_hp(dataset.points, spec, hp)
+    out = np.empty(len(grads))
+    for i, dk in enumerate(grads):
+        out[i] = 0.5 * (alpha @ dk @ alpha - np.sum(k_inv * dk))
+    return value, out
+
+
+def reference_train(dataset, spec, init, config):
+    """Projected gradient ascent as ``train`` runs it, built on the reference
+    functions: a fresh gram and factorization at every probe and gradient.
+
+    Returns the best vector, its value, the iteration count and the number of
+    probes (value-only evaluations)."""
+    d = dataset.spatial_dim
+    bounds = np.array(config.log_bounds, dtype=float)
+    tie_blocks = gp._tie_blocks(spec, d, config.tie_lengthscales)
+    for block in tie_blocks:
+        bounds[block, 0] = bounds[block, 0].max()
+        bounds[block, 1] = bounds[block, 1].min()
+    probes = 0
+
+    def project(theta):
+        theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
+        for block in tie_blocks:
+            theta[block] = theta[block].mean()
+        return theta
+
+    def objective(theta):
+        nonlocal probes
+        probes += 1
+        try:
+            return reference_lml(dataset, spec, hp_from_vector(theta, spec, d))[0]
+        except FactorizationError:
+            return -np.inf
+
+    def gradient(theta):
+        value, grad = reference_lml_and_gradient(dataset, spec, hp_from_vector(theta, spec, d))
+        for block in tie_blocks:
+            grad[block] = grad[block].mean()
+        return value, grad
+
+    rng = np.random.default_rng(config.seed)
+    starts = [project(hp_to_vector(init, spec))]
+    for _ in range(config.restarts - 1):
+        starts.append(project(rng.uniform(bounds[:, 0], bounds[:, 1])))
+    best_theta, best_value, total_iters = None, -np.inf, 0
+    for theta in starts:
+        value = objective(theta)
+        if not np.isfinite(value):
+            continue
+        theta_prev = grad_prev = None
+        step = 0.1
+        small_gains = 0
+        for _ in range(config.max_iters):
+            total_iters += 1
+            value, grad = gradient(theta)
+            if not np.all(np.isfinite(grad)):
+                break
+            if np.max(np.abs(project(theta + grad) - theta)) < 1e-8 * (1 + abs(value)):
+                break
+            if grad_prev is not None:
+                ds = theta - theta_prev
+                dg = grad - grad_prev
+                denom = abs(float(ds @ dg))
+                if denom > 1e-300:
+                    step = float(np.clip((ds @ ds) / denom, 1e-8, 1e2))
+            theta_prev, grad_prev = theta.copy(), grad.copy()
+            step = min(step, 2.0 / (np.max(np.abs(grad)) + 1e-300))
+            gained = 0.0
+            while step > 1e-14:
+                candidate = project(theta + step * grad)
+                cand_value = objective(candidate)
+                if cand_value > value:
+                    gained = cand_value - value
+                    theta, value = candidate, cand_value
+                    break
+                step *= 0.5
+            if gained == 0.0:
+                break
+            if gained <= config.relative_tol * (1.0 + abs(value)):
+                small_gains += 1
+                if small_gains >= 3:
+                    break
+            else:
+                small_gains = 0
+        if value > best_value:
+            best_value, best_theta = value, theta.copy()
+    return best_theta, best_value, total_iters, probes
+
+
+@pytest.mark.parametrize("spec", FORMS)
+def test_objective_is_bit_identical_to_unfused_formulas(spec):
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        n, d = int(rng.integers(1, 19)), int(rng.integers(1, 4))
+        dataset, hp = random_case(rng, spec, n, d)
+        assert log_marginal_likelihood(dataset, spec, hp) == reference_lml(dataset, spec, hp)[0]
+        value, grad = lml_and_gradient(dataset, spec, hp)
+        ref_value, ref_grad = reference_lml_and_gradient(dataset, spec, hp)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize(
+    "tie, spec",
+    [
+        ("none", KernelSpec(KernelForm.SUM, KernelForm.SUM)),
+        ("spatial", KernelSpec(KernelForm.SUM, KernelForm.SE)),
+        ("all", KernelSpec(KernelForm.SE, KernelForm.MATERN12)),
+    ],
+)
+def test_train_matches_unfused_reference_loop(tie, spec, monkeypatch):
+    rng = np.random.default_rng(5)
+    d = 2
+    pts = np.hstack([rng.uniform(0, 1, size=(14, d)), np.sort(rng.uniform(0, 2, size=(14, 1)), 0)])
+    dataset = Dataset(pts, np.sin(4 * pts[:, 0]) + pts[:, -1] + 0.1 * rng.normal(size=14))
+    config = TrainConfig(
+        restarts=3, max_iters=40, seed=4, tie_lengthscales=tie,
+        log_bounds=default_log_bounds(spec, [1.0] * d, 2.0),
+    )
+    init = Hyperparameters.default(d, spec)
+    theta, value, iters, probes = reference_train(dataset, spec, init, config)
+
+    factorizations = 0
+
+    def counted(matrix):
+        nonlocal factorizations
+        factorizations += 1
+        return chol_with_jitter(matrix)
+
+    monkeypatch.setattr(gp, "chol_with_jitter", counted)
+    result = train(dataset, spec, init, config)
+    assert np.array_equal(hp_to_vector(result.hp, spec), theta)
+    assert result.lml == value
+    assert result.iterations == iters > 0
+    # a gradient always lands on the last probe's vector: no second factorization
+    assert factorizations == probes

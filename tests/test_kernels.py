@@ -157,6 +157,46 @@ def fd_gradient(points, spec, hp, h=1e-5):
     return grads
 
 
+def fixed_order_cross_gram(a, b, spec, hp):
+    """Reference covariance in one fixed elementwise order: differences over
+    length-scales, sum of squares over the last axis, component weights,
+    then signal * spatial * temporal.  Exact equality pins the arithmetic
+    that training's iterates depend on."""
+
+    def plain(form, z):
+        s = np.sum(z * z, axis=-1)
+        return np.exp(-0.5 * s) if form is KernelForm.SE else np.exp(-np.sqrt(s))
+
+    def part(form, diffs, log_ells, log_vars):
+        if form is KernelForm.SUM:
+            va, vb = np.exp(log_vars)
+            return va * plain(KernelForm.SE, diffs / np.exp(log_ells[0])) + vb * plain(
+                KernelForm.MATERN12, diffs / np.exp(log_ells[1])
+            )
+        return plain(form, diffs / np.exp(log_ells))
+
+    d = hp.spatial_dim
+    tls = np.atleast_1d(hp.log_temporal_lengthscale)
+    if spec.temporal is KernelForm.SUM:
+        tls = tls[:, None]
+    k_s = part(spec.spatial, a[:, None, :d] - b[None, :, :d],
+               hp.log_spatial_lengthscales, hp.log_spatial_variances)
+    k_t = part(spec.temporal, a[:, None, d:] - b[None, :, d:], tls, hp.log_temporal_variances)
+    return np.exp(hp.log_signal_variance) * k_s * k_t
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_gram_keeps_fixed_elementwise_order(spec):
+    rng = np.random.default_rng(17)
+    for d in (1, 3):
+        hp = random_hp(rng, spec, d)
+        a = rng.uniform(-2, 2, size=(9, d + 1))
+        b = rng.uniform(-2, 2, size=(4, d + 1))
+        assert np.array_equal(cross_gram(a, b, spec, hp), fixed_order_cross_gram(a, b, spec, hp))
+        noisy = fixed_order_cross_gram(a, a, spec, hp) + hp.noise_variance * np.eye(9)
+        assert np.array_equal(gram(a, spec, hp, with_noise=True), noisy)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_grad_gram_matches_finite_differences(spec):
     rng = np.random.default_rng(17)
