@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,7 @@ from dynabo.engine import (
     Mode,
     RunTrace,
     WarmupConfig,
+    check_horizon,
     run,
 )
 from dynabo.gp import TrainConfig
@@ -117,35 +119,39 @@ _KERNEL_FORMS = tuple(f.value for f in KernelForm)
 _MODES = tuple(m.value for m in Mode)
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """A finite JSON number; with ``integer``, an integer.  ``bool`` is
+    neither, although Python counts ``True`` as the int 1."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
 def _check_engine_values(prefix: str, values: dict, errors: list):
     def bad(key, msg):
         errors.append(f"{prefix}{key}: {msg}")
 
     pos = ("kappa", "detector_rate")
     opt_pos = ("warmup_span", "fixed_interval", "min_lookahead")
-    counts = ("budget", "detector_window", "train_restarts", "train_max_iters",
-              "pso_particles", "pso_iterations")
+    counts = ("budget", "warmup_lhd", "detector_window", "train_restarts",
+              "train_max_iters", "pso_particles", "pso_iterations")
     for key in pos:
-        if key in values and not (isinstance(values[key], (int, float)) and values[key] > 0):
+        if key in values and not (_is_number(values[key]) and values[key] > 0):
             bad(key, "must be a positive number")
     for key in opt_pos:
         v = values.get(key)
-        if v is not None and not (isinstance(v, (int, float)) and v > 0):
+        if v is not None and not (_is_number(v) and v > 0):
             bad(key, "must be null or a positive number")
     for key in counts:
-        if key in values and not (isinstance(values[key], int) and values[key] >= 1):
+        if key in values and not (_is_number(values[key], integer=True) and values[key] >= 1):
             bad(key, "must be a positive integer")
-    if "warmup_lhd" in values and not (
-        isinstance(values["warmup_lhd"], int) and values["warmup_lhd"] >= 1
-    ):
-        bad("warmup_lhd", "must be a positive integer")
     if "warmup_bo_steps" in values and not (
-        isinstance(values["warmup_bo_steps"], int) and values["warmup_bo_steps"] >= 0
+        _is_number(values["warmup_bo_steps"], integer=True) and values["warmup_bo_steps"] >= 0
     ):
         bad("warmup_bo_steps", "must be a nonnegative integer")
     if "lookahead_fraction" in values:
         v = values["lookahead_fraction"]
-        if not (isinstance(v, (int, float)) and 0.0 < v <= 1.0):
+        if not (_is_number(v) and 0.0 < v <= 1.0):
             bad("lookahead_fraction", "must lie in (0, 1]")
     if "acquisition" in values and values["acquisition"] not in _ACQUISITIONS:
         bad("acquisition", f"must be one of {_ACQUISITIONS}")
@@ -204,13 +210,13 @@ def normalize_config(raw: dict) -> dict:
             errors.append(f"modes: {m!r} is not one of {_MODES}")
 
     reps = raw.get("repetitions", _TOP_DEFAULTS["repetitions"])
-    if not (isinstance(reps, int) and reps >= 1):
+    if not (_is_number(reps, integer=True) and reps >= 1):
         errors.append("repetitions: must be a positive integer")
     seed = raw.get("base_seed", _TOP_DEFAULTS["base_seed"])
-    if not (isinstance(seed, int) and seed >= 0):
+    if not (_is_number(seed, integer=True) and seed >= 0):
         errors.append("base_seed: must be a nonnegative integer")
     mw = raw.get("metric_window", _TOP_DEFAULTS["metric_window"])
-    if not (isinstance(mw, int) and mw >= 1):
+    if not (_is_number(mw, integer=True) and mw >= 1):
         errors.append("metric_window: must be a positive integer")
     for key in ("emit_traces", "emit_summary", "emit_plot_data"):
         if key in raw and not isinstance(raw[key], bool):
@@ -484,6 +490,13 @@ def cmd_run(args) -> int:
     except OSError as err:
         print(f"cannot read problem data: {err}", file=sys.stderr)
         return EXIT_IO
+
+    for mode in config.modes:
+        try:
+            check_horizon(problem, engine_config_for(config, problem, mode, 0))
+        except ValueError as err:
+            print(f"config rejected for mode {mode}: {err}", file=sys.stderr)
+            return EXIT_CONFIG
 
     out_dir = config.output_dir
     try:

@@ -13,7 +13,8 @@ treats the time coordinate:
     objective drifts.
 ``abo_fixed``
     Time advances by a fixed interval each step; the surrogate still
-    learns temporal correlation and extrapolates to the next slice.
+    learns temporal correlation and extrapolates to the next slice.  The
+    run ends early when the next slice would pass the horizon.
 ``standard_bo``
     Time-naive control: same fixed stepping, but the surrogate is fit
     with a single isotropic length-scale across every input dimension,
@@ -53,6 +54,7 @@ __all__ = [
     "IncumbentRecord",
     "RunTrace",
     "feasible_window",
+    "check_horizon",
     "learning_detector",
     "choose_heuristic",
     "run",
@@ -118,7 +120,9 @@ class EngineConfig:
     and the next one (no sampling in the past, nor at the present
     instant); ``lookahead_fraction`` caps how far ahead the adaptive mode
     may reach, as a fraction of the learnt temporal length-scale, and
-    must lie in (0, 1].  ``budget`` counts scored evaluations only.
+    must lie in (0, 1].  ``budget`` counts scored evaluations only; every
+    mode also ends its run when the next sample's earliest time would pass
+    the horizon.
 
     ``fixed_hp`` skips training entirely and runs the loop with the given
     hyperparameters; ``freeze_after_warmup`` trains once at the first
@@ -269,6 +273,23 @@ def _windowed_incumbent(dataset: Dataset, window: int):
     return point[:-1].copy(), float(point[-1]), float(dataset.targets[k])
 
 
+def _warmup_span(config: EngineConfig) -> float:
+    span = config.warmup.span
+    return config.warmup.lhd * config.fixed_interval if span is None else span
+
+
+def check_horizon(problem: Problem, config: EngineConfig) -> None:
+    """Reject a warmup span longer than the problem's horizon: its
+    space-filling samples would land past the horizon's end, where
+    ``Problem.evaluate`` need not be defined."""
+    t_start, t_end = problem.horizon
+    span = _warmup_span(config)
+    if t_start + span > t_end:  # the warmup box's upper time edge
+        raise ValueError(
+            f"warmup span {span!r} is longer than the horizon {problem.horizon!r}"
+        )
+
+
 def _initial_hp(problem: Problem, kernel: KernelSpec, span: float) -> Hyperparameters:
     widths = np.maximum(problem.spatial_bounds.width, 1e-12)
     spatial = 0.5 * float(np.exp(np.mean(np.log(widths))))
@@ -278,7 +299,12 @@ def _initial_hp(problem: Problem, kernel: KernelSpec, span: float) -> Hyperparam
 
 
 def run(problem: Problem, config: EngineConfig) -> RunTrace:
-    """Execute one optimization run; deterministic given ``config.seed``."""
+    """Execute one optimization run; deterministic given ``config.seed``.
+
+    Every sample lies in the problem's box and horizon; ``check_horizon``
+    raises ``ValueError`` for a config whose warmup cannot.
+    """
+    check_horizon(problem, config)
     d = problem.spatial_dim
     t_start, t_end = problem.horizon
     mode = config.mode
@@ -289,9 +315,7 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
         kernel = replace(kernel, temporal=KernelForm.MATERN12)
         flexible = False
     tie = "all" if mode is Mode.STANDARD_BO else config.train.tie_lengthscales
-    span = config.warmup.span
-    if span is None:
-        span = config.warmup.lhd * config.fixed_interval
+    span = _warmup_span(config)
 
     # hyperparameter bounds from the problem geometry, not the visited
     # region: stable across iterations so warm starts stay comparable
@@ -377,11 +401,11 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
             t_lo, t_hi = feasible_window(
                 t_c, config.min_lookahead, config.lookahead_fraction, lt
             )
-            if t_lo > t_end:
-                break  # nothing left of the horizon to sample
-            t_hi = max(t_lo, min(t_hi, t_end))
         else:
             t_lo = t_hi = t_c + config.fixed_interval
+        if t_lo > t_end:
+            break  # nothing left of the horizon to sample
+        t_hi = max(t_lo, min(t_hi, t_end))
         box = Box(
             np.append(problem.spatial_bounds.lower, t_lo),
             np.append(problem.spatial_bounds.upper, t_hi),

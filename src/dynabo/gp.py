@@ -10,6 +10,10 @@ directly, and reuses the Cholesky factor of the last vector it evaluated, so
 the gradient at an accepted line-search probe costs no second factorization.
 ``log_marginal_likelihood`` and ``lml_and_gradient`` are thin wrappers over
 the same objective.
+
+The posterior predict solves with the Cholesky factor through LAPACK
+``dtrtrs`` directly, the routine ``scipy.linalg.solve_triangular`` runs, and
+reads the kernel's signal variance from the fit.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from dynabo.kernels import (
     Hyperparameters,
@@ -158,6 +161,17 @@ def _cho_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _tri_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(el, b, lower=True)`` through LAPACK
+    ``dtrtrs`` directly.  ``el`` comes from ``chol_with_jitter``: it is finite
+    and Fortran-ordered, the layout for which ``solve_triangular`` makes this
+    same call."""
+    x, info = dtrtrs(el, b, lower=1)
+    if info != 0:
+        raise ValueError(f"dtrtrs failed with info {info}")
+    return x
+
+
 def _lml_from_factor(
     el: np.ndarray, alpha: np.ndarray, y: np.ndarray, log_norm: float
 ) -> float:
@@ -197,7 +211,8 @@ class _MarginalLikelihood:
         if not np.isfinite(theta).all():
             raise ValueError("hyperparameters must be finite")
         k = _cov(self._spec, self._dx, self._dt, p)
-        el, _ = chol_with_jitter(k + float(np.exp(p.log_noise_variance)) * self._eye)
+        k.flat[:: len(k) + 1] += float(np.exp(p.log_noise_variance))
+        el, _ = chol_with_jitter(k)
         alpha = _cho_solve(el, self._y)
         value = _lml_from_factor(el, alpha, self._y, self._log_norm)
         self._last = (key, p, el, alpha, value)
@@ -240,9 +255,11 @@ class GpModel:
     hp: Hyperparameters
     _factor_l: np.ndarray = field(repr=False)
     _alpha: np.ndarray = field(repr=False)
-    # the dataset's target mean and guarded std, computed once per fit
+    # the dataset's target mean and guarded std and the kernel's total
+    # signal variance, computed once per fit
     _target_mean: float = field(repr=False)
     _target_std: float = field(repr=False)
+    _signal_variance: float = field(repr=False)
     lml: float = 0.0
 
     @classmethod
@@ -254,7 +271,7 @@ class GpModel:
         el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
         alpha = _cho_solve(el, y)
         lml = _lml_from_factor(el, alpha, y, _log_norm(dataset.n))
-        return cls(dataset, spec, hp, el, alpha, mean, std, lml)
+        return cls(dataset, spec, hp, el, alpha, mean, std, hp.signal_variance, lml)
 
     def _query(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -269,9 +286,10 @@ class GpModel:
         points = self._query(points)
         k_star = cross_gram(self.dataset.points, points, self.spec, self.hp)
         mean = k_star.T @ self._alpha
-        v = solve_triangular(self._factor_l, k_star, lower=True)
-        var = self.hp.signal_variance - np.sum(v * v, axis=0)
-        return mean, np.maximum(var, 0.0)
+        v = _tri_solve(self._factor_l, k_star)
+        v *= v
+        var = self._signal_variance - v.sum(axis=0)
+        return mean, np.maximum(var, 0.0, out=var)
 
     def predict(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance of the latent objective (no noise term)."""

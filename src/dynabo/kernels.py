@@ -10,6 +10,15 @@ All hyperparameters are stored in log space so that unconstrained training
 keeps them positive.  ``grad_gram_log_hp`` returns analytic derivatives with
 respect to each free log-hyperparameter, in the same order used by
 ``hp_to_vector``.
+
+The arithmetic is dimension-major: pairwise differences are laid out
+``(p, n, m)``, one ``(n, m)`` slab per input dimension.  The scaled squared
+distance is summed one dimension at a time into one ``(n, m)`` array (eight
+from eight dimensions on), and the exponentials run on it in place.  The
+additions follow numpy's pairwise order for a reduction over a short last
+axis, so the result is bitwise the one an ``(n, m, p)`` layout reduced with
+``sum(axis=-1)`` gives, without its ``(n, m, p)`` temporaries.  The
+length-scale derivatives reuse the per-dimension squares.
 """
 
 from __future__ import annotations
@@ -212,15 +221,57 @@ def eval_matern12(distance, lengthscale, variance):
 
 
 def _diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Raw pairwise per-dimension differences, (n, m, p)."""
-    return xa[:, None, :] - xb[None, :, :]
+    """Raw pairwise differences, dimension-major: (p, n, m)."""
+    # contiguous (p, n) and (p, m) copies make the broadcast subtraction faster
+    return xa.T.copy()[:, :, None] - xb.T.copy()[:, None, :]
 
 
-def _plain_cov(form: KernelForm, z: np.ndarray) -> np.ndarray:
-    s = (z * z).sum(axis=-1)
+def _squares(diffs: np.ndarray, ells: np.ndarray):
+    """``(diffs[j] / ells[j]) ** 2`` for each dimension ``j``, one fresh
+    ``(n, m)`` array at a time."""
+    for diff, ell in zip(diffs, ells):
+        z = diff / ell
+        z *= z
+        yield z
+
+
+def _sum_squares(squares, p: int) -> np.ndarray:
+    """Sum of ``p`` per-dimension squares in the order numpy's
+    ``(z * z).sum(axis=-1)`` adds a short contiguous last axis, so the
+    dimension-major layout gives the same bits.  That order is pairwise
+    summation: one by one below 8 terms; up to 128 terms, eight running sums
+    combined as a tree, then the rest one by one; beyond that, two halves.
+    Accumulates in place into the first terms it draws."""
+    if p > 128:
+        half = p // 2 - (p // 2) % 8
+        s = _sum_squares(squares, half)
+        s += _sum_squares(squares, p - half)
+        return s
+    if p < 8:
+        s = next(squares)
+        for _ in range(p - 1):
+            s += next(squares)
+        return s
+    r = [next(squares) for _ in range(8)]
+    for i in range(8, p - p % 8):
+        r[i % 8] += next(squares)
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        r[a] += r[b]
+    s = r[0]
+    for _ in range(p % 8):
+        s += next(squares)
+    return s
+
+
+def _plain_cov(form: KernelForm, s: np.ndarray) -> np.ndarray:
+    """Unit-variance plain covariance from the scaled squared distance ``s``,
+    computed in place."""
     if form is KernelForm.SE:
-        return np.exp(-0.5 * s)
-    return np.exp(-np.sqrt(s))
+        s *= -0.5
+    else:
+        np.sqrt(s, out=s)
+        np.negative(s, out=s)
+    return np.exp(s, out=s)
 
 
 def _part_cov(
@@ -229,27 +280,37 @@ def _part_cov(
     log_ells: np.ndarray,
     log_vars: np.ndarray | None,
 ) -> np.ndarray:
+    ells = np.exp(log_ells)
+    p = len(diffs)
     if form is KernelForm.SUM:
         va, vb = np.exp(log_vars)
-        k_se = _plain_cov(KernelForm.SE, diffs / np.exp(log_ells[0]))
-        k_m12 = _plain_cov(KernelForm.MATERN12, diffs / np.exp(log_ells[1]))
-        return va * k_se + vb * k_m12
-    return _plain_cov(form, diffs / np.exp(log_ells))
+        k = _plain_cov(KernelForm.SE, _sum_squares(_squares(diffs, ells[0]), p))
+        k *= va
+        k_m12 = _plain_cov(KernelForm.MATERN12, _sum_squares(_squares(diffs, ells[1]), p))
+        k_m12 *= vb
+        k += k_m12
+        return k
+    return _plain_cov(form, _sum_squares(_squares(diffs, ells), p))
 
 
-def _plain_cov_grads(form: KernelForm, z: np.ndarray):
-    """Covariance of a unit-variance plain part plus d/dlog(l_j) matrices."""
-    s = (z * z).sum(axis=-1)
+def _plain_cov_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray):
+    """Covariance of a unit-variance plain part plus d/dlog(l_j) matrices.
+
+    The derivative for dimension ``j`` is ``z_j^2`` times ``k`` (SE) or
+    ``k / r`` (Matern 1/2, 0 at zero distance); it reuses the square's array.
+    """
+    squares = list(_squares(diffs, ells))
+    s = _sum_squares((z.copy() for z in squares), len(squares))
     if form is KernelForm.SE:
-        k = np.exp(-0.5 * s)
-        grads = [k * z[..., j] ** 2 for j in range(z.shape[-1])]
+        k = scale = _plain_cov(form, s)
     else:
-        r = np.sqrt(s)
+        r = np.sqrt(s, out=s)
         k = np.exp(-r)
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.where(r > 0, k / np.where(r > 0, r, 1.0), 0.0)
-        grads = [scale * z[..., j] ** 2 for j in range(z.shape[-1])]
-    return k, grads
+    for z in squares:
+        z *= scale
+    return k, squares
 
 
 def _part_cov_grads(
@@ -259,15 +320,19 @@ def _part_cov_grads(
     log_vars: np.ndarray | None,
 ):
     """Part covariance and gradient matrices, length-scale block then variances."""
+    ells = np.exp(log_ells)
     if form is KernelForm.SUM:
         va, vb = np.exp(log_vars)
-        k_se, g_se = _plain_cov_grads(KernelForm.SE, diffs / np.exp(log_ells[0]))
-        k_m12, g_m12 = _plain_cov_grads(KernelForm.MATERN12, diffs / np.exp(log_ells[1]))
-        k = va * k_se + vb * k_m12
-        grads = [va * g for g in g_se] + [vb * g for g in g_m12]
-        grads += [va * k_se, vb * k_m12]
-        return k, grads
-    return _plain_cov_grads(form, diffs / np.exp(log_ells))
+        k_se, g_se = _plain_cov_grads(KernelForm.SE, diffs, ells[0])
+        k_m12, g_m12 = _plain_cov_grads(KernelForm.MATERN12, diffs, ells[1])
+        for g in g_se:
+            g *= va
+        for g in g_m12:
+            g *= vb
+        k_se *= va
+        k_m12 *= vb
+        return k_se + k_m12, g_se + g_m12 + [k_se, k_m12]
+    return _plain_cov_grads(form, diffs, ells)
 
 
 class _Params(NamedTuple):
@@ -315,9 +380,10 @@ def _params_from_vector(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -
 
 def _cov(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params) -> np.ndarray:
     """Noise-free covariance from raw spatial and temporal differences."""
-    k_s = _part_cov(spec.spatial, dx, p.spatial_log_ells, p.spatial_log_vars)
-    k_t = _part_cov(spec.temporal, dt, p.temporal_log_ells, p.temporal_log_vars)
-    return np.exp(p.log_signal_variance) * k_s * k_t
+    k = _part_cov(spec.spatial, dx, p.spatial_log_ells, p.spatial_log_vars)
+    k *= np.exp(p.log_signal_variance)
+    k *= _part_cov(spec.temporal, dt, p.temporal_log_ells, p.temporal_log_vars)
+    return k
 
 
 def _cov_grads(
@@ -327,10 +393,16 @@ def _cov_grads(
     s2 = np.exp(p.log_signal_variance)
     k_s, gs = _part_cov_grads(spec.spatial, dx, p.spatial_log_ells, p.spatial_log_vars)
     k_t, gt = _part_cov_grads(spec.temporal, dt, p.temporal_log_ells, p.temporal_log_vars)
-    grads = [s2 * g * k_t for g in gs]
-    grads += [s2 * k_s * g for g in gt]
+    for g in gs:
+        g *= s2
+        g *= k_t
+    k_s *= s2
+    for g in gt:
+        g *= k_s
+    grads = gs + gt
     if spec.signal_variance_free:
-        grads.append(s2 * k_s * k_t)
+        k_s *= k_t
+        grads.append(k_s)
     grads.append(float(np.exp(p.log_noise_variance)) * eye)
     return grads
 
@@ -377,7 +449,7 @@ def gram(
         raise ValueError("need at least one point")
     k = cross_gram(points, points, spec, hp)
     if with_noise:
-        k = k + hp.noise_variance * np.eye(k.shape[0])
+        k.flat[:: k.shape[0] + 1] += hp.noise_variance
     return k
 
 

@@ -108,6 +108,45 @@ def test_error_message_lists_every_field():
     assert "lookahead_fraction" in msg and "repetitions" in msg and "bogus" in msg
 
 
+NUMERIC_FIELDS = [
+    "budget", "warmup_lhd", "warmup_bo_steps", "warmup_span", "fixed_interval",
+    "min_lookahead", "lookahead_fraction", "kappa", "detector_window", "detector_rate",
+    "train_restarts", "train_max_iters", "pso_particles", "pso_iterations",
+    "repetitions", "base_seed", "metric_window",
+]
+ENGINE_NUMERIC_FIELDS = [k for k in NUMERIC_FIELDS
+                         if k not in ("repetitions", "base_seed", "metric_window")]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("key", NUMERIC_FIELDS)
+def test_booleans_rejected_in_numeric_fields(key, value):
+    # Python counts True as the int 1; a JSON boolean is still not a number
+    with pytest.raises(ConfigError, match=rf"(^|; |: ){key}: must "):
+        load_config(minimal_raw(**{key: value}))
+
+
+@pytest.mark.parametrize("key", ENGINE_NUMERIC_FIELDS)
+def test_booleans_rejected_in_mode_overrides(key):
+    raw = minimal_raw(mode_overrides={"abo_fixed": {key: True}})
+    with pytest.raises(ConfigError, match=rf"mode_overrides\.abo_fixed\.{key}: must "):
+        load_config(raw)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_nonfinite_numbers_rejected(value):
+    with pytest.raises(ConfigError, match="kappa: must be"):
+        load_config(minimal_raw(kappa=value))
+    with pytest.raises(ConfigError, match="warmup_span: must be"):
+        load_config(minimal_raw(warmup_span=value))
+
+
+def test_numbers_still_accepted():
+    cfg = load_config(minimal_raw(budget=3, kappa=1, warmup_span=0.25, base_seed=0,
+                                  repetitions=10**30))
+    assert cfg.data["kappa"] == 1 and cfg.data["warmup_span"] == 0.25
+
+
 def test_normalize_is_idempotent():
     once = normalize_config(fast_raw(mode_overrides={"abo_fixed": {"budget": 7}}))
     assert normalize_config(once) == once
@@ -287,6 +326,27 @@ def test_run_rejects_unknown_problem(tmp_path, capsys):
     raw = minimal_raw()
     raw["problem"]["name"] = "imaginary_fn"
     assert main(["run", str(write_cfg(tmp_path, raw))]) == 2
+
+
+def test_run_rejects_warmup_longer_than_horizon(tmp_path, capsys, monkeypatch):
+    def no_run(problem, config):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "out"
+    raw = fast_raw(output_dir=str(out), mode_overrides={"abo_fixed": {"warmup_span": 5.0}})
+    assert main(["run", str(write_cfg(tmp_path, raw))]) == 2
+    assert "warmup span" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_invalid_mode_settings_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = fast_raw(output_dir=str(out), modes=["abo_fixed", "standard_bo"],
+                   kernel_temporal="matern12")
+    assert main(["run", str(write_cfg(tmp_path, raw))]) == 2
+    assert "standard_bo" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_all_runs_aborted_exit_code(tmp_path, monkeypatch):

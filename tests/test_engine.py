@@ -5,6 +5,8 @@ contracts (phases, time ordering, window containment, determinism), not
 optimization quality.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from dynabo.engine import (
     Mode,
     RunTrace,
     WarmupConfig,
+    check_horizon,
     choose_heuristic,
     feasible_window,
     learning_detector,
@@ -26,7 +29,7 @@ from dynabo.engine import (
 from dynabo.gp import TrainConfig, TrainingError
 from dynabo.kernels import Hyperparameters, KernelForm, KernelSpec
 from dynabo.optimizer import Box, PsoConfig
-from dynabo.problems import Problem
+from dynabo.problems import Problem, make_standard
 
 
 def drifting_bowl(horizon=(0.0, 1.0)):
@@ -393,3 +396,63 @@ def test_scored_values_property():
     vals = trace.scored_values
     assert vals.shape == (3,)
     assert np.all(np.isfinite(vals))
+
+
+# ---- horizon
+
+
+def test_run_rejects_warmup_span_longer_than_horizon():
+    # EngineConfig defaults: span = 2 warmup samples x interval 1.0 on horizon (0, 1)
+    problem = make_standard("branin_scaled", seed=0)
+    cfg = EngineConfig(mode=Mode.ABO_FIXED)
+    with pytest.raises(ValueError, match="warmup span"):
+        check_horizon(problem, cfg)
+    with pytest.raises(ValueError, match="warmup span"):
+        run(problem, cfg)
+    check_horizon(problem, replace(cfg, warmup=WarmupConfig(lhd=2, span=1.0)))
+
+
+@pytest.mark.parametrize("mode", [Mode.ABO_FIXED, Mode.TVB, Mode.STANDARD_BO])
+def test_fixed_interval_run_ends_at_horizon(mode):
+    prob = drifting_bowl()
+    trace = run(prob, small_cfg(mode=mode, budget=50, fixed_interval=0.2))
+    assert not trace.aborted
+    assert 0 < trace.n_scored < 50
+    last_t = trace.steps[-1].t
+    assert last_t <= prob.horizon[1]
+    assert last_t + 0.2 > prob.horizon[1]
+
+
+@given(
+    mode=st.sampled_from(list(Mode)),
+    t_start=st.floats(-5.0, 5.0),
+    width=st.floats(0.2, 3.0),
+    interval_share=st.floats(0.02, 0.6),
+    span_share=st.floats(0.01, 1.0),
+    lhd=st.integers(1, 3),
+    bo_steps=st.integers(0, 2),
+    lt=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_sample_lies_in_box_and_horizon(
+    mode, t_start, width, interval_share, span_share, lhd, bo_steps, lt, seed
+):
+    horizon = (t_start, t_start + width)
+    prob = Problem(
+        "bowl2", Box(np.array([-1.0, 0.0]), np.array([0.5, 2.0])), horizon,
+        lambda x, t: float((x[0] - np.sin(t)) ** 2 + (x[1] - 1.0) ** 2),
+    )
+    cfg = EngineConfig(
+        mode=mode, budget=6, fixed_interval=interval_share * width,
+        min_lookahead=0.5 * interval_share * width,
+        warmup=WarmupConfig(lhd=lhd, bo_steps=bo_steps, span=span_share * width),
+        fixed_hp=Hyperparameters.default(2, KernelSpec(), spatial_scale=0.5,
+                                         temporal_scale=lt * width, noise_variance=1e-4),
+        pso=PsoConfig(particles=6, iterations=4), seed=seed,
+    )
+    trace = run(prob, cfg)
+    assert trace.steps
+    for s in trace.steps:
+        assert horizon[0] <= s.t <= horizon[1]
+        assert prob.spatial_bounds.contains(s.x)

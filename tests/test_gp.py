@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from dynabo import gp
 from dynabo.gp import (
@@ -307,6 +307,25 @@ def test_predict_rejects_bad_queries():
         model.predict(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         model.predict(np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("spec", FORMS)
+def test_predict_is_bit_identical_to_solve_triangular_formula(spec):
+    rng = np.random.default_rng(31)
+    for n, d in ((1, 1), (7, 2), (30, 6), (19, 12)):
+        dataset, hp = random_case(rng, spec, n, d)
+        model = GpModel.fit(dataset, spec, hp)
+        query = rng.uniform(-2, 2, size=(9, d + 1))
+        el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
+        k_star = cross_gram(dataset.points, query, spec, hp)
+        v = solve_triangular(el, k_star, lower=True)
+        mean = k_star.T @ cho_solve((el, True), dataset.normalized_targets)
+        var = np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
+        got_mean, got_var = model.predict_normalized(query)
+        assert np.array_equal(got_mean, mean)
+        assert np.array_equal(got_var, var)
+        with pytest.raises(ValueError, match="finite"):
+            model.predict_normalized(np.where(np.eye(9, d + 1) > 0, np.nan, query))
 
 
 def test_train_leaves_caller_bounds_untouched():

@@ -4,6 +4,7 @@ Gradient correctness is checked against central finite differences computed
 here at run time, so analytic and numeric routes stay independent.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ ALL_SPECS = [
     KernelSpec(KernelForm.SE, KernelForm.SUM),
     KernelSpec(KernelForm.SUM, KernelForm.MATERN12),
 ]
+NINE_SPECS = [KernelSpec(s, t) for s, t in itertools.product(KernelForm, KernelForm)]
 
 
 def random_hp(rng, spec, d):
@@ -185,16 +187,63 @@ def fixed_order_cross_gram(a, b, spec, hp):
     return np.exp(hp.log_signal_variance) * k_s * k_t
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS)
+def nmd_grad_gram(points, spec, hp):
+    """Reference noisy-gram derivatives with the differences laid out
+    ``(n, m, d)`` and each squared distance reduced over the last axis, in
+    the elementwise order the dimension-major kernels must reproduce."""
+
+    def plain(form, z):
+        s = (z * z).sum(axis=-1)
+        if form is KernelForm.SE:
+            k = np.exp(-0.5 * s)
+            return k, [k * z[..., j] ** 2 for j in range(z.shape[-1])]
+        r = np.sqrt(s)
+        k = np.exp(-r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(r > 0, k / np.where(r > 0, r, 1.0), 0.0)
+        return k, [scale * z[..., j] ** 2 for j in range(z.shape[-1])]
+
+    def part(form, diffs, log_ells, log_vars):
+        if form is KernelForm.SUM:
+            va, vb = np.exp(log_vars)
+            k_se, g_se = plain(KernelForm.SE, diffs / np.exp(log_ells[0]))
+            k_m12, g_m12 = plain(KernelForm.MATERN12, diffs / np.exp(log_ells[1]))
+            grads = [va * g for g in g_se] + [vb * g for g in g_m12]
+            return va * k_se + vb * k_m12, grads + [va * k_se, vb * k_m12]
+        return plain(form, diffs / np.exp(log_ells))
+
+    d = hp.spatial_dim
+    tls = np.atleast_1d(hp.log_temporal_lengthscale)
+    if spec.temporal is KernelForm.SUM:
+        tls = tls[:, None]
+    x, t = points[:, :d], points[:, d:]
+    k_s, gs = part(spec.spatial, x[:, None] - x[None], hp.log_spatial_lengthscales,
+                   hp.log_spatial_variances)
+    k_t, gt = part(spec.temporal, t[:, None] - t[None], tls, hp.log_temporal_variances)
+    s2 = np.exp(hp.log_signal_variance)
+    grads = [s2 * g * k_t for g in gs] + [s2 * k_s * g for g in gt]
+    if spec.signal_variance_free:
+        grads.append(s2 * k_s * k_t)
+    return grads + [hp.noise_variance * np.eye(len(points))]
+
+
+@pytest.mark.parametrize("spec", NINE_SPECS)
 def test_gram_keeps_fixed_elementwise_order(spec):
-    rng = np.random.default_rng(17)
-    for d in (1, 3):
+    # from d = 8 on numpy sums pairwise: eight running sums (12, 20), and
+    # two halves beyond 128 terms (130)
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3, 6, 7, 12, 20, 130):
         hp = random_hp(rng, spec, d)
-        a = rng.uniform(-2, 2, size=(9, d + 1))
-        b = rng.uniform(-2, 2, size=(4, d + 1))
+        a = rng.uniform(-2, 2, size=(11, d + 1))
+        a[3] = a[0]  # a zero distance, where Matern 1/2 has its kink
+        b = rng.uniform(-2, 2, size=(5, d + 1))
         assert np.array_equal(cross_gram(a, b, spec, hp), fixed_order_cross_gram(a, b, spec, hp))
-        noisy = fixed_order_cross_gram(a, a, spec, hp) + hp.noise_variance * np.eye(9)
+        noisy = fixed_order_cross_gram(a, a, spec, hp) + hp.noise_variance * np.eye(11)
         assert np.array_equal(gram(a, spec, hp, with_noise=True), noisy)
+        got, want = grad_gram_log_hp(a, spec, hp), nmd_grad_gram(a, spec, hp)
+        assert len(got) == len(want) == n_hyperparameters(spec, d)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
