@@ -167,6 +167,21 @@ def _check_engine_values(prefix: str, values: dict, errors: list):
             bad(key, "must be a boolean")
 
 
+def _check_problem_values(problem: dict, errors: list):
+    def count(key, least, nullable=False):
+        value = problem.get(key)
+        if key not in problem or (value is None and nullable):
+            return
+        if not (_is_number(value, integer=True) and value >= least):
+            sign = "positive" if least else "nonnegative"
+            either = "null or " if nullable else ""
+            errors.append(f"problem.{key}: must be {either}a {sign} integer")
+
+    count("seed", 0)
+    count("time_dim", 0, nullable=True)
+    count("first_n_epochs", 1)
+
+
 def normalize_config(raw: dict) -> dict:
     """Validate a raw config mapping and fill every default.
 
@@ -200,6 +215,7 @@ def normalize_config(raw: dict) -> dict:
             if value is None and default is None and key in ("name", "scenario", "readings", "coords"):
                 errors.append(f"problem.{key}: required")
             norm_problem[key] = value
+        _check_problem_values(norm_problem, errors)
 
     modes = raw.get("modes")
     if not (isinstance(modes, list) and modes):

@@ -11,9 +11,17 @@ the gradient at an accepted line-search probe costs no second factorization.
 ``log_marginal_likelihood`` and ``lml_and_gradient`` are thin wrappers over
 the same objective.
 
-The posterior predict solves with the Cholesky factor through LAPACK
-``dtrtrs`` directly, the routine ``scipy.linalg.solve_triangular`` runs, and
-reads the kernel's signal variance from the fit.
+``GpModel.fit`` keeps what every posterior predict on that fit shares: the
+target mean and std, the kernel's signal variance, the hyperparameters
+checked once and laid out in the covariance shapes, and the training points
+dimension-major, ``(d, n, 1)`` spatial and ``(1, n, 1)`` temporal.  A predict
+subtracts the query batch from those arrays and builds the cross-covariance
+with the kernels' ``_cov``, bitwise what ``cross_gram`` gives.  When every
+query in the batch has the same time, as in every step of a fixed-interval
+mode, the temporal factor is one ``(n, 1)`` column broadcast over the batch;
+elementwise arithmetic gives the same bits whatever the array's shape.  The
+solve goes through LAPACK ``dtrtrs`` directly, the routine
+``scipy.linalg.solve_triangular`` runs.
 """
 
 from __future__ import annotations
@@ -31,8 +39,10 @@ from dynabo.kernels import (
     _cov,
     _cov_grads,
     _diffs,
+    _params,
+    _Params,
     _params_from_vector,
-    cross_gram,
+    cross_gram,  # noqa: F401  bench/tracing.py wraps it in this namespace
     grad_gram_log_hp,  # noqa: F401  bench/tracing.py wraps it in this namespace
     gram,
     hp_from_vector,
@@ -255,11 +265,13 @@ class GpModel:
     hp: Hyperparameters
     _factor_l: np.ndarray = field(repr=False)
     _alpha: np.ndarray = field(repr=False)
-    # the dataset's target mean and guarded std and the kernel's total
-    # signal variance, computed once per fit
+    # per-fit invariants (see the module docstring); the std is guarded
     _target_mean: float = field(repr=False)
     _target_std: float = field(repr=False)
     _signal_variance: float = field(repr=False)
+    _kernel_params: _Params = field(repr=False)
+    _space: np.ndarray = field(repr=False)
+    _time: np.ndarray = field(repr=False)
     lml: float = 0.0
 
     @classmethod
@@ -271,7 +283,11 @@ class GpModel:
         el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
         alpha = _cho_solve(el, y)
         lml = _lml_from_factor(el, alpha, y, _log_norm(dataset.n))
-        return cls(dataset, spec, hp, el, alpha, mean, std, hp.signal_variance, lml)
+        columns = dataset.points.T.copy()[:, :, None]
+        return cls(
+            dataset, spec, hp, el, alpha, mean, std, hp.signal_variance,
+            _params(spec, hp), columns[:-1], columns[-1:], lml,
+        )
 
     def _query(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -283,8 +299,12 @@ class GpModel:
 
     def predict_normalized(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance on the standardized-target scale."""
-        points = self._query(points)
-        k_star = cross_gram(self.dataset.points, points, self.spec, self.hp)
+        queries = self._query(points).T.copy()[:, None, :]
+        times = queries[-1:]
+        if (times == times[..., :1]).all():
+            times = times[..., :1]  # one shared time: one temporal column
+        dx, dt = self._space - queries[:-1], self._time - times
+        k_star = _cov(self.spec, dx, dt, self._kernel_params)
         mean = k_star.T @ self._alpha
         v = _tri_solve(self._factor_l, k_star)
         v *= v

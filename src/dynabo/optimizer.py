@@ -9,6 +9,16 @@ Objectives are batch maps: given an ``(M, dim)`` array of candidate points
 they return ``(M,)`` scores.  Evaluations within one swarm iteration are
 independent and may therefore run concurrently (here: vectorized), with the
 reduction order fixed by particle index so results are reproducible.
+
+``optimize_acquisition`` scores each distinct batch once per call.  Within
+one call the model, the acquisition and the box are fixed, so its objective
+is a pure function of the batch's bytes, and a batch seen before gets the
+stored scores, bit for bit the ones a second evaluation would give.  Repeats
+are common: a swarm piled against the box boundary keeps clipping to the
+same positions, and the polish scores its start point and start gradient
+once itself and once more through scipy.  The memo lives in that call, not
+in ``pso_minimize`` or ``local_refine``, because those take any objective,
+and an objective that is not pure must be called every time.
 """
 
 from __future__ import annotations
@@ -118,9 +128,14 @@ def _freeze_degenerate(box: Box):
     if free.any():
         reduced = Box(box.lower[free], box.upper[free])
 
+    blocks = {}  # row count -> rows of the pinned values, copied per call
+
     def embed(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
-        full = np.tile(box.lower, (points.shape[0], 1))
+        m = points.shape[0]
+        if m not in blocks:
+            blocks[m] = np.tile(box.lower, (m, 1))
+        full = blocks[m].copy()
         full[:, free] = points
         return full
 
@@ -165,8 +180,10 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
             + config.cognitive * r_cog * (best_pos - positions)
             + config.social * r_soc * (g_pos - positions)
         )
-        velocities = np.clip(velocities, -v_max, v_max)
-        positions = np.clip(positions + velocities, reduced.lower, reduced.upper)
+        # the ndarray method skips np.clip's wrapper; the clip is the same
+        velocities.clip(-v_max, v_max, out=velocities)
+        positions = positions + velocities
+        positions.clip(reduced.lower, reduced.upper, out=positions)
         values = _batch_eval(objective, embed(positions))
         improved = values < best_val
         best_pos[improved] = positions[improved]
@@ -247,10 +264,20 @@ def optimize_acquisition(
     pso: PsoConfig = PsoConfig(),
     refine: RefineConfig = RefineConfig(),
 ) -> np.ndarray:
-    """Best scoring point in the box: LHD-seeded swarm, then local polish."""
+    """Best scoring point in the box: LHD-seeded swarm, then local polish.
+
+    Each distinct batch is scored once per call: see the module docstring.
+    """
+    scored = {}
 
     def objective(points):
-        return evaluate_on_model(acq, model, points)
+        key = (points.shape, points.tobytes())
+        values = scored.get(key)
+        if values is None:
+            values = evaluate_on_model(acq, model, points)
+            values.flags.writeable = False
+            scored[key] = values
+        return values
 
     probes = latin_hypercube(pso.particles, box, pso.seed)
     point, _ = pso_minimize(objective, box, pso, init=probes)

@@ -173,6 +173,50 @@ def test_problem_requires_kind_specific_fields():
         load_config({"schema": 1, "problem": {"kind": "mpb"}, "modes": ["abo_fixed"]})
 
 
+BAD_PROBLEM_FIELDS = [
+    ({"kind": "standard", "name": "branin_scaled", "seed": True}, "seed", "a nonnegative"),
+    ({"kind": "standard", "name": "branin_scaled", "seed": -1}, "seed", "a nonnegative"),
+    ({"kind": "standard", "name": "branin_scaled", "seed": 0.5}, "seed", "a nonnegative"),
+    ({"kind": "standard", "name": "branin_scaled", "time_dim": 1.5}, "time_dim", "null or"),
+    ({"kind": "standard", "name": "branin_scaled", "time_dim": False}, "time_dim", "null or"),
+    ({"kind": "standard", "name": "branin_scaled", "time_dim": -1}, "time_dim", "null or"),
+    ({"kind": "mpb", "scenario": 1, "seed": "7"}, "seed", "a nonnegative"),
+    ({"kind": "mpb", "scenario": 1, "seed": math.nan}, "seed", "a nonnegative"),
+    ({"kind": "sensor", "readings": "r.csv", "coords": "c.csv", "first_n_epochs": 0},
+     "first_n_epochs", "a positive"),
+    ({"kind": "sensor", "readings": "r.csv", "coords": "c.csv", "first_n_epochs": True},
+     "first_n_epochs", "a positive"),
+    ({"kind": "sensor", "readings": "r.csv", "coords": "c.csv", "first_n_epochs": 2.0},
+     "first_n_epochs", "a positive"),
+]
+
+
+@pytest.mark.parametrize("problem, key, wording", BAD_PROBLEM_FIELDS)
+def test_problem_field_types_checked(problem, key, wording):
+    with pytest.raises(ConfigError, match=rf"problem\.{key}: must be {wording}"):
+        load_config(minimal_raw(problem=problem))
+
+
+def test_problem_field_types_name_every_field():
+    raw = minimal_raw(problem={"kind": "standard", "name": "branin_scaled",
+                               "seed": True, "time_dim": 1.5})
+    with pytest.raises(ConfigError) as err:
+        load_config(raw)
+    assert "problem.seed" in str(err.value) and "problem.time_dim" in str(err.value)
+
+
+def test_problem_counts_still_accepted():
+    cfg = load_config(minimal_raw(problem={"kind": "standard", "name": "branin_scaled",
+                                           "seed": 10**30, "time_dim": 0}))
+    assert cfg.data["problem"]["time_dim"] == 0
+    cfg = load_config(minimal_raw(problem={"kind": "standard", "name": "branin_scaled",
+                                           "time_dim": None}))
+    assert cfg.data["problem"]["time_dim"] is None
+    cfg = load_config(minimal_raw(problem={"kind": "sensor", "readings": "r.csv",
+                                           "coords": "c.csv", "first_n_epochs": 1}))
+    assert cfg.data["problem"]["first_n_epochs"] == 1
+
+
 def test_engine_config_seeds_add_repetition_index():
     cfg = load_config(fast_raw(base_seed=100))
     problem = cli.build_problem(cfg)
@@ -346,6 +390,19 @@ def test_run_rejects_invalid_mode_settings_before_running(tmp_path, capsys):
                    kernel_temporal="matern12")
     assert main(["run", str(write_cfg(tmp_path, raw))]) == 2
     assert "standard_bo" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_problem_field_types_exit_2_without_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = fast_raw(output_dir=str(out),
+                   problem={"kind": "standard", "name": "branin_scaled",
+                            "seed": True, "time_dim": 1.5})
+    path = write_cfg(tmp_path, raw)
+    assert main(["validate", str(path)]) == 2
+    assert "problem.time_dim" in capsys.readouterr().err
+    assert main(["run", str(path)]) == 2
+    assert "problem.seed" in capsys.readouterr().err
     assert not out.exists()
 
 

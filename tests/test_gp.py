@@ -42,6 +42,7 @@ FORMS = [
     KernelSpec(KernelForm.SE, KernelForm.MATERN12),
     KernelSpec(KernelForm.SUM, KernelForm.SUM),
 ]
+NINE_FORMS = [KernelSpec(s, t) for s in KernelForm for t in KernelForm]
 
 
 def dense_posterior(dataset, spec, hp, query):
@@ -309,23 +310,26 @@ def test_predict_rejects_bad_queries():
         model.predict(np.array([[np.nan, 0.0]]))
 
 
-@pytest.mark.parametrize("spec", FORMS)
+@pytest.mark.parametrize("spec", NINE_FORMS)
 def test_predict_is_bit_identical_to_solve_triangular_formula(spec):
     rng = np.random.default_rng(31)
-    for n, d in ((1, 1), (7, 2), (30, 6), (19, 12)):
+    for n, d in ((1, 1), (7, 2), (30, 6), (12, 8), (19, 12)):
         dataset, hp = random_case(rng, spec, n, d)
         model = GpModel.fit(dataset, spec, hp)
-        query = rng.uniform(-2, 2, size=(9, d + 1))
+        mixed = rng.uniform(-2, 2, size=(9, d + 1))
+        shared = mixed.copy()
+        shared[:, -1] = mixed[0, -1]  # one time for the batch, as in a time slice
         el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
-        k_star = cross_gram(dataset.points, query, spec, hp)
-        v = solve_triangular(el, k_star, lower=True)
-        mean = k_star.T @ cho_solve((el, True), dataset.normalized_targets)
-        var = np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
-        got_mean, got_var = model.predict_normalized(query)
-        assert np.array_equal(got_mean, mean)
-        assert np.array_equal(got_var, var)
+        for query in (mixed, shared, shared[:1]):
+            k_star = cross_gram(dataset.points, query, spec, hp)
+            v = solve_triangular(el, k_star, lower=True)
+            mean = k_star.T @ cho_solve((el, True), dataset.normalized_targets)
+            var = np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
+            got_mean, got_var = model.predict_normalized(query)
+            assert np.array_equal(got_mean, mean)
+            assert np.array_equal(got_var, var)
         with pytest.raises(ValueError, match="finite"):
-            model.predict_normalized(np.where(np.eye(9, d + 1) > 0, np.nan, query))
+            model.predict_normalized(np.where(np.eye(9, d + 1) > 0, np.nan, mixed))
 
 
 def test_train_leaves_caller_bounds_untouched():

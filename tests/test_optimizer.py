@@ -5,14 +5,29 @@ oracle; PSO and the quasi-Newton polish are checked on analytic functions
 with known minimizers.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynabo.acquisition import PosteriorMean
+from dynabo import optimizer
+from dynabo.acquisition import (
+    ExpectedImprovement,
+    LowerConfidenceBound,
+    PosteriorMean,
+    evaluate_on_model,
+)
 from dynabo.gp import Dataset, GpModel
-from dynabo.kernels import Hyperparameters, KernelSpec
+from dynabo.kernels import (
+    Hyperparameters,
+    KernelForm,
+    KernelSpec,
+    hp_from_vector,
+    n_hyperparameters,
+)
 from dynabo.optimizer import (
     Box,
     PsoConfig,
@@ -251,3 +266,82 @@ def test_pso_stays_in_box_property(seed):
     )
     assert box.contains(point[None, :])
     assert point[1] == 0.0
+
+
+# ---- each batch is scored once per search
+
+NINE_SPECS = [KernelSpec(s, t) for s, t in itertools.product(KernelForm, KernelForm)]
+SEARCH_BOXES = {
+    "pinned_time": Box([0.0, 0.0, 1.1], [1.0, 1.0, 1.1]),
+    "free_window": Box([0.0, 0.0, 1.0], [1.0, 1.0, 1.4]),
+}
+
+
+def random_model(spec, seed, n=12, d=2):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, 1, size=(n, d + 1))
+    y = rng.normal(size=n)
+    theta = rng.uniform(-1.0, 0.5, size=n_hyperparameters(spec, d))
+    theta[-1] = math.log(1e-4)
+    return GpModel.fit(Dataset(pts, y), spec, hp_from_vector(theta, spec, d))
+
+
+def unmemoized_search(model, acq, box, pso, refine=RefineConfig()):
+    """``optimize_acquisition`` as written before its memo: every batch scored."""
+
+    def objective(points):
+        return evaluate_on_model(acq, model, points)
+
+    probes = latin_hypercube(pso.particles, box, pso.seed)
+    point, _ = pso_minimize(objective, box, pso, init=probes)
+    point, _ = local_refine(objective, point, box, refine)
+    return box.clip(point)
+
+
+def recording(monkeypatch):
+    """Patch ``optimizer.evaluate_on_model`` to record every batch it scores."""
+    batches = []
+    evaluate = optimizer.evaluate_on_model
+
+    def recorded(acq, model, points):
+        batches.append((points.shape, points.tobytes()))
+        return evaluate(acq, model, points)
+
+    monkeypatch.setattr(optimizer, "evaluate_on_model", recorded)
+    return batches
+
+
+@pytest.mark.parametrize("box_name", sorted(SEARCH_BOXES))
+@pytest.mark.parametrize("acq_name", ["lcb", "ei", "mean"])
+@pytest.mark.parametrize("spec", NINE_SPECS)
+def test_optimize_acquisition_equals_unmemoized_search(spec, acq_name, box_name, monkeypatch):
+    model = random_model(spec, seed=NINE_SPECS.index(spec))
+    acq = {
+        "lcb": LowerConfidenceBound(1.5),
+        "ei": ExpectedImprovement(float(model.dataset.targets.min())),
+        "mean": PosteriorMean(),
+    }[acq_name]
+    box = SEARCH_BOXES[box_name]
+    pso = PsoConfig(particles=8, iterations=15, seed=4)
+    want = unmemoized_search(model, acq, box, pso)
+    batches = recording(monkeypatch)
+    got = optimize_acquisition(model, acq, box, pso)
+    assert np.array_equal(got, want)
+    assert len(set(batches)) == len(batches)  # no batch scored twice
+
+
+def test_swarm_in_a_corner_is_not_rescored(monkeypatch):
+    # the posterior mean of a plane falls toward the (0, 0) corner: the
+    # swarm piles up there, and its clipped positions stop changing
+    rng = np.random.default_rng(0)
+    pts = np.column_stack([rng.uniform(0, 1, size=(12, 2)), np.zeros(12)])
+    spec = KernelSpec()
+    hp = Hyperparameters.default(2, spec, spatial_scale=2.0, noise_variance=1e-6)
+    model = GpModel.fit(Dataset(pts, pts[:, 0] + pts[:, 1]), spec, hp)
+    box = Box([0.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    pso = PsoConfig(particles=10, iterations=60, seed=3)
+    batches = recording(monkeypatch)
+    point = optimize_acquisition(model, PosteriorMean(), box, pso)
+    assert np.array_equal(point, [0.0, 0.0, 0.0])
+    assert len(set(batches)) == len(batches)
+    assert len(batches) < pso.iterations + 1
