@@ -22,7 +22,7 @@ from dynabo.engine import (
 from dynabo.gp import Dataset, GpModel, TrainConfig, train
 from dynabo.kernels import Hyperparameters, KernelForm, KernelSpec
 from dynabo.metrics import ScoredSeries, offline_performance, windowed_best
-from dynabo.optimizer import Box, PsoConfig, RefineConfig, optimize_acquisition
+from dynabo.optimizer import Box, PsoConfig, optimize_acquisition
 from dynabo.problems import Problem, make_mpb_scenario, make_standard
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "PosteriorMean",
     "Problem",
     "PsoConfig",
-    "RefineConfig",
     "RunTrace",
     "ScoredSeries",
     "StepRecord",

@@ -73,50 +73,14 @@ class ConfigError(ValueError):
 # One flat key space plus two structured fields: the problem selector and
 # per-mode overrides.  Engine-level keys may be overridden per mode; null
 # means "derive from the problem horizon" where noted.
-
-_ENGINE_DEFAULTS = {
-    "budget": 50,
-    "warmup_lhd": 2,
-    "warmup_bo_steps": 0,
-    "warmup_span": None,  # null: warmup_lhd * fixed_interval
-    "fixed_interval": None,  # null: horizon span / (total evaluations + 1)
-    "min_lookahead": None,  # null: a tenth of fixed_interval
-    "lookahead_fraction": 1.0,
-    "acquisition": "lcb",
-    "kappa": 2.0,
-    "detector_window": 3,
-    "detector_rate": 0.1,
-    "flexible_heuristics": False,
-    "kernel_spatial": "se",
-    "kernel_temporal": "se",
-    "tie_lengthscales": "none",
-    "train_restarts": 5,
-    "train_max_iters": 200,
-    "freeze_after_warmup": False,
-    "pso_particles": 50,
-    "pso_iterations": 120,
-}
-
-_TOP_DEFAULTS = {
-    "repetitions": 10,
-    "base_seed": 0,
-    "output_dir": "runs",
-    "emit_traces": True,
-    "emit_summary": True,
-    "emit_plot_data": False,
-    "metric_window": 5,
-    "mode_overrides": {},
-}
-
-_PROBLEM_KEYS = {
-    "standard": {"name": None, "time_dim": None, "seed": 0},
-    "mpb": {"scenario": None, "seed": 0},
-    "sensor": {"readings": None, "coords": None, "first_n_epochs": 3000},
-}
-
-_ACQUISITIONS = ("lcb", "ei", "posterior_mean")
-_KERNEL_FORMS = tuple(f.value for f in KernelForm)
-_MODES = tuple(m.value for m in Mode)
+#
+# Each key space is one table of ``key: (default, rule)``: the top level,
+# the engine keys (also each mode's override keys), and one per problem
+# kind.  A rule is a ``(test, message)`` pair of one of the kinds below;
+# ``_check_fields`` reports unknown keys and broken rules under the key
+# space's prefix.  The engine dataclasses keep their own checks as the
+# library's guard; these add the JSON types and name each field, and a test
+# keeps the two in agreement.
 
 
 def _is_number(value, integer: bool = False) -> bool:
@@ -127,59 +91,99 @@ def _is_number(value, integer: bool = False) -> bool:
     return isinstance(value, int) or math.isfinite(value)
 
 
-def _check_engine_values(prefix: str, values: dict, errors: list):
-    def bad(key, msg):
-        errors.append(f"{prefix}{key}: {msg}")
-
-    pos = ("kappa", "detector_rate")
-    opt_pos = ("warmup_span", "fixed_interval", "min_lookahead")
-    counts = ("budget", "warmup_lhd", "detector_window", "train_restarts",
-              "train_max_iters", "pso_particles", "pso_iterations")
-    for key in pos:
-        if key in values and not (_is_number(values[key]) and values[key] > 0):
-            bad(key, "must be a positive number")
-    for key in opt_pos:
-        v = values.get(key)
-        if v is not None and not (_is_number(v) and v > 0):
-            bad(key, "must be null or a positive number")
-    for key in counts:
-        if key in values and not (_is_number(values[key], integer=True) and values[key] >= 1):
-            bad(key, "must be a positive integer")
-    if "warmup_bo_steps" in values and not (
-        _is_number(values["warmup_bo_steps"], integer=True) and values["warmup_bo_steps"] >= 0
-    ):
-        bad("warmup_bo_steps", "must be a nonnegative integer")
-    if "lookahead_fraction" in values:
-        v = values["lookahead_fraction"]
-        if not (_is_number(v) and 0.0 < v <= 1.0):
-            bad("lookahead_fraction", "must lie in (0, 1]")
-    if "acquisition" in values and values["acquisition"] not in _ACQUISITIONS:
-        bad("acquisition", f"must be one of {_ACQUISITIONS}")
-    for key in ("kernel_spatial", "kernel_temporal"):
-        if key in values and values[key] not in _KERNEL_FORMS:
-            bad(key, f"must be one of {_KERNEL_FORMS}")
-    if "tie_lengthscales" in values and values["tie_lengthscales"] not in (
-        "none", "spatial", "all",
-    ):
-        bad("tie_lengthscales", "must be none, spatial, or all")
-    for key in ("flexible_heuristics", "freeze_after_warmup"):
-        if key in values and not isinstance(values[key], bool):
-            bad(key, "must be a boolean")
+def _integer(least: int, nullable: bool = False):
+    """An integer of at least ``least``; with ``nullable``, or null."""
+    what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+        least, f"an integer of at least {least}"
+    )
+    return (
+        lambda v: (nullable and v is None) or (_is_number(v, integer=True) and v >= least),
+        f"must be {'null or ' if nullable else ''}{what}",
+    )
 
 
-def _check_problem_values(problem: dict, errors: list):
-    def count(key, least, nullable=False):
-        value = problem.get(key)
-        if key not in problem or (value is None and nullable):
-            return
-        if not (_is_number(value, integer=True) and value >= least):
-            sign = "positive" if least else "nonnegative"
-            either = "null or " if nullable else ""
-            errors.append(f"problem.{key}: must be {either}a {sign} integer")
+def _positive(nullable: bool = False):
+    """A positive number; with ``nullable``, or null."""
+    return (
+        lambda v: (nullable and v is None) or (_is_number(v) and v > 0),
+        f"must be {'null or ' if nullable else ''}a positive number",
+    )
 
-    count("seed", 0)
-    count("time_dim", 0, nullable=True)
-    count("first_n_epochs", 1)
+
+def _one_of(values: tuple):
+    return (lambda v: v in values, f"must be one of {values}")
+
+
+_FRACTION = (lambda v: _is_number(v) and 0 < v <= 1, "must lie in (0, 1]")
+_BOOLEAN = (lambda v: isinstance(v, bool), "must be a boolean")
+_STRING = (lambda v: isinstance(v, str), "must be a string")
+_REQUIRED = (lambda v: v is not None, "required")
+
+_POSITIVE_OR_NULL = _positive(nullable=True)
+_KERNEL_FORMS = _one_of(tuple(f.value for f in KernelForm))
+
+_ENGINE_FIELDS = {
+    "budget": (50, _integer(1)),
+    "warmup_lhd": (2, _integer(1)),
+    "warmup_bo_steps": (0, _integer(0)),
+    "warmup_span": (None, _POSITIVE_OR_NULL),  # null: warmup_lhd * fixed_interval
+    "fixed_interval": (None, _POSITIVE_OR_NULL),  # null: horizon span / (total evaluations + 1)
+    "min_lookahead": (None, _POSITIVE_OR_NULL),  # null: a tenth of fixed_interval
+    "lookahead_fraction": (1.0, _FRACTION),
+    "acquisition": ("lcb", _one_of(("lcb", "ei", "posterior_mean"))),
+    "kappa": (2.0, _positive()),
+    "detector_window": (3, _integer(1)),
+    "detector_rate": (0.1, _positive()),
+    "flexible_heuristics": (False, _BOOLEAN),
+    "kernel_spatial": ("se", _KERNEL_FORMS),
+    "kernel_temporal": ("se", _KERNEL_FORMS),
+    "tie_lengthscales": ("none", _one_of(("none", "spatial", "all"))),
+    "train_restarts": (5, _integer(1)),
+    "train_max_iters": (200, _integer(0)),
+    "freeze_after_warmup": (False, _BOOLEAN),
+    "pso_particles": (50, _integer(2)),
+    "pso_iterations": (120, _integer(1)),
+}
+
+_TOP_FIELDS = {
+    "repetitions": (10, _integer(1)),
+    "base_seed": (0, _integer(0)),
+    "output_dir": ("runs", _STRING),
+    "emit_traces": (True, _BOOLEAN),
+    "emit_summary": (True, _BOOLEAN),
+    "emit_plot_data": (False, _BOOLEAN),
+    "metric_window": (5, _integer(1)),
+}
+
+_PROBLEM_FIELDS = {
+    "standard": {"name": (None, _REQUIRED), "time_dim": (None, _integer(0, nullable=True)),
+                 "seed": (0, _integer(0))},
+    "mpb": {"scenario": (None, _REQUIRED), "seed": (0, _integer(0))},
+    "sensor": {
+        "readings": (None, _REQUIRED),
+        "coords": (None, _REQUIRED),
+        "first_n_epochs": (3000, _integer(1)),
+    },
+}
+
+_MODES = tuple(m.value for m in Mode)
+
+
+def _check_fields(
+    prefix: str, fields: dict, given: dict, errors: list, *, fill: bool = True, known=()
+) -> dict:
+    """Report each key of ``given`` outside ``fields`` and ``known``, and
+    each broken rule, as ``<prefix><key>: <message>``.  Returns the fields,
+    defaults filled in; without ``fill``, only the given ones."""
+    for key in sorted(set(given) - set(fields) - set(known)):
+        errors.append(f"{prefix}{key}: unknown key")
+    out = {}
+    for key, (default, (test, message)) in fields.items():
+        if key in given or fill:
+            out[key] = given.get(key, default)
+            if not test(out[key]):
+                errors.append(f"{prefix}{key}: {message}")
+    return out
 
 
 def normalize_config(raw: dict) -> dict:
@@ -191,9 +195,10 @@ def normalize_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     errors: list[str] = []
-    known = {"schema", "problem", "modes"} | set(_TOP_DEFAULTS) | set(_ENGINE_DEFAULTS)
-    for key in sorted(set(raw) - known):
-        errors.append(f"{key}: unknown key")
+    top = _check_fields(
+        "", _TOP_FIELDS | _ENGINE_FIELDS, raw, errors,
+        known=("schema", "problem", "modes", "mode_overrides"),
+    )
 
     if raw.get("schema") != SCHEMA_VERSION:
         errors.append(f"schema: must be {SCHEMA_VERSION}")
@@ -202,20 +207,12 @@ def normalize_config(raw: dict) -> dict:
     norm_problem = {}
     if not isinstance(problem, dict) or "kind" not in problem:
         errors.append("problem: must be a mapping with a 'kind'")
-    elif problem["kind"] not in _PROBLEM_KEYS:
-        errors.append(f"problem.kind: must be one of {tuple(_PROBLEM_KEYS)}")
+    elif problem["kind"] not in tuple(_PROBLEM_FIELDS):
+        errors.append(f"problem.kind: must be one of {tuple(_PROBLEM_FIELDS)}")
     else:
-        kind = problem["kind"]
-        allowed = _PROBLEM_KEYS[kind]
-        for key in sorted(set(problem) - set(allowed) - {"kind"}):
-            errors.append(f"problem.{key}: unknown key")
-        norm_problem["kind"] = kind
-        for key, default in allowed.items():
-            value = problem.get(key, default)
-            if value is None and default is None and key in ("name", "scenario", "readings", "coords"):
-                errors.append(f"problem.{key}: required")
-            norm_problem[key] = value
-        _check_problem_values(norm_problem, errors)
+        norm_problem = {"kind": problem["kind"]} | _check_fields(
+            "problem.", _PROBLEM_FIELDS[problem["kind"]], problem, errors, known=("kind",)
+        )
 
     modes = raw.get("modes")
     if not (isinstance(modes, list) and modes):
@@ -225,24 +222,6 @@ def normalize_config(raw: dict) -> dict:
         if m not in _MODES:
             errors.append(f"modes: {m!r} is not one of {_MODES}")
 
-    reps = raw.get("repetitions", _TOP_DEFAULTS["repetitions"])
-    if not (_is_number(reps, integer=True) and reps >= 1):
-        errors.append("repetitions: must be a positive integer")
-    seed = raw.get("base_seed", _TOP_DEFAULTS["base_seed"])
-    if not (_is_number(seed, integer=True) and seed >= 0):
-        errors.append("base_seed: must be a nonnegative integer")
-    mw = raw.get("metric_window", _TOP_DEFAULTS["metric_window"])
-    if not (_is_number(mw, integer=True) and mw >= 1):
-        errors.append("metric_window: must be a positive integer")
-    for key in ("emit_traces", "emit_summary", "emit_plot_data"):
-        if key in raw and not isinstance(raw[key], bool):
-            errors.append(f"{key}: must be a boolean")
-    if "output_dir" in raw and not isinstance(raw["output_dir"], str):
-        errors.append("output_dir: must be a string")
-
-    base_engine = {k: raw.get(k, v) for k, v in _ENGINE_DEFAULTS.items()}
-    _check_engine_values("", base_engine, errors)
-
     overrides = raw.get("mode_overrides", {})
     norm_overrides: dict = {}
     if not isinstance(overrides, dict):
@@ -251,28 +230,19 @@ def normalize_config(raw: dict) -> dict:
         for mode, sub in sorted(overrides.items()):
             if mode not in _MODES:
                 errors.append(f"mode_overrides.{mode}: not a known mode")
-                continue
-            if not isinstance(sub, dict):
+            elif not isinstance(sub, dict):
                 errors.append(f"mode_overrides.{mode}: must be a mapping")
-                continue
-            for key in sorted(set(sub) - set(_ENGINE_DEFAULTS)):
-                errors.append(f"mode_overrides.{mode}.{key}: unknown key")
-            sub = {k: v for k, v in sub.items() if k in _ENGINE_DEFAULTS}
-            _check_engine_values(f"mode_overrides.{mode}.", sub, errors)
-            if sub:
-                norm_overrides[mode] = dict(sorted(sub.items()))
+            else:
+                checked = _check_fields(
+                    f"mode_overrides.{mode}.", _ENGINE_FIELDS, sub, errors, fill=False
+                )
+                if checked:
+                    norm_overrides[mode] = checked
 
     if errors:
         raise ConfigError("invalid config: " + "; ".join(errors))
-
-    out = {"schema": SCHEMA_VERSION, "problem": norm_problem, "modes": list(modes)}
-    for key, default in _TOP_DEFAULTS.items():
-        if key == "mode_overrides":
-            out[key] = norm_overrides
-        else:
-            out[key] = raw.get(key, default)
-    out.update(base_engine)
-    return out
+    return {"schema": SCHEMA_VERSION, "problem": norm_problem, "modes": list(modes),
+            "mode_overrides": norm_overrides, **top}
 
 
 @dataclass(frozen=True)
@@ -302,7 +272,7 @@ class ExperimentConfig:
         return Path(self.data["output_dir"])
 
     def engine_params(self, mode: str) -> dict:
-        params = {k: self.data[k] for k in _ENGINE_DEFAULTS}
+        params = {k: self.data[k] for k in _ENGINE_FIELDS}
         params.update(self.data["mode_overrides"].get(mode, {}))
         return params
 

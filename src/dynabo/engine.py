@@ -40,9 +40,17 @@ from dynabo.acquisition import (
     LowerConfidenceBound,
     PosteriorMean,
 )
-from dynabo.gp import Dataset, GpModel, TrainConfig, TrainingError, default_log_bounds, train
+from dynabo.gp import (
+    Dataset,
+    GpModel,
+    TrainConfig,
+    TrainingError,
+    _tie_blocks,
+    default_log_bounds,
+    train,
+)
 from dynabo.kernels import Hyperparameters, KernelForm, KernelSpec
-from dynabo.optimizer import Box, PsoConfig, RefineConfig, latin_hypercube, optimize_acquisition
+from dynabo.optimizer import Box, PsoConfig, latin_hypercube, optimize_acquisition
 from dynabo.problems import Problem
 
 __all__ = [
@@ -144,7 +152,6 @@ class EngineConfig:
     fixed_hp: Hyperparameters | None = None
     freeze_after_warmup: bool = False
     pso: PsoConfig = field(default_factory=PsoConfig)
-    refine: RefineConfig = field(default_factory=RefineConfig)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
@@ -165,6 +172,8 @@ class EngineConfig:
                     "standard_bo fits one isotropic form across all inputs; "
                     "spatial and temporal kernel forms must match and be plain"
                 )
+        # the fit's tie rule, applied here so that no run fails on it midway
+        _tie_blocks(_mode_kernel(self), 0, _mode_tie(self))
 
 
 @dataclass(frozen=True)
@@ -273,6 +282,18 @@ def _windowed_incumbent(dataset: Dataset, window: int):
     return point[:-1].copy(), float(point[-1]), float(dataset.targets[k])
 
 
+def _mode_kernel(config: EngineConfig) -> KernelSpec:
+    """The kernel a mode fits: ``tvb`` forces the exponential temporal form."""
+    if config.mode is Mode.TVB:
+        return replace(config.kernel, temporal=KernelForm.MATERN12)
+    return config.kernel
+
+
+def _mode_tie(config: EngineConfig) -> str:
+    """``standard_bo`` ties every length-scale; the other modes train as set."""
+    return "all" if config.mode is Mode.STANDARD_BO else config.train.tie_lengthscales
+
+
 def _warmup_span(config: EngineConfig) -> float:
     span = config.warmup.span
     return config.warmup.lhd * config.fixed_interval if span is None else span
@@ -309,12 +330,9 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
     t_start, t_end = problem.horizon
     mode = config.mode
 
-    kernel = config.kernel
-    flexible = config.flexible_heuristics
-    if mode is Mode.TVB:
-        kernel = replace(kernel, temporal=KernelForm.MATERN12)
-        flexible = False
-    tie = "all" if mode is Mode.STANDARD_BO else config.train.tie_lengthscales
+    kernel = _mode_kernel(config)
+    flexible = config.flexible_heuristics and mode is not Mode.TVB
+    tie = _mode_tie(config)
     span = _warmup_span(config)
 
     # hyperparameter bounds from the problem geometry, not the visited
@@ -415,7 +433,6 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
         point = optimize_acquisition(
             model, acq, box,
             pso=replace(config.pso, seed=_derived_seed(config.seed, 2, iteration)),
-            refine=config.refine,
         )
         t_next = float(point[d])
         y = float(problem.evaluate(point[:d], t_next))

@@ -66,6 +66,9 @@ __all__ = [
 
 # standardization is skipped when the target spread is below this
 _STD_FLOOR = 1e-12
+# a restart stops after three accepted steps in a row that each gain at most
+# this share of (1 + |LML|)
+_RELATIVE_TOL = 1e-7
 
 
 class FactorizationError(RuntimeError):
@@ -339,9 +342,12 @@ class TrainConfig:
     seed: int = 0
     log_bounds: np.ndarray | None = None
     tie_lengthscales: str = "none"
-    relative_tol: float = 1e-7
 
     def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("need at least 1 restart")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
         if self.tie_lengthscales not in ("none", "spatial", "all"):
             raise ValueError("tie_lengthscales must be none, spatial, or all")
 
@@ -450,7 +456,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     starts = [project(hp_to_vector(init, spec))]
-    for _ in range(max(config.restarts - 1, 0)):
+    for _ in range(config.restarts - 1):
         starts.append(project(rng.uniform(bounds[:, 0], bounds[:, 1])))
 
     best_theta, best_value, total_iters = None, -np.inf, 0
@@ -493,7 +499,7 @@ def train(
                 step *= 0.5
             if gained == 0.0:
                 break
-            if gained <= config.relative_tol * (1.0 + abs(value)):
+            if gained <= _RELATIVE_TOL * (1.0 + abs(value)):
                 small_gains += 1
                 if small_gains >= 3:
                     break

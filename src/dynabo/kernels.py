@@ -33,9 +33,6 @@ __all__ = [
     "KernelForm",
     "KernelSpec",
     "Hyperparameters",
-    "eval_se",
-    "eval_matern12",
-    "eval_spatiotemporal",
     "gram",
     "cross_gram",
     "grad_gram_log_hp",
@@ -184,40 +181,6 @@ def _check_shapes(spec: KernelSpec, hp: Hyperparameters) -> None:
             raise ValueError("plain temporal form needs a scalar length-scale")
     if spec.has_sum and hp.log_signal_variance != 0.0:
         raise ValueError("signal variance is fixed to 1 when a sum part is present")
-
-
-def eval_se(distance_sq, lengthscale, variance):
-    """Squared-exponential value ``variance * exp(-d^2 / (2 l^2))``.
-
-    ``distance_sq`` is a squared distance (scalar or array); the result is
-    bounded by ``variance`` and equals it at zero distance.
-    """
-    distance_sq = np.asarray(distance_sq, dtype=float)
-    if not (np.all(np.isfinite(distance_sq)) and np.all(distance_sq >= 0)):
-        raise ValueError("distance_sq must be finite and nonnegative")
-    if not (np.isfinite(lengthscale) and lengthscale > 0):
-        raise ValueError("lengthscale must be finite and positive")
-    if not (np.isfinite(variance) and variance > 0):
-        raise ValueError("variance must be finite and positive")
-    out = variance * np.exp(-0.5 * distance_sq / lengthscale**2)
-    return out if out.ndim else float(out)
-
-
-def eval_matern12(distance, lengthscale, variance):
-    """Matern 1/2 (exponential) value ``variance * exp(-d / l)``.
-
-    Equivalent to a per-step forgetting factor ``eps ** d`` with
-    ``eps = exp(-1 / l)``.
-    """
-    distance = np.asarray(distance, dtype=float)
-    if not (np.all(np.isfinite(distance)) and np.all(distance >= 0)):
-        raise ValueError("distance must be finite and nonnegative")
-    if not (np.isfinite(lengthscale) and lengthscale > 0):
-        raise ValueError("lengthscale must be finite and positive")
-    if not (np.isfinite(variance) and variance > 0):
-        raise ValueError("variance must be finite and positive")
-    out = variance * np.exp(-distance / lengthscale)
-    return out if out.ndim else float(out)
 
 
 def _diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -414,12 +377,6 @@ def _split_points(points: np.ndarray, spatial_dim: int):
             f"points have {points.shape[1]} columns, expected {spatial_dim + 1}"
         )
     return points[:, :spatial_dim], points[:, spatial_dim:]
-
-
-def eval_spatiotemporal(a, b, spec: KernelSpec, hp: Hyperparameters) -> float:
-    """Covariance between two space-time points (spatial coords then time)."""
-    k = cross_gram(np.atleast_2d(a), np.atleast_2d(b), spec, hp)
-    return float(k[0, 0])
 
 
 def cross_gram(

@@ -33,7 +33,6 @@ from dynabo.acquisition import AcquisitionSpec, evaluate_on_model
 __all__ = [
     "Box",
     "PsoConfig",
-    "RefineConfig",
     "latin_hypercube",
     "pso_minimize",
     "local_refine",
@@ -83,13 +82,21 @@ class Box:
         )
 
 
+# swarm weights: inertia, then the pulls toward each particle's own best and
+# the swarm's best (the common constriction-equivalent defaults)
+_INERTIA = 0.729
+_COGNITIVE = 1.49445
+_SOCIAL = 1.49445
+
+# the polish: L-BFGS-B's iteration cap and relative objective tolerance
+_REFINE_MAX_ITERS = 100
+_REFINE_FTOL = 1e-8
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     particles: int = 50
     iterations: int = 120
-    inertia: float = 0.729
-    cognitive: float = 1.49445
-    social: float = 1.49445
     seed: int = 0
 
     def __post_init__(self):
@@ -97,12 +104,6 @@ class PsoConfig:
             raise ValueError("need at least 2 particles")
         if self.iterations < 1:
             raise ValueError("need at least 1 iteration")
-
-
-@dataclass(frozen=True)
-class RefineConfig:
-    max_iters: int = 100
-    step_tol: float = 1e-8
 
 
 def latin_hypercube(n: int, box: Box, seed) -> np.ndarray:
@@ -176,9 +177,9 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
         r_cog = rng.uniform(size=(p, dim))
         r_soc = rng.uniform(size=(p, dim))
         velocities = (
-            config.inertia * velocities
-            + config.cognitive * r_cog * (best_pos - positions)
-            + config.social * r_soc * (g_pos - positions)
+            _INERTIA * velocities
+            + _COGNITIVE * r_cog * (best_pos - positions)
+            + _SOCIAL * r_soc * (g_pos - positions)
         )
         # the ndarray method skips np.clip's wrapper; the clip is the same
         velocities.clip(-v_max, v_max, out=velocities)
@@ -202,7 +203,7 @@ def _batch_eval(objective, points: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(values), values, np.inf)
 
 
-def local_refine(objective, start, box: Box, config: RefineConfig = RefineConfig()):
+def local_refine(objective, start, box: Box):
     """Quasi-Newton polish from ``start``, kept inside the box.
 
     Gradients are central differences with step ``1e-6`` of each dimension
@@ -244,7 +245,7 @@ def local_refine(objective, start, box: Box, config: RefineConfig = RefineConfig
         jac=lambda z: np.where(np.isfinite(g := grad(z)), g, 0.0),
         method="L-BFGS-B",
         bounds=list(zip(reduced.lower, reduced.upper)),
-        options={"maxiter": config.max_iters, "ftol": config.step_tol},
+        options={"maxiter": _REFINE_MAX_ITERS, "ftol": _REFINE_FTOL},
     )
     candidate = embed(np.clip(result.x, reduced.lower, reduced.upper)[None, :])[0]
     cand_value = float(_batch_eval(objective, candidate[None, :])[0])
@@ -258,11 +259,7 @@ def _raw_eval(objective, points: np.ndarray) -> np.ndarray:
 
 
 def optimize_acquisition(
-    model,
-    acq: AcquisitionSpec,
-    box: Box,
-    pso: PsoConfig = PsoConfig(),
-    refine: RefineConfig = RefineConfig(),
+    model, acq: AcquisitionSpec, box: Box, pso: PsoConfig = PsoConfig()
 ) -> np.ndarray:
     """Best scoring point in the box: LHD-seeded swarm, then local polish.
 
@@ -281,5 +278,5 @@ def optimize_acquisition(
 
     probes = latin_hypercube(pso.particles, box, pso.seed)
     point, _ = pso_minimize(objective, box, pso, init=probes)
-    point, _ = local_refine(objective, point, box, refine)
+    point, _ = local_refine(objective, point, box)
     return box.clip(point)

@@ -197,6 +197,11 @@ def test_problem_field_types_checked(problem, key, wording):
         load_config(minimal_raw(problem=problem))
 
 
+def test_problem_kind_that_is_not_a_name_rejected():
+    with pytest.raises(ConfigError, match=r"problem\.kind: must be one of"):
+        load_config(minimal_raw(problem={"kind": ["standard"], "name": "camel6"}))
+
+
 def test_problem_field_types_name_every_field():
     raw = minimal_raw(problem={"kind": "standard", "name": "branin_scaled",
                                "seed": True, "time_dim": 1.5})
@@ -215,6 +220,57 @@ def test_problem_counts_still_accepted():
     cfg = load_config(minimal_raw(problem={"kind": "sensor", "readings": "r.csv",
                                            "coords": "c.csv", "first_n_epochs": 1}))
     assert cfg.data["problem"]["first_n_epochs"] == 1
+
+
+# per engine key: values below, at and above each rule's edge, null where
+# the key may be null, and valid members of each set
+ENGINE_EDGES = {
+    "budget": [0, 1, 2],
+    "warmup_lhd": [0, 1, 2],
+    "warmup_bo_steps": [-1, 0, 1],
+    "warmup_span": [None, -1e-9, 0, 1e-9],
+    "fixed_interval": [None, -1e-9, 0, 1e-9],
+    "min_lookahead": [None, -1e-9, 0, 1e-9],
+    "lookahead_fraction": [-1e-9, 0, 1e-9, 1.0, math.nextafter(1.0, 2.0)],
+    "acquisition": ["lcb", "ei", "posterior_mean"],
+    "kappa": [-1e-9, 0, 1e-9],
+    "detector_window": [0, 1, 2],
+    "detector_rate": [-1e-9, 0, 1e-9],
+    "flexible_heuristics": [False, True],
+    "kernel_spatial": ["se", "matern12", "sum", "cubic"],
+    "kernel_temporal": ["se", "matern12", "sum", "cubic"],
+    "tie_lengthscales": ["none", "spatial", "all", "some"],
+    "train_restarts": [0, 1, 2],
+    "train_max_iters": [-1, 0, 1],
+    "freeze_after_warmup": [False, True],
+    "pso_particles": [1, 2, 3],
+    "pso_iterations": [0, 1, 2],
+}
+
+
+def test_engine_edges_cover_every_engine_key():
+    assert set(ENGINE_EDGES) == set(cli._ENGINE_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "key, value", [(k, v) for k, values in ENGINE_EDGES.items() for v in values]
+)
+def test_cli_rules_agree_with_engine_dataclasses(key, value):
+    problem = {"kind": "standard", "name": "branin_scaled"}
+    try:
+        load_config(minimal_raw(problem=problem, **{key: value}))
+        accepted = True
+    except ConfigError:
+        accepted = False
+    # the same value past the CLI's rules, judged by the dataclasses alone
+    data = normalize_config(minimal_raw(problem=problem)) | {key: value}
+    config = ExperimentConfig(data)
+    try:
+        cli.engine_config_for(config, cli.build_problem(config), "abo_fixed", 0)
+        built = True
+    except ValueError:
+        built = False
+    assert accepted == built
 
 
 def test_engine_config_seeds_add_repetition_index():
@@ -391,6 +447,21 @@ def test_run_rejects_invalid_mode_settings_before_running(tmp_path, capsys):
     assert main(["run", str(write_cfg(tmp_path, raw))]) == 2
     assert "standard_bo" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_rejects_tied_sum_kernel_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = fast_raw(output_dir=str(out), kernel_spatial="sum", tie_lengthscales="all")
+    assert main(["run", str(write_cfg(tmp_path, raw))]) == 2
+    err = capsys.readouterr().err
+    assert "mode abo_fixed" in err and "plain kernel forms" in err
+    assert not out.exists()
+
+
+def test_validate_rejects_what_run_rejects(tmp_path, capsys):
+    path = write_cfg(tmp_path, minimal_raw(pso_particles=1))
+    assert main(["validate", str(path)]) == 2
+    assert "pso_particles: must be an integer of at least 2" in capsys.readouterr().err
 
 
 def test_bad_problem_field_types_exit_2_without_output(tmp_path, capsys):

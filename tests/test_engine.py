@@ -178,6 +178,14 @@ def test_standard_bo_requires_one_plain_form():
         )
 
 
+def test_tied_lengthscales_need_plain_forms():
+    tie_all = TrainConfig(tie_lengthscales="all")
+    with pytest.raises(ValueError, match="plain kernel forms"):
+        small_cfg(kernel=KernelSpec(KernelForm.SUM, KernelForm.SE), train=tie_all)
+    # tvb fits the exponential temporal form in place of the sum, so this ties
+    small_cfg(mode=Mode.TVB, kernel=KernelSpec(KernelForm.SE, KernelForm.SUM), train=tie_all)
+
+
 # ---- run: loop contracts
 
 

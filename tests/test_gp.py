@@ -445,7 +445,7 @@ def reference_train(dataset, spec, init, config):
                 step *= 0.5
             if gained == 0.0:
                 break
-            if gained <= config.relative_tol * (1.0 + abs(value)):
+            if gained <= gp._RELATIVE_TOL * (1.0 + abs(value)):
                 small_gains += 1
                 if small_gains >= 3:
                     break

@@ -17,9 +17,6 @@ from dynabo.kernels import (
     KernelForm,
     KernelSpec,
     cross_gram,
-    eval_matern12,
-    eval_se,
-    eval_spatiotemporal,
     grad_gram_log_hp,
     gram,
     hp_from_vector,
@@ -47,43 +44,18 @@ def random_hp(rng, spec, d):
     return hp
 
 
-def test_se_values():
-    assert eval_se(0.0, 1.0, 2.5) == 2.5
-    assert eval_se(1.0, 1.0, 1.0) == pytest.approx(0.6065306597126334, abs=1e-15)
-    # d^2 = 2 l^2 gives exactly one e-fold of decay
-    assert eval_se(2 * 0.7**2, 0.7, 3.0) == pytest.approx(3.0 * math.exp(-1))
-
-
-def test_matern12_values():
-    assert eval_matern12(0.0, 1.0, 4.0) == 4.0
-    assert eval_matern12(2.0, 2.0, 1.0) == pytest.approx(math.exp(-1))
-    assert eval_matern12(1.0, 0.5, 2.0) == pytest.approx(2.0 * math.exp(-2))
-
-
-def test_eval_rejects_bad_arguments():
-    for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            eval_se(bad, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            eval_matern12(bad, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        eval_se(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        eval_se(1.0, 1.0, -2.0)
-    with pytest.raises(ValueError):
-        eval_matern12(1.0, -1.0, 1.0)
-
-
 @given(
     delta=st.floats(0.0, 50.0),
     lengthscale=st.floats(0.05, 20.0),
 )
 def test_matern12_is_per_step_forgetting(delta, lengthscale):
-    # exp(-d/l) == eps**d with eps = exp(-1/l)
+    # the tvb mode's claim: at one location, an exponential temporal kernel
+    # discounts a sample by eps**d after a time gap d, with eps = exp(-1/l)
+    spec = KernelSpec(KernelForm.SE, KernelForm.MATERN12)
+    hp = Hyperparameters.default(1, spec, temporal_scale=lengthscale)
+    k = cross_gram([[0.3, 0.0]], [[0.3, delta]], spec, hp)
     eps = math.exp(-1.0 / lengthscale)
-    assert eval_matern12(delta, lengthscale, 1.0) == pytest.approx(
-        eps**delta, rel=1e-9, abs=1e-300
-    )
+    assert k[0, 0] == pytest.approx(eps**delta, rel=1e-9, abs=1e-300)
 
 
 def test_product_structure_factorizes_over_time():
@@ -95,13 +67,11 @@ def test_product_structure_factorizes_over_time():
     a = np.append(x, 1.0)
     b = np.append(x, 4.0)
     expected = hp.signal_variance * math.exp(-3.0 / 2.0)
-    assert eval_spatiotemporal(a, b, spec, hp) == pytest.approx(expected)
+    assert cross_gram(a, b, spec, hp)[0, 0] == pytest.approx(expected)
     # and a different location scales it by the spatial factor alone
     y = x + np.array([0.8, 0.0, 0.0])
     c = np.append(y, 4.0)
-    assert eval_spatiotemporal(a, c, spec, hp) == pytest.approx(
-        expected * math.exp(-0.5)
-    )
+    assert cross_gram(a, c, spec, hp)[0, 0] == pytest.approx(expected * math.exp(-0.5))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

@@ -31,7 +31,6 @@ from dynabo.kernels import (
 from dynabo.optimizer import (
     Box,
     PsoConfig,
-    RefineConfig,
     latin_hypercube,
     local_refine,
     optimize_acquisition,
@@ -286,7 +285,7 @@ def random_model(spec, seed, n=12, d=2):
     return GpModel.fit(Dataset(pts, y), spec, hp_from_vector(theta, spec, d))
 
 
-def unmemoized_search(model, acq, box, pso, refine=RefineConfig()):
+def unmemoized_search(model, acq, box, pso):
     """``optimize_acquisition`` as written before its memo: every batch scored."""
 
     def objective(points):
@@ -294,7 +293,7 @@ def unmemoized_search(model, acq, box, pso, refine=RefineConfig()):
 
     probes = latin_hypercube(pso.particles, box, pso.seed)
     point, _ = pso_minimize(objective, box, pso, init=probes)
-    point, _ = local_refine(objective, point, box, refine)
+    point, _ = local_refine(objective, point, box)
     return box.clip(point)
 
 
