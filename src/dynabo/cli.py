@@ -200,8 +200,10 @@ def normalize_config(raw: dict) -> dict:
         known=("schema", "problem", "modes", "mode_overrides"),
     )
 
-    if raw.get("schema") != SCHEMA_VERSION:
-        errors.append(f"schema: must be {SCHEMA_VERSION}")
+    # an integer, not a bool or a float, although True == 1 == 1.0
+    schema = raw.get("schema")
+    if not (_is_number(schema, integer=True) and schema == SCHEMA_VERSION):
+        errors.append(f"schema: must be the integer {SCHEMA_VERSION}")
 
     problem = raw.get("problem")
     norm_problem = {}
@@ -315,7 +317,9 @@ def _acquisition_from(params: dict):
         return LowerConfidenceBound(params["kappa"])
     if name == "ei":
         return ExpectedImprovement(0.0)  # incumbent injected per step
-    return PosteriorMean()
+    if name == "posterior_mean":
+        return PosteriorMean()
+    raise ValueError(f"unknown acquisition {name!r}")
 
 
 def engine_config_for(

@@ -11,6 +11,15 @@ the gradient at an accepted line-search probe costs no second factorization.
 ``log_marginal_likelihood`` and ``lml_and_gradient`` are thin wrappers over
 the same objective.
 
+Training probes, gradients and projections avoid numpy's per-call wrappers,
+which at n ~ 18 cost more than the factorization itself.  The vector's
+layout in the covariance shapes, the gram buffer and its diagonal view are
+made once per dataset; reductions call ``np.add.reduce`` and
+``np.maximum.reduce`` (bitwise what ``sum``, ``mean`` and ``max`` return);
+projection is ``ndarray.clip`` on contiguous bounds.  The factorization
+tries the plain matrix first and builds the jitter ladder only when that
+fails.  Every iterate is bitwise what the wrapped calls gave.
+
 ``GpModel.fit`` keeps what every posterior predict on that fit shares: the
 target mean and std, the kernel's signal variance, the hyperparameters
 checked once and laid out in the covariance shapes, and the training points
@@ -140,29 +149,41 @@ class Dataset:
 def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor, adding diagonal jitter only when needed.
 
-    Jitter starts at 1e-9 times the mean diagonal and grows tenfold per
-    attempt up to 1e-3 times the mean diagonal; a matrix that still fails
-    raises ``FactorizationError``.  This is the one place factorizations
-    happen and where a non-finite matrix is rejected (``ValueError``).
-    LAPACK ``dpotrf`` is called directly: it is the routine
-    ``scipy.linalg.cholesky`` runs, without its per-call wrapper cost.
+    The plain matrix is tried first.  Only when it fails does jitter start,
+    at 1e-9 times the mean diagonal, growing tenfold per attempt up to 1e-3
+    times the mean diagonal; a matrix that still fails raises
+    ``FactorizationError``.  This is the one place factorizations happen and
+    where a non-finite matrix is rejected (``ValueError``).  LAPACK
+    ``dpotrf`` is called directly: it is the routine ``scipy.linalg.cholesky``
+    runs, without its per-call wrapper cost.
     """
     matrix = np.asarray(matrix, dtype=float)
-    mean_diag = float(matrix.diagonal().mean())
+    diag = matrix.diagonal()
+    mean_diag = float(np.add.reduce(diag) / diag.size)  # bitwise diag.mean()
     if not (math.isfinite(mean_diag) and mean_diag > 0):
         raise FactorizationError("matrix diagonal is not positive")
-    np.asarray_chkfinite(matrix)
-    jitters = [0.0] + [mean_diag * 10.0**e for e in range(-9, -2)]
+    if not np.logical_and.reduce(np.isfinite(matrix).ravel()):
+        raise ValueError("array must not contain infs or NaNs")
+    el, info = _dpotrf(matrix)
+    if info == 0:
+        return el, 0.0
+    eye = np.eye(len(matrix))
+    jitters = [mean_diag * 10.0**e for e in range(-9, -2)]
     for jitter in jitters:
-        shifted = matrix if jitter == 0.0 else matrix + jitter * np.eye(len(matrix))
-        el, info = dpotrf(shifted, lower=1, clean=1)
+        el, info = _dpotrf(matrix + jitter * eye)
         if info == 0:
             return el, jitter
-        if info < 0:
-            raise ValueError(f"dpotrf rejected argument {-info}")
     raise FactorizationError(
         f"factorization failed up to jitter {jitters[-1]:.3e}"
     )
+
+
+def _dpotrf(matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lower factor and LAPACK ``info``; an illegal argument raises."""
+    el, info = dpotrf(matrix, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"dpotrf rejected argument {-info}")
+    return el, info
 
 
 def _cho_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,10 +207,11 @@ def _tri_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lml_from_factor(
-    el: np.ndarray, alpha: np.ndarray, y: np.ndarray, log_norm: float
+    el: np.ndarray, alpha: np.ndarray, neg_half_y: np.ndarray, log_norm: float
 ) -> float:
-    """``log_norm`` is the constant term ``0.5 * n * log(2 pi)``."""
-    return float(-0.5 * y @ alpha - np.log(el.diagonal()).sum() - log_norm)
+    """``neg_half_y`` is ``-0.5 * y``; ``log_norm`` is the constant term
+    ``0.5 * n * log(2 pi)``."""
+    return float(neg_half_y @ alpha - np.add.reduce(np.log(el.diagonal())) - log_norm)
 
 
 def _log_norm(n: int) -> float:
@@ -203,16 +225,27 @@ class _MarginalLikelihood:
     Remembers the factorization of the last vector it evaluated; a gradient
     requested at that vector reuses it.  Every factorization goes through
     ``chol_with_jitter``, which rejects a non-finite gram matrix.
+
+    The vector is laid out once: a buffer that each new vector is copied
+    into, with views of it in the covariance shapes.  The gram matrix is
+    built in one buffer too, the noise added through a view of its diagonal.
     """
 
     def __init__(self, dataset: Dataset, spec: KernelSpec):
-        d = dataset.spatial_dim
+        d, n = dataset.spatial_dim, dataset.n
         x, t = dataset.points[:, :d], dataset.points[:, d:]
-        self._spec, self._d = spec, d
+        self._spec = spec
         self._y = dataset.normalized_targets
+        self._neg_half_y = -0.5 * self._y
         self._dx, self._dt = _diffs(x, x), _diffs(t, t)
-        self._eye = np.eye(dataset.n)
-        self._log_norm = _log_norm(dataset.n)
+        self._eye = np.eye(n)
+        self._log_norm = _log_norm(n)
+        self._gram = np.empty((n, n))
+        self._gram_diagonal = self._gram.reshape(-1)[:: n + 1]
+        self._theta = np.zeros(n_hyperparameters(spec, d))
+        # the array fields of _Params; the two scalars are read per vector
+        self._views = _params_from_vector(self._theta, spec, d)[:4]
+        self._signal_free = spec.signal_variance_free
         self._last = None  # (theta bytes, params, factor, alpha, value)
 
     def _evaluate(self, theta):
@@ -220,14 +253,19 @@ class _MarginalLikelihood:
         key = theta.tobytes()  # bit-equal vectors give bit-equal results
         if self._last is not None and self._last[0] == key:
             return self._last
-        p = _params_from_vector(theta.copy(), self._spec, self._d)
-        if not np.isfinite(theta).all():
+        if theta.shape != self._theta.shape:
+            raise ValueError(f"theta has shape {theta.shape}, expected {self._theta.shape}")
+        if not np.logical_and.reduce(np.isfinite(theta)):
             raise ValueError("hyperparameters must be finite")
-        k = _cov(self._spec, self._dx, self._dt, p)
-        k.flat[:: len(k) + 1] += float(np.exp(p.log_noise_variance))
+        self._last = None  # its params view the buffer overwritten here
+        self._theta[:] = theta
+        signal = float(theta[-2]) if self._signal_free else 0.0
+        p = _Params(*self._views, signal, float(theta[-1]))
+        k = _cov(self._spec, self._dx, self._dt, p, out=self._gram)
+        self._gram_diagonal += float(np.exp(p.log_noise_variance))
         el, _ = chol_with_jitter(k)
         alpha = _cho_solve(el, self._y)
-        value = _lml_from_factor(el, alpha, self._y, self._log_norm)
+        value = _lml_from_factor(el, alpha, self._neg_half_y, self._log_norm)
         self._last = (key, p, el, alpha, value)
         return self._last
 
@@ -241,7 +279,7 @@ class _MarginalLikelihood:
         out = np.empty(len(grads))
         for i, dk in enumerate(grads):
             # 0.5 * tr((alpha alpha^T - K^-1) dK)
-            out[i] = 0.5 * (alpha @ dk @ alpha - (k_inv * dk).sum())
+            out[i] = 0.5 * (alpha @ dk @ alpha - np.add.reduce(k_inv * dk, axis=None))
         return value, out
 
 
@@ -285,7 +323,7 @@ class GpModel:
         y = (dataset.targets - mean) / std
         el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
         alpha = _cho_solve(el, y)
-        lml = _lml_from_factor(el, alpha, y, _log_norm(dataset.n))
+        lml = _lml_from_factor(el, alpha, -0.5 * y, _log_norm(dataset.n))
         columns = dataset.points.T.copy()[:, :, None]
         return cls(
             dataset, spec, hp, el, alpha, mean, std, hp.signal_variance,
@@ -389,17 +427,17 @@ def default_log_bounds(
     return np.array(rows, dtype=float)
 
 
-def _tie_blocks(spec: KernelSpec, d: int, mode: str) -> list[np.ndarray]:
+def _tie_blocks(spec: KernelSpec, d: int, mode: str) -> list[slice]:
     if mode == "none":
         return []
     if mode == "spatial":
         if spec.spatial is KernelForm.SUM:
-            return [np.arange(0, d), np.arange(d, 2 * d)]
-        return [np.arange(0, d)]
+            return [slice(0, d), slice(d, 2 * d)]
+        return [slice(0, d)]
     # "all": spatial and temporal length-scales share one value
     if spec.has_sum:
         raise ValueError("tie_lengthscales='all' requires plain kernel forms")
-    return [np.arange(0, d + 1)]  # theta starts with D spatial then 1 temporal
+    return [slice(0, d + 1)]  # theta starts with D spatial then 1 temporal
 
 
 def train(
@@ -433,12 +471,16 @@ def train(
         # tied entries share one box so projection cannot split them again
         bounds[block, 0] = bounds[block, 0].max()
         bounds[block, 1] = bounds[block, 1].min()
+    lower, upper = bounds[:, 0].copy(), bounds[:, 1].copy()
+
+    def tie(v: np.ndarray) -> np.ndarray:
+        for block in tie_blocks:
+            # bitwise v[block].mean()
+            v[block] = np.add.reduce(v[block]) / (block.stop - block.start)
+        return v
 
     def project(theta: np.ndarray) -> np.ndarray:
-        theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
-        for block in tie_blocks:
-            theta[block] = theta[block].mean()
-        return theta
+        return tie(theta.clip(lower, upper))
 
     likelihood = _MarginalLikelihood(dataset, spec)
 
@@ -450,19 +492,17 @@ def train(
 
     def gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad = likelihood.value_and_gradient(theta)
-        for block in tie_blocks:
-            grad[block] = grad[block].mean()
-        return value, grad
+        return value, tie(grad)
 
     rng = np.random.default_rng(config.seed)
     starts = [project(hp_to_vector(init, spec))]
     for _ in range(config.restarts - 1):
-        starts.append(project(rng.uniform(bounds[:, 0], bounds[:, 1])))
+        starts.append(project(rng.uniform(lower, upper)))
 
     best_theta, best_value, total_iters = None, -np.inf, 0
     for theta in starts:
         value = objective(theta)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             continue
         theta_prev = grad_prev = None
         step = 0.1
@@ -473,9 +513,9 @@ def train(
                 value, grad = gradient(theta)
             except (FactorizationError, np.linalg.LinAlgError):
                 break
-            if not np.all(np.isfinite(grad)):
+            if not np.logical_and.reduce(np.isfinite(grad)):
                 break
-            if np.max(np.abs(project(theta + grad) - theta)) < 1e-8 * (1 + abs(value)):
+            if np.maximum.reduce(np.abs(project(theta + grad) - theta)) < 1e-8 * (1 + abs(value)):
                 break  # stationary within the box
             if grad_prev is not None:
                 # secant-based step guess, then backtrack until it improves
@@ -483,11 +523,11 @@ def train(
                 dg = grad - grad_prev
                 denom = abs(float(ds @ dg))
                 if denom > 1e-300:
-                    step = float(np.clip((ds @ ds) / denom, 1e-8, 1e2))
+                    step = float(min(max((ds @ ds) / denom, 1e-8), 1e2))
             theta_prev, grad_prev = theta.copy(), grad.copy()
             # never move a log-parameter more than 2 per iteration: early
             # gradients can be enormous and a lucky giant leap still "improves"
-            step = min(step, 2.0 / (np.max(np.abs(grad)) + 1e-300))
+            step = min(step, 2.0 / (np.maximum.reduce(np.abs(grad)) + 1e-300))
             gained = 0.0
             while step > 1e-14:
                 candidate = project(theta + step * grad)

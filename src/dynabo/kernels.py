@@ -189,11 +189,12 @@ def _diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return xa.T.copy()[:, :, None] - xb.T.copy()[:, None, :]
 
 
-def _squares(diffs: np.ndarray, ells: np.ndarray):
+def _squares(diffs: np.ndarray, ells: np.ndarray, out: np.ndarray | None = None):
     """``(diffs[j] / ells[j]) ** 2`` for each dimension ``j``, one fresh
-    ``(n, m)`` array at a time."""
+    ``(n, m)`` array at a time; the first one in ``out`` when given."""
     for diff, ell in zip(diffs, ells):
-        z = diff / ell
+        z = np.divide(diff, ell, out=out)
+        out = None
         z *= z
         yield z
 
@@ -242,18 +243,21 @@ def _part_cov(
     diffs: np.ndarray,
     log_ells: np.ndarray,
     log_vars: np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Part covariance, computed in ``out`` when given (the sums of squares
+    accumulate into their first term)."""
     ells = np.exp(log_ells)
     p = len(diffs)
     if form is KernelForm.SUM:
         va, vb = np.exp(log_vars)
-        k = _plain_cov(KernelForm.SE, _sum_squares(_squares(diffs, ells[0]), p))
+        k = _plain_cov(KernelForm.SE, _sum_squares(_squares(diffs, ells[0], out), p))
         k *= va
         k_m12 = _plain_cov(KernelForm.MATERN12, _sum_squares(_squares(diffs, ells[1]), p))
         k_m12 *= vb
         k += k_m12
         return k
-    return _plain_cov(form, _sum_squares(_squares(diffs, ells), p))
+    return _plain_cov(form, _sum_squares(_squares(diffs, ells, out), p))
 
 
 def _plain_cov_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray):
@@ -269,8 +273,8 @@ def _plain_cov_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray):
     else:
         r = np.sqrt(s, out=s)
         k = np.exp(-r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(r > 0, k / np.where(r > 0, r, 1.0), 0.0)
+        # divides only where r > 0, so no zero division to silence
+        scale = np.divide(k, r, out=np.zeros(r.shape), where=r > 0)
     for z in squares:
         z *= scale
     return k, squares
@@ -341,9 +345,12 @@ def _params_from_vector(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -
     return _Params(sls, svar, tls, tvar, sig, float(theta[-1]))
 
 
-def _cov(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params) -> np.ndarray:
-    """Noise-free covariance from raw spatial and temporal differences."""
-    k = _part_cov(spec.spatial, dx, p.spatial_log_ells, p.spatial_log_vars)
+def _cov(
+    spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Noise-free covariance from raw spatial and temporal differences;
+    written into and returned as ``out`` when given."""
+    k = _part_cov(spec.spatial, dx, p.spatial_log_ells, p.spatial_log_vars, out)
     k *= np.exp(p.log_signal_variance)
     k *= _part_cov(spec.temporal, dt, p.temporal_log_ells, p.temporal_log_vars)
     return k

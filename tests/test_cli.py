@@ -477,6 +477,32 @@ def test_bad_problem_field_types_exit_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schema", [True, 1.0])
+def test_schema_must_be_an_integer_not_a_bool_or_float(tmp_path, capsys, schema):
+    # True == 1 == 1.0 in Python, so an equality test alone accepts both
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, fast_raw(output_dir=str(out), schema=schema))
+    assert main(["validate", str(path)]) == 2
+    assert "schema:" in capsys.readouterr().err
+    assert main(["run", str(path)]) == 2
+    assert "schema:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_acquisition_fails_in_engine_config_for():
+    # normalize_config rejects it; a config built around it must not fall
+    # back to the posterior mean
+    data = normalize_config(minimal_raw())
+    data["acquisition"] = "bogus"
+    config = ExperimentConfig(data)
+    problem = cli.build_problem(config)
+    with pytest.raises(ValueError, match="bogus"):
+        cli.engine_config_for(config, problem, "abo_fixed", 0)
+    data["acquisition"] = "posterior_mean"
+    engine_config = cli.engine_config_for(config, problem, "abo_fixed", 0)
+    assert type(engine_config.acquisition).__name__ == "PosteriorMean"
+
+
 def test_all_runs_aborted_exit_code(tmp_path, monkeypatch):
     step = StepRecord(0, np.zeros(1), 0.0, 1.0, "warmup", "explore_exploit",
                       math.nan, 0.0, 1.0)

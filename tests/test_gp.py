@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from dynabo import gp
 from dynabo.gp import (
@@ -179,6 +180,33 @@ def test_chol_jitter_levels():
         chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(FactorizationError):
         chol_with_jitter(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_chol_jitter_is_the_first_ladder_rung_that_factorizes():
+    m = np.ones((3, 3))
+    mean_diag = float(np.mean(np.diag(m)))
+    eye = np.eye(3)
+    first = next(
+        e for e in range(-9, -2) if dpotrf(m + mean_diag * 10.0**e * eye, lower=1, clean=1)[1] == 0
+    )
+    el, jitter = chol_with_jitter(m)
+    assert jitter == mean_diag * 10.0**first
+    assert np.array_equal(el, dpotrf(m + jitter * eye, lower=1, clean=1)[0])
+
+
+def test_chol_rejects_a_non_finite_off_diagonal_entry():
+    # the diagonal alone passes the mean-diagonal check
+    for bad in (np.nan, np.inf):
+        m = np.eye(3)
+        m[0, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            chol_with_jitter(m)
+
+
+def test_chol_failure_names_the_largest_jitter():
+    m = 4.0 * np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite, mean diagonal 4
+    with pytest.raises(FactorizationError, match=f"{4.0 * 1e-3:.3e}"):
+        chol_with_jitter(m)
 
 
 def test_dataset_validation_and_append():
@@ -475,6 +503,10 @@ def test_objective_is_bit_identical_to_unfused_formulas(spec):
         ("none", KernelSpec(KernelForm.SUM, KernelForm.SUM)),
         ("spatial", KernelSpec(KernelForm.SUM, KernelForm.SE)),
         ("all", KernelSpec(KernelForm.SE, KernelForm.MATERN12)),
+        # the CLI modes' set-ups: abo_fixed, tvb and standard_bo
+        ("none", KernelSpec()),
+        ("none", KernelSpec(KernelForm.SE, KernelForm.MATERN12)),
+        ("all", KernelSpec(KernelForm.SE, KernelForm.SE)),
     ],
 )
 def test_train_matches_unfused_reference_loop(tie, spec, monkeypatch):
