@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "LowerConfidenceBound",
@@ -66,6 +65,9 @@ def score(acq: AcquisitionSpec, mean, variance) -> np.ndarray:
     if isinstance(acq, LowerConfidenceBound):
         return mean - acq.kappa * np.sqrt(variance)
     if isinstance(acq, ExpectedImprovement):
+        # loaded here: only expected improvement needs scipy.special
+        from scipy.special import ndtr
+
         std = np.sqrt(variance)
         gap = acq.best_value - mean
         with np.errstate(invalid="ignore", divide="ignore"):

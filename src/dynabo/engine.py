@@ -73,6 +73,10 @@ PHASE_SCORED = "scored"
 TAG_EXPLORE = "explore_exploit"
 TAG_EXPLOIT = "pure_exploit"
 
+# model-guided steps between exploring fits; the fits in between train from
+# the previous fit alone
+_RESTART_EVERY = 2
+
 
 class Mode(str, Enum):
     STANDARD_BO = "standard_bo"
@@ -135,6 +139,13 @@ class EngineConfig:
     ``fixed_hp`` skips training entirely and runs the loop with the given
     hyperparameters; ``freeze_after_warmup`` trains once at the first
     model-guided step and reuses that fit for the rest of the run.
+
+    A fit explores, from the previous fit plus ``train.restarts - 1``
+    random starts, when the run has no fit yet, during warmup, on every
+    second model-guided step, and on the retry after a ``TrainingError``.
+    Every other fit trains from the previous fit alone: consecutive
+    datasets differ by one sample, so that fit already sits near the next
+    optimum.
     """
 
     mode: Mode
@@ -389,12 +400,16 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
             model = GpModel.fit(dataset, kernel, hp)
         else:
             start = hp if hp is not None else _initial_hp(problem, kernel, span)
+            explore = hp is None or in_warmup or iteration % _RESTART_EVERY == 0
             result = None
             for attempt in range(2):
+                # a retry after a failed fit always explores
+                restarts = train_cfg.restarts if explore or attempt else 1
                 try:
                     result = train(
                         dataset, kernel, start,
-                        replace(train_cfg, seed=_derived_seed(config.seed, 1, iteration, attempt)),
+                        replace(train_cfg, restarts=restarts,
+                                seed=_derived_seed(config.seed, 1, iteration, attempt)),
                     )
                     break
                 except TrainingError:

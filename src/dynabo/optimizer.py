@@ -19,6 +19,13 @@ same positions, and the polish scores its start point and start gradient
 once itself and once more through scipy.  The memo lives in that call, not
 in ``pso_minimize`` or ``local_refine``, because those take any objective,
 and an objective that is not pure must be called every time.
+
+Most polishes start where L-BFGS-B would stop at once: the swarm's best
+point sits at a stationary point or against the box with an outward
+gradient.  ``local_refine`` runs L-BFGS-B's first stopping test itself
+before it calls scipy, and returns the start when the test holds, which is
+what scipy returns there.  ``scipy.optimize`` is imported only when a
+polish gets past that test, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from dynabo.acquisition import AcquisitionSpec, evaluate_on_model
 
@@ -88,9 +94,11 @@ _INERTIA = 0.729
 _COGNITIVE = 1.49445
 _SOCIAL = 1.49445
 
-# the polish: L-BFGS-B's iteration cap and relative objective tolerance
+# the polish: L-BFGS-B's iteration cap, relative objective tolerance and
+# projected-gradient tolerance (scipy's default)
 _REFINE_MAX_ITERS = 100
 _REFINE_FTOL = 1e-8
+_REFINE_GTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,9 @@ def local_refine(objective, start, box: Box):
     Gradients are central differences with step ``1e-6`` of each dimension
     width; probe points are clipped to the box, so the difference quotient
     degrades to one-sided at a boundary.  A non-finite gradient at the start
-    returns the start unchanged; the result never scores worse than it.
+    returns the start unchanged, as does a start that already passes
+    L-BFGS-B's projected-gradient test; the result never scores worse than
+    the start.
     """
     start = np.asarray(start, dtype=float).ravel()
     if start.shape != (box.dim,):
@@ -239,13 +249,23 @@ def local_refine(objective, start, box: Box):
     g0 = grad(z0)
     if not np.all(np.isfinite(g0)):
         return start.copy(), start_value
+    # L-BFGS-B's first stopping test, its projected gradient at the start
+    # (``projgr``): when it holds, scipy returns the start after 0 iterations
+    projected = np.where(
+        g0 < 0, np.maximum(z0 - reduced.upper, g0), np.minimum(z0 - reduced.lower, g0)
+    )
+    if np.max(np.abs(projected)) <= _REFINE_GTOL:
+        return start.copy(), start_value
+
+    from scipy.optimize import minimize
+
     result = minimize(
         fun,
         z0,
         jac=lambda z: np.where(np.isfinite(g := grad(z)), g, 0.0),
         method="L-BFGS-B",
         bounds=list(zip(reduced.lower, reduced.upper)),
-        options={"maxiter": _REFINE_MAX_ITERS, "ftol": _REFINE_FTOL},
+        options={"maxiter": _REFINE_MAX_ITERS, "ftol": _REFINE_FTOL, "gtol": _REFINE_GTOL},
     )
     candidate = embed(np.clip(result.x, reduced.lower, reduced.upper)[None, :])[0]
     cand_value = float(_batch_eval(objective, candidate[None, :])[0])

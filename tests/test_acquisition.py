@@ -65,14 +65,16 @@ def test_expected_improvement_equals_scipy_stats_formula_exactly():
     assert np.array_equal(score(acq, mean, var), expected)
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs most of the package's import time
+@pytest.mark.parametrize("heavy", ["scipy.stats", "scipy.optimize", "scipy.special"])
+def test_import_does_not_load_scipy_stats(heavy):
+    # each costs import time that a run which never needs it should not pay;
+    # scipy.optimize and scipy.special are imported where they are used
     import dynabo
 
     src = str(Path(dynabo.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = "import sys, dynabo; print('scipy.stats' in sys.modules)"
+    code = f"import sys, dynabo, dynabo.cli; print({heavy!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -382,21 +382,72 @@ def test_training_failure_retries_then_aborts(monkeypatch):
     assert all(s.phase == "warmup" for s in trace.steps)
 
 
-def test_training_failure_once_recovers(monkeypatch):
+def recording_train(monkeypatch, fail_at=None):
+    """Patch ``engine.train`` to record each call's restart count; the call
+    numbered ``fail_at`` (from 0) raises ``TrainingError`` instead."""
+    restarts = []
     real_train = engine_mod.train
-    state = {"failed": False}
 
-    def flaky_train(*args, **kwargs):
-        if not state["failed"]:
-            state["failed"] = True
+    def recorded(dataset, spec, init, config):
+        restarts.append(config.restarts)
+        if len(restarts) - 1 == fail_at:
             raise TrainingError("forced")
-        return real_train(*args, **kwargs)
+        return real_train(dataset, spec, init, config)
 
-    monkeypatch.setattr(engine_mod, "train", flaky_train)
-    cfg = small_cfg(budget=2, fixed_hp=None, train=TrainConfig(restarts=2, max_iters=30))
+    monkeypatch.setattr(engine_mod, "train", recorded)
+    return restarts
+
+
+@pytest.mark.parametrize(
+    ("fail_at", "want"),
+    [
+        (0, [3, 3, 1]),  # the first fit explores, and so does its retry
+        (1, [3, 1, 3]),  # a fit from the previous one alone retries exploring
+    ],
+    ids=["first_fit", "warm_only_fit"],
+)
+def test_training_failure_once_recovers(monkeypatch, fail_at, want):
+    restarts = recording_train(monkeypatch, fail_at=fail_at)
+    cfg = small_cfg(budget=2, fixed_hp=None, train=TrainConfig(restarts=3, max_iters=30))
     trace = run(drifting_bowl(), cfg)
     assert not trace.aborted
     assert trace.n_scored == 2
+    assert restarts == want
+
+
+# ---- restart cadence
+
+
+def test_fits_explore_on_every_other_step(monkeypatch):
+    restarts = recording_train(monkeypatch)
+    cfg = small_cfg(budget=5, fixed_hp=None, train=TrainConfig(restarts=3, max_iters=30))
+    trace = run(drifting_bowl(), cfg)
+    assert trace.n_scored == 5
+    assert restarts == [3, 1, 3, 1, 3]
+
+
+def test_warmup_fits_explore(monkeypatch):
+    restarts = recording_train(monkeypatch)
+    cfg = small_cfg(
+        budget=2, fixed_hp=None, train=TrainConfig(restarts=3, max_iters=30),
+        warmup=WarmupConfig(lhd=2, span=0.1, bo_steps=3),
+    )
+    trace = run(drifting_bowl(), cfg)
+    assert trace.n_scored == 2
+    # model-guided steps 0-2 are warmup: step 1 explores although it is odd
+    assert restarts == [3, 3, 3, 1, 3]
+
+
+def test_frozen_run_trains_only_exploring(monkeypatch):
+    restarts = recording_train(monkeypatch)
+    cfg = small_cfg(
+        budget=3, fixed_hp=None, freeze_after_warmup=True,
+        train=TrainConfig(restarts=3, max_iters=30),
+        warmup=WarmupConfig(lhd=2, span=0.1, bo_steps=2),
+    )
+    trace = run(drifting_bowl(), cfg)
+    assert trace.n_scored == 3
+    assert restarts == [3, 3]
 
 
 def test_scored_values_property():

@@ -217,6 +217,77 @@ def test_refine_rejects_out_of_box_start():
         local_refine(sphere, np.array([2.0]), box)
 
 
+def refine_via_scipy(objective, start, box):
+    """``local_refine`` as written before its first stopping test: L-BFGS-B
+    is called from every start whose gradient is finite."""
+    from scipy.optimize import minimize
+
+    start = np.asarray(start, dtype=float).ravel()
+    free, reduced, embed = optimizer._freeze_degenerate(box)
+    start_value = float(optimizer._batch_eval(objective, start[None, :])[0])
+    steps = 1e-6 * reduced.width
+
+    def grad(z):
+        probes_hi = np.clip(z + np.diag(steps), reduced.lower, reduced.upper)
+        probes_lo = np.clip(z - np.diag(steps), reduced.lower, reduced.upper)
+        hi = optimizer._raw_eval(objective, embed(probes_hi))
+        lo = optimizer._raw_eval(objective, embed(probes_lo))
+        span = np.diag(probes_hi - probes_lo).copy()
+        span[span == 0] = 1.0
+        return (hi - lo) / span
+
+    def fun(z):
+        return float(optimizer._batch_eval(objective, embed(z[None, :]))[0])
+
+    z0 = start[free]
+    if not np.all(np.isfinite(grad(z0))):
+        return start.copy(), start_value
+    result = minimize(
+        fun,
+        z0,
+        jac=lambda z: np.where(np.isfinite(g := grad(z)), g, 0.0),
+        method="L-BFGS-B",
+        bounds=list(zip(reduced.lower, reduced.upper)),
+        options={"maxiter": 100, "ftol": 1e-8},
+    )
+    candidate = embed(np.clip(result.x, reduced.lower, reduced.upper)[None, :])[0]
+    cand_value = float(optimizer._batch_eval(objective, candidate[None, :])[0])
+    if cand_value <= start_value:
+        return candidate, cand_value
+    return start.copy(), start_value
+
+
+def tilted_bowl(points):
+    # minimum beyond the (1, 1) corner of the unit square
+    x, y = points[:, 0], points[:, 1]
+    return (x - 1.5) ** 2 + 2.0 * (y - 1.3) ** 2 + 0.5 * x * y + points[:, 2]
+
+
+@pytest.mark.parametrize(
+    ("start", "scipy_skipped"),
+    [
+        ([1.0, 1.0, 0.5], True),  # corner, gradient pointing out of the box
+        ([1.0, 0.2, 0.5], False),  # face: pinned in x, free to descend in y
+        ([0.3, 0.4, 0.5], False),  # interior
+    ],
+    ids=["corner", "face", "interior"],
+)
+def test_refine_equals_always_calling_scipy(start, scipy_skipped):
+    box = Box([0.0, 0.0, 0.5], [1.0, 1.0, 0.5])  # a pinned third dimension
+    calls = []
+
+    def counted(points):
+        calls.append(points.shape[0])
+        return tilted_bowl(points)
+
+    point, value = local_refine(counted, np.array(start), box)
+    want_point, want_value = refine_via_scipy(tilted_bowl, np.array(start), box)
+    assert np.array_equal(point, want_point)
+    assert np.array_equal(value, want_value)
+    # the start and its two gradient probes only, when scipy is skipped
+    assert (len(calls) == 3) == scipy_skipped
+
+
 def quadratic_model():
     # noiseless parabola on a grid; posterior mean recovers it closely
     xs = np.linspace(0, 1, 9)
