@@ -614,6 +614,19 @@ def cmd_mpb_preview(args) -> int:
     return EXIT_OK
 
 
+def _integer_argument(least: int):
+    """An argparse ``type`` for the ``_integer(least)`` rule; argparse
+    reports a rejected value as a usage error (exit 2)."""
+    check, message = _integer(least)
+
+    def integer(text: str) -> int:  # argparse reports a ValueError itself
+        if not check(value := int(text)):
+            raise argparse.ArgumentTypeError(f"{value} {message}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynabo", description="Run time-varying optimization experiments."
@@ -630,14 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot-data", help="emit plot tables from trace files")
     p_plot.add_argument("traces", nargs="+", metavar="trace")
-    p_plot.add_argument("--window", type=int, default=5,
+    p_plot.add_argument("--window", type=_integer_argument(1), default=5,
                         help="trailing window for the windowed-best column")
     p_plot.set_defaults(func=cmd_plot_data)
 
     p_mpb = sub.add_parser("mpb-preview", help="print a moving-peaks change schedule")
     p_mpb.add_argument("scenario")
-    p_mpb.add_argument("--steps", type=int, default=10)
-    p_mpb.add_argument("--seed", type=int, default=0)
+    p_mpb.add_argument("--steps", type=_integer_argument(0), default=10)
+    p_mpb.add_argument("--seed", type=_integer_argument(0), default=0)
     p_mpb.set_defaults(func=cmd_mpb_preview)
     return parser
 

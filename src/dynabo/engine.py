@@ -381,7 +381,6 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
     dataset = Dataset(pts, np.array(targets))
 
     hp: Hyperparameters | None = None
-    model: GpModel | None = None
     lt_history: list[float] = []
     scored = 0
     bo_warmup_left = config.warmup.bo_steps
@@ -392,13 +391,11 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
         in_warmup = bo_warmup_left > 0
         t_c = float(dataset.times[-1])
 
-        # ---- surrogate
+        # ---- surrogate: fixed, frozen after warmup, or trained; then one fit
+        frozen = config.freeze_after_warmup and hp is not None and not in_warmup
         if config.fixed_hp is not None:
             hp = config.fixed_hp
-            model = GpModel.fit(dataset, kernel, hp)
-        elif config.freeze_after_warmup and hp is not None and not in_warmup:
-            model = GpModel.fit(dataset, kernel, hp)
-        else:
+        elif not frozen:
             start = hp if hp is not None else _initial_hp(problem, kernel, span)
             explore = hp is None or in_warmup or iteration % _RESTART_EVERY == 0
             result = None
@@ -418,7 +415,7 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
                 aborted = True
                 break
             hp = result.hp
-            model = GpModel.fit(dataset, kernel, hp)
+        model = GpModel.fit(dataset, kernel, hp)
         lt = model.time_lengthscale
         lt_history.append(lt)
 

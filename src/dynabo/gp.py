@@ -48,6 +48,7 @@ from dynabo.kernels import (
     _cov,
     _cov_grads,
     _diffs,
+    _layout,
     _params,
     _Params,
     _params_from_vector,
@@ -227,8 +228,9 @@ class _MarginalLikelihood:
     ``chol_with_jitter``, which rejects a non-finite gram matrix.
 
     The vector is laid out once: a buffer that each new vector is copied
-    into, with views of it in the covariance shapes.  The gram matrix is
-    built in one buffer too, the noise added through a view of its diagonal.
+    into, with views of it in the covariance shapes (0-d views for the
+    free scalars).  The gram matrix is built in one buffer too, the noise
+    added through a view of its diagonal.
     """
 
     def __init__(self, dataset: Dataset, spec: KernelSpec):
@@ -243,9 +245,7 @@ class _MarginalLikelihood:
         self._gram = np.empty((n, n))
         self._gram_diagonal = self._gram.reshape(-1)[:: n + 1]
         self._theta = np.zeros(n_hyperparameters(spec, d))
-        # the array fields of _Params; the two scalars are read per vector
-        self._views = _params_from_vector(self._theta, spec, d)[:4]
-        self._signal_free = spec.signal_variance_free
+        self._params = _params_from_vector(self._theta, spec, d)
         self._last = None  # (theta bytes, params, factor, alpha, value)
 
     def _evaluate(self, theta):
@@ -259,8 +259,7 @@ class _MarginalLikelihood:
             raise ValueError("hyperparameters must be finite")
         self._last = None  # its params view the buffer overwritten here
         self._theta[:] = theta
-        signal = float(theta[-2]) if self._signal_free else 0.0
-        p = _Params(*self._views, signal, float(theta[-1]))
+        p = self._params
         k = _cov(self._spec, self._dx, self._dt, p, out=self._gram)
         self._gram_diagonal += float(np.exp(p.log_noise_variance))
         el, _ = chol_with_jitter(k)
@@ -361,8 +360,7 @@ class GpModel:
     @property
     def time_lengthscale(self) -> float:
         """Temporal length-scale; the faster (smaller) component for sum forms."""
-        lt = np.atleast_1d(np.asarray(self.hp.log_temporal_lengthscale))
-        return float(np.exp(lt).min())
+        return float(np.exp(self.hp.log_temporal_lengthscale).min())
 
 
 @dataclass(frozen=True)
@@ -403,27 +401,26 @@ def default_log_bounds(
     """Box constraints for the log-hyperparameter vector.
 
     Length-scales range over [1e-3, 1e3] times the corresponding domain
-    width, variances over [1e-4, 1e4], and observation noise over [1e-8, 1].
+    width, variances over [1e-4, 1e4], and observation noise over [1e-8, 1];
+    rows follow ``kernels._layout``.
     """
     spatial_widths = np.maximum(np.asarray(spatial_widths, dtype=float), _STD_FLOOR)
     temporal_width = max(float(temporal_width), _STD_FLOOR)
-    ls = np.log(spatial_widths)
-    lt = math.log(temporal_width)
+    # length-scale rows are centred on the log width of their input
+    centres = {
+        "log_spatial_lengthscales": np.log(spatial_widths),
+        "log_temporal_lengthscale": math.log(temporal_width),
+    }
     scale_lo, scale_hi = math.log(1e-3), math.log(1e3)
-    var_lo, var_hi = math.log(1e-4), math.log(1e4)
     rows = []
-    spatial_blocks = 2 if spec.spatial is KernelForm.SUM else 1
-    for _ in range(spatial_blocks):
-        rows += [[w + scale_lo, w + scale_hi] for w in ls]
-    if spec.spatial is KernelForm.SUM:
-        rows += [[var_lo, var_hi]] * 2
-    temporal_blocks = 2 if spec.temporal is KernelForm.SUM else 1
-    rows += [[lt + scale_lo, lt + scale_hi]] * temporal_blocks
-    if spec.temporal is KernelForm.SUM:
-        rows += [[var_lo, var_hi]] * 2
-    if spec.signal_variance_free:
-        rows += [[var_lo, var_hi]]
-    rows += [[math.log(1e-8), 0.0]]
+    for f, shape, names in _layout(spec, len(spatial_widths)):
+        if f in centres:
+            rows += [[c + scale_lo, c + scale_hi]
+                     for c in np.broadcast_to(centres[f], shape).ravel()]
+        elif f == "log_noise_variance":
+            rows += [[math.log(1e-8), 0.0]]
+        else:
+            rows += [[math.log(1e-4), math.log(1e4)]] * len(names)
     return np.array(rows, dtype=float)
 
 

@@ -7,9 +7,12 @@ part is a squared exponential, a Matern 1/2 (exponential), or a sum of the
 two with independent variance/length-scale sets.
 
 All hyperparameters are stored in log space so that unconstrained training
-keeps them positive.  ``grad_gram_log_hp`` returns analytic derivatives with
-respect to each free log-hyperparameter, in the same order used by
-``hp_to_vector``.
+keeps them positive.  ``_layout`` is the one table of the log-hyperparameter
+vector's order: which ``Hyperparameters`` fields a ``KernelSpec`` leaves
+free, their shapes and their element names.  The vector converters, names,
+counts, shape checks and defaults here, and the training bounds in
+``dynabo.gp``, all read it.  ``grad_gram_log_hp`` returns analytic
+derivatives with respect to each free log-hyperparameter in that order.
 
 The arithmetic is dimension-major: pairwise differences are laid out
 ``(p, n, m)``, one ``(n, m)`` slab per input dimension.  The scaled squared
@@ -23,7 +26,8 @@ length-scale derivatives reuse the per-dimension squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -90,24 +94,17 @@ class Hyperparameters:
     log_temporal_variances: np.ndarray | None = None
 
     def __post_init__(self):
-        sls = np.atleast_1d(np.asarray(self.log_spatial_lengthscales, dtype=float))
-        object.__setattr__(self, "log_spatial_lengthscales", sls)
-        tls = np.asarray(self.log_temporal_lengthscale, dtype=float)
-        object.__setattr__(
-            self, "log_temporal_lengthscale", float(tls) if tls.ndim == 0 else tls
-        )
-        for name in ("log_spatial_variances", "log_temporal_variances"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.asarray(v, dtype=float))
-        for value in (
-            self.log_spatial_lengthscales,
-            np.asarray(self.log_temporal_lengthscale),
-            self.log_signal_variance,
-            self.log_noise_variance,
-        ):
+        # every field that is set becomes a finite float, or a float array
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue  # a component variance, which only sum parts set
+            value = np.asarray(value, dtype=float)
             if not np.all(np.isfinite(value)):
                 raise ValueError("hyperparameters must be finite")
+            if f.name == "log_spatial_lengthscales":
+                value = np.atleast_1d(value)
+            object.__setattr__(self, f.name, float(value) if value.ndim == 0 else value)
 
     @property
     def spatial_dim(self) -> int:
@@ -137,50 +134,79 @@ class Hyperparameters:
         signal_variance: float = 1.0,
         noise_variance: float = 1e-4,
     ) -> "Hyperparameters":
-        """Build parameters with shapes matching ``spec``."""
+        """Build parameters with shapes matching ``spec``; component
+        variances start at 1."""
         if spatial_dim < 1:
             raise ValueError("spatial_dim must be at least 1")
-        ls = np.log(spatial_scale)
-        lt = np.log(temporal_scale)
-        if spec.spatial is KernelForm.SUM:
-            sls = np.full((2, spatial_dim), ls)
-            svar = np.zeros(2)
-        else:
-            sls = np.full(spatial_dim, ls)
-            svar = None
-        if spec.temporal is KernelForm.SUM:
-            tls = np.array([lt, lt])
-            tvar = np.zeros(2)
-        else:
-            tls = float(lt)
-            tvar = None
-        return cls(
-            log_spatial_lengthscales=sls,
-            log_temporal_lengthscale=tls,
-            log_signal_variance=0.0 if spec.has_sum else float(np.log(signal_variance)),
-            log_noise_variance=float(np.log(noise_variance)),
-            log_spatial_variances=svar,
-            log_temporal_variances=tvar,
-        )
+        fill = {
+            "log_spatial_lengthscales": np.log(spatial_scale),
+            "log_temporal_lengthscale": np.log(temporal_scale),
+            "log_signal_variance": np.log(signal_variance),
+            "log_noise_variance": np.log(noise_variance),
+        }
+        values = dict(_PINNED)
+        for f, shape, _ in _layout(spec, spatial_dim):
+            values[f] = np.full(shape, fill.get(f, 0.0))
+        return cls(**values)
+
+
+# the fields a spec may leave out of the vector, and their values then:
+# component variances exist only for sum parts; a sum part pins the signal
+# variance to 1
+_PINNED = {
+    "log_spatial_variances": None, "log_temporal_variances": None, "log_signal_variance": 0.0
+}
+
+
+def _part_layout(part: str, field: str, shape: tuple, suffixes: list[str], form: KernelForm):
+    """Entries of one separable part: its length-scales (an SE row, then a
+    Matern 1/2 row, for the sum form), then the sum form's two variances."""
+    if form is not KernelForm.SUM:
+        return ((field, shape, tuple(f"{part}_lengthscale{s}" for s in suffixes)),)
+    components = ("se", "m12")
+    return (
+        (field, (2, *shape),
+         tuple(f"{part}_{c}_lengthscale{s}" for c in components for s in suffixes)),
+        (f"log_{part}_variances", (2,), tuple(f"{part}_{c}_variance" for c in components)),
+    )
+
+
+@functools.cache
+def _layout(spec: KernelSpec, d: int) -> tuple[tuple[str, tuple, tuple[str, ...]], ...]:
+    """The log-hyperparameter vector's order, the one table of it.
+
+    One ``(field, shape, names)`` entry per ``Hyperparameters`` field that
+    ``spec`` leaves free, in vector order: spatial length-scales, spatial
+    component variances (sum form), temporal length-scales, temporal
+    component variances (sum form), signal variance (plain forms only),
+    noise variance.  ``shape`` is the field's shape in ``Hyperparameters``;
+    ``names`` has one entry per vector element, in C order of that shape.
+    The fields left out take their ``_PINNED`` values.
+    """
+    layout = [
+        *_part_layout("spatial", "log_spatial_lengthscales", (d,),
+                      [f"_{j}" for j in range(d)], spec.spatial),
+        *_part_layout("temporal", "log_temporal_lengthscale", (), [""], spec.temporal),
+    ]
+    if spec.signal_variance_free:
+        layout.append(("log_signal_variance", (), ("signal_variance",)))
+    layout.append(("log_noise_variance", (), ("noise_variance",)))
+    return tuple(layout)
 
 
 def _check_shapes(spec: KernelSpec, hp: Hyperparameters) -> None:
-    sls = hp.log_spatial_lengthscales
-    if spec.spatial is KernelForm.SUM:
-        if sls.ndim != 2 or sls.shape[0] != 2 or hp.log_spatial_variances is None:
-            raise ValueError("sum spatial form needs (2, D) length-scales and 2 variances")
-    else:
-        if sls.ndim != 1 or hp.log_spatial_variances is not None:
-            raise ValueError("plain spatial form needs (D,) length-scales and no variances")
-    tls = np.atleast_1d(np.asarray(hp.log_temporal_lengthscale))
-    if spec.temporal is KernelForm.SUM:
-        if tls.shape != (2,) or hp.log_temporal_variances is None:
-            raise ValueError("sum temporal form needs 2 length-scales and 2 variances")
-    else:
-        if tls.shape != (1,) or hp.log_temporal_variances is not None:
-            raise ValueError("plain temporal form needs a scalar length-scale")
-    if spec.has_sum and hp.log_signal_variance != 0.0:
-        raise ValueError("signal variance is fixed to 1 when a sum part is present")
+    free = {f: shape for f, shape, _ in _layout(spec, hp.spatial_dim)}
+    forms = f"{spec.spatial.value} x {spec.temporal.value} kernel"
+    for f in _Params._fields:
+        value, pinned = getattr(hp, f), _PINNED.get(f)
+        if f in free:
+            if value is None or np.shape(value) != free[f]:
+                raise ValueError(f"the {forms} needs {f} of shape {free[f]}")
+        elif pinned is None:
+            if value is not None:
+                raise ValueError(f"the {forms} leaves {f} unset")
+        elif np.shape(value) != () or value != pinned:
+            raise ValueError(f"the {forms} fixes {f} to {pinned}")
 
 
 def _diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -303,46 +329,47 @@ def _part_cov_grads(
 
 
 class _Params(NamedTuple):
-    """Log-hyperparameters in the shapes the covariance code consumes."""
+    """The ``Hyperparameters`` fields in vector order, in the shapes the
+    covariance code consumes."""
 
-    spatial_log_ells: np.ndarray  # (D,), or (2, D) for the sum form
-    spatial_log_vars: np.ndarray | None
-    temporal_log_ells: np.ndarray  # (1,), or (2, 1) for the sum form
-    temporal_log_vars: np.ndarray | None
+    log_spatial_lengthscales: np.ndarray  # (D,), or (2, D) for the sum form
+    log_spatial_variances: np.ndarray | None
+    log_temporal_lengthscale: np.ndarray  # (1,), or (2, 1) for the sum form
+    log_temporal_variances: np.ndarray | None
     log_signal_variance: float
     log_noise_variance: float
+
+
+def _cov_params(values) -> _Params:
+    """``_Params`` from a field-name mapping; the temporal length-scales
+    gain a trailing axis."""
+    sls, svar, tls, tvar, sig, noise = (values[f] for f in _Params._fields)
+    return _Params(sls, svar, np.asarray(tls)[..., None], tvar, sig, noise)
 
 
 def _params(spec: KernelSpec, hp: Hyperparameters) -> _Params:
     """``hp`` in the covariance shapes, after checking it against ``spec``."""
     _check_shapes(spec, hp)
-    tls = np.atleast_1d(np.asarray(hp.log_temporal_lengthscale))
-    return _Params(
-        hp.log_spatial_lengthscales,
-        hp.log_spatial_variances,
-        tls[:, None] if spec.temporal is KernelForm.SUM else tls,
-        hp.log_temporal_variances,
-        hp.log_signal_variance,
-        hp.log_noise_variance,
-    )
+    return _cov_params(vars(hp))
 
 
-def _params_from_vector(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> _Params:
-    """Views into a log-hyperparameter vector laid out as ``hp_to_vector`` does."""
+def _split(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> dict:
+    """Every ``Hyperparameters`` field of a vector in ``_layout`` order:
+    views of ``theta`` in the field's shape, pinned values for the rest."""
     expected = n_hyperparameters(spec, spatial_dim)
     if theta.shape != (expected,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({expected},)")
-    d = spatial_dim
-    if spec.spatial is KernelForm.SUM:
-        sls, svar, i = theta[: 2 * d].reshape(2, d), theta[2 * d : 2 * d + 2], 2 * d + 2
-    else:
-        sls, svar, i = theta[:d], None, d
-    if spec.temporal is KernelForm.SUM:
-        tls, tvar, i = theta[i : i + 2, None], theta[i + 2 : i + 4], i + 4
-    else:
-        tls, tvar, i = theta[i : i + 1], None, i + 1
-    sig = float(theta[i]) if spec.signal_variance_free else 0.0
-    return _Params(sls, svar, tls, tvar, sig, float(theta[-1]))
+    values, i = dict(_PINNED), 0
+    for f, shape, names in _layout(spec, spatial_dim):
+        values[f] = theta[i : i + len(names)].reshape(shape)
+        i += len(names)
+    return values
+
+
+def _params_from_vector(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> _Params:
+    """Views into a log-hyperparameter vector, in the covariance shapes; the
+    scalars are 0-d views, or the pinned value."""
+    return _cov_params(_split(theta, spec, spatial_dim))
 
 
 def _cov(
@@ -350,19 +377,20 @@ def _cov(
 ) -> np.ndarray:
     """Noise-free covariance from raw spatial and temporal differences;
     written into and returned as ``out`` when given."""
-    k = _part_cov(spec.spatial, dx, p.spatial_log_ells, p.spatial_log_vars, out)
+    k = _part_cov(spec.spatial, dx, p.log_spatial_lengthscales, p.log_spatial_variances, out)
     k *= np.exp(p.log_signal_variance)
-    k *= _part_cov(spec.temporal, dt, p.temporal_log_ells, p.temporal_log_vars)
+    k *= _part_cov(spec.temporal, dt, p.log_temporal_lengthscale, p.log_temporal_variances)
     return k
 
 
 def _cov_grads(
     spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params, eye: np.ndarray
 ) -> list[np.ndarray]:
-    """Noisy-gram derivatives in ``hp_to_vector`` order (see ``grad_gram_log_hp``)."""
-    s2 = np.exp(p.log_signal_variance)
-    k_s, gs = _part_cov_grads(spec.spatial, dx, p.spatial_log_ells, p.spatial_log_vars)
-    k_t, gt = _part_cov_grads(spec.temporal, dt, p.temporal_log_ells, p.temporal_log_vars)
+    """Noisy-gram derivatives in ``_layout`` order (see ``grad_gram_log_hp``)."""
+    sls, svar, tls, tvar, log_s2, log_noise = p
+    s2 = np.exp(log_s2)
+    k_s, gs = _part_cov_grads(spec.spatial, dx, sls, svar)
+    k_t, gt = _part_cov_grads(spec.temporal, dt, tls, tvar)
     for g in gs:
         g *= s2
         g *= k_t
@@ -373,7 +401,7 @@ def _cov_grads(
     if spec.signal_variance_free:
         k_s *= k_t
         grads.append(k_s)
-    grads.append(float(np.exp(p.log_noise_variance)) * eye)
+    grads.append(float(np.exp(log_noise)) * eye)
     return grads
 
 
@@ -422,10 +450,8 @@ def grad_gram_log_hp(
 ) -> list[np.ndarray]:
     """Derivative of the noisy gram matrix for each free log-hyperparameter.
 
-    Matrices follow the ``hp_to_vector`` order: spatial length-scales,
-    spatial component variances (sum form), temporal length-scales, temporal
-    component variances (sum form), signal variance (plain forms only),
-    noise variance.  The noise derivative is ``noise_variance * I``.
+    Matrices follow the vector order ``_layout`` declares, the one
+    ``hp_to_vector`` uses.  The noise derivative is ``noise_variance * I``.
     """
     p = _params(spec, hp)
     x, t = _split_points(points, hp.spatial_dim)
@@ -433,58 +459,24 @@ def grad_gram_log_hp(
 
 
 def n_hyperparameters(spec: KernelSpec, spatial_dim: int) -> int:
-    n = 0
-    n += 2 * spatial_dim + 2 if spec.spatial is KernelForm.SUM else spatial_dim
-    n += 4 if spec.temporal is KernelForm.SUM else 1
-    n += 1 if spec.signal_variance_free else 0
-    return n + 1  # noise
+    return sum(len(names) for _, _, names in _layout(spec, spatial_dim))
 
 
 def hyperparameter_names(spec: KernelSpec, spatial_dim: int) -> list[str]:
     """Names of the free log-hyperparameters, in vector order."""
-    names = []
-    if spec.spatial is KernelForm.SUM:
-        names += [f"spatial_se_lengthscale_{j}" for j in range(spatial_dim)]
-        names += [f"spatial_m12_lengthscale_{j}" for j in range(spatial_dim)]
-        names += ["spatial_se_variance", "spatial_m12_variance"]
-    else:
-        names += [f"spatial_lengthscale_{j}" for j in range(spatial_dim)]
-    if spec.temporal is KernelForm.SUM:
-        names += ["temporal_se_lengthscale", "temporal_m12_lengthscale"]
-        names += ["temporal_se_variance", "temporal_m12_variance"]
-    else:
-        names += ["temporal_lengthscale"]
-    if spec.signal_variance_free:
-        names += ["signal_variance"]
-    return names + ["noise_variance"]
+    return [name for _, _, names in _layout(spec, spatial_dim) for name in names]
 
 
 def hp_to_vector(hp: Hyperparameters, spec: KernelSpec) -> np.ndarray:
     """Flatten the free log-hyperparameters into the canonical vector order."""
     _check_shapes(spec, hp)
-    parts = [np.ravel(hp.log_spatial_lengthscales)]
-    if hp.log_spatial_variances is not None:
-        parts.append(hp.log_spatial_variances)
-    parts.append(np.atleast_1d(np.asarray(hp.log_temporal_lengthscale)))
-    if hp.log_temporal_variances is not None:
-        parts.append(hp.log_temporal_variances)
-    if spec.signal_variance_free:
-        parts.append(np.array([hp.log_signal_variance]))
-    parts.append(np.array([hp.log_noise_variance]))
-    return np.concatenate(parts)
+    return np.concatenate(
+        [np.ravel(getattr(hp, f)) for f, _, _ in _layout(spec, hp.spatial_dim)]
+    )
 
 
 def hp_from_vector(
     theta: np.ndarray, spec: KernelSpec, spatial_dim: int
 ) -> Hyperparameters:
     """Inverse of ``hp_to_vector``."""
-    p = _params_from_vector(np.asarray(theta, dtype=float), spec, spatial_dim)
-    tls = p.temporal_log_ells
-    return Hyperparameters(
-        log_spatial_lengthscales=p.spatial_log_ells,
-        log_temporal_lengthscale=tls[:, 0] if spec.temporal is KernelForm.SUM else float(tls[0]),
-        log_signal_variance=p.log_signal_variance,
-        log_noise_variance=p.log_noise_variance,
-        log_spatial_variances=p.spatial_log_vars,
-        log_temporal_variances=p.temporal_log_vars,
-    )
+    return Hyperparameters(**_split(np.asarray(theta, dtype=float), spec, spatial_dim))

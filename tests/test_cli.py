@@ -7,6 +7,7 @@ quality.
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,9 @@ from dynabo.cli import (
 )
 from dynabo.engine import RunTrace, StepRecord
 from dynabo.metrics import ScoredSeries, offline_performance, windowed_best
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def minimal_raw(**extra):
@@ -539,6 +543,14 @@ def test_partial_abort_still_succeeds(tmp_path, monkeypatch):
     assert first[1] == "0" and first[-1] == "1"  # partial flag on the aborted row
 
 
+def test_readme_minimal_config_normalizes():
+    # the config block the README offers as a starting point stays valid
+    block = re.search(r"A minimal config:\s*```json\n(.*?)```", README.read_text(), re.S)
+    cfg = normalize_config(json.loads(block.group(1)))
+    assert cfg["problem"]["name"] == "branin_scaled"
+    assert cfg["modes"] == ["standard_bo", "abo_fixed", "abo_adaptive_time"]
+
+
 # ---- mpb-preview
 
 
@@ -560,3 +572,23 @@ def test_mpb_preview_deterministic(capsys):
 def test_mpb_preview_unknown_scenario(capsys):
     assert main(["mpb-preview", "99"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value",
+    [
+        ("mpb-preview", "--seed", "-1"),
+        ("mpb-preview", "--steps", "-2"),
+        ("plot-data", "--window", "0"),
+        ("mpb-preview", "--steps", "two"),
+    ],
+)
+def test_out_of_range_cli_integers_are_usage_errors(verb, flag, value, capsys):
+    # argparse rejects the flag before any command runs: exit 2, no output
+    positional = "t.csv" if verb == "plot-data" else "1"
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, positional, flag, value])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and flag in err

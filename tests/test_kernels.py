@@ -4,6 +4,7 @@ Gradient correctness is checked against central finite differences computed
 here at run time, so analytic and numeric routes stay independent.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynabo.gp import default_log_bounds
 from dynabo.kernels import (
     Hyperparameters,
     KernelForm,
@@ -38,10 +40,7 @@ NINE_SPECS = [KernelSpec(s, t) for s, t in itertools.product(KernelForm, KernelF
 
 def random_hp(rng, spec, d):
     theta = rng.uniform(-1.0, 1.0, size=n_hyperparameters(spec, d))
-    hp = hp_from_vector(theta, spec, d)
-    if not spec.signal_variance_free:
-        return hp
-    return hp
+    return hp_from_vector(theta, spec, d)
 
 
 @given(
@@ -250,6 +249,104 @@ def test_vector_round_trip(spec, d):
     assert names[-1] == "noise_variance"
 
 
+# the layout tests below build defaults and bounds from these values, all
+# distinct, so a misplaced entry shows
+SCALES = dict(spatial_scale=2.0, temporal_scale=3.0, signal_variance=5.0, noise_variance=1e-3)
+TEMPORAL_WIDTH = 4.0
+SCALE_ROW = [math.log(1e-3), math.log(1e3)]
+VAR_ROW = [math.log(1e-4), math.log(1e4)]
+NOISE_ROW = [math.log(1e-8), 0.0]
+
+
+def widths(d):
+    return 1.5 + np.arange(d, dtype=float)
+
+
+def expected_layout(spec, d):
+    """The vector layout spelt out from its rules: ``(name, default value,
+    bound row)`` per entry.  Spatial length-scales (one row per component of
+    a sum form), spatial component variances, temporal length-scales,
+    temporal component variances, the signal variance when no sum part pins
+    it, then the noise; length-scale rows are centred on the log width."""
+    ls, lt = math.log(SCALES["spatial_scale"]), math.log(SCALES["temporal_scale"])
+    lw, ltw = np.log(widths(d)), math.log(TEMPORAL_WIDTH)
+    entries = []
+    for part, form, suffixes, default, centres in (
+        ("spatial", spec.spatial, [f"_{j}" for j in range(d)], ls, lw),
+        ("temporal", spec.temporal, [""], lt, [ltw]),
+    ):
+        comps = ["se_", "m12_"] if form is KernelForm.SUM else [""]
+        for comp in comps:
+            entries += [
+                (f"{part}_{comp}lengthscale{sfx}", default,
+                 [c + SCALE_ROW[0], c + SCALE_ROW[1]])
+                for sfx, c in zip(suffixes, centres)
+            ]
+        if form is KernelForm.SUM:
+            entries += [(f"{part}_{c}_variance", 0.0, VAR_ROW) for c in ("se", "m12")]
+    if not spec.has_sum:
+        entries.append(("signal_variance", math.log(SCALES["signal_variance"]), VAR_ROW))
+    entries.append(("noise_variance", math.log(SCALES["noise_variance"]), NOISE_ROW))
+    return entries
+
+
+def check_layout(spec, d, entries):
+    names = [e[0] for e in entries]
+    assert hyperparameter_names(spec, d) == names
+    assert n_hyperparameters(spec, d) == len(names)
+    np.testing.assert_allclose(
+        hp_to_vector(Hyperparameters.default(d, spec, **SCALES), spec),
+        [e[1] for e in entries], rtol=1e-14, atol=0,
+    )
+    np.testing.assert_allclose(
+        default_log_bounds(spec, widths(d), TEMPORAL_WIDTH),
+        [e[2] for e in entries], rtol=1e-14, atol=1e-14,
+    )
+
+
+@pytest.mark.parametrize("spec", NINE_SPECS)
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_vector_layout(spec, d):
+    check_layout(spec, d, expected_layout(spec, d))
+
+
+def test_vector_layout_literal():
+    ls, lt, lsig, ln = (math.log(v) for v in SCALES.values())
+    w0, w1, wt = math.log(1.5), math.log(2.5), math.log(TEMPORAL_WIDTH)
+    lo, hi = SCALE_ROW
+
+    def scale(c):
+        return [c + lo, c + hi]
+
+    se, total = KernelForm.SE, KernelForm.SUM
+    check_layout(KernelSpec(se, se), 2, [
+        ("spatial_lengthscale_0", ls, scale(w0)),
+        ("spatial_lengthscale_1", ls, scale(w1)),
+        ("temporal_lengthscale", lt, scale(wt)),
+        ("signal_variance", lsig, VAR_ROW),
+        ("noise_variance", ln, NOISE_ROW),
+    ])
+    check_layout(KernelSpec(total, se), 2, [
+        ("spatial_se_lengthscale_0", ls, scale(w0)),
+        ("spatial_se_lengthscale_1", ls, scale(w1)),
+        ("spatial_m12_lengthscale_0", ls, scale(w0)),
+        ("spatial_m12_lengthscale_1", ls, scale(w1)),
+        ("spatial_se_variance", 0.0, VAR_ROW),
+        ("spatial_m12_variance", 0.0, VAR_ROW),
+        ("temporal_lengthscale", lt, scale(wt)),
+        ("noise_variance", ln, NOISE_ROW),
+    ])
+    check_layout(KernelSpec(se, total), 2, [
+        ("spatial_lengthscale_0", ls, scale(w0)),
+        ("spatial_lengthscale_1", ls, scale(w1)),
+        ("temporal_se_lengthscale", lt, scale(wt)),
+        ("temporal_m12_lengthscale", lt, scale(wt)),
+        ("temporal_se_variance", 0.0, VAR_ROW),
+        ("temporal_m12_variance", 0.0, VAR_ROW),
+        ("noise_variance", ln, NOISE_ROW),
+    ])
+
+
 def test_sum_form_pins_signal_variance():
     spec = KernelSpec(KernelForm.SUM, KernelForm.SE)
     hp = Hyperparameters.default(2, spec)
@@ -276,6 +373,42 @@ def test_shape_mismatch_rejected():
             log_signal_variance=0.0,
             log_noise_variance=-2.0,
         )
+    # each form rejects a field of the wrong shape, a free field left
+    # unset, and a field it leaves out set to something else
+    for spec in NINE_SPECS:
+        hp = Hyperparameters.default(2, spec)
+        hp_to_vector(hp, spec)  # the defaults pass
+        for name in vars(hp):
+            value = getattr(hp, name)
+            if value is not None:  # wrong: an extra leading axis
+                bad = dataclasses.replace(hp, **{name: np.expand_dims(value, 0)})
+                with pytest.raises(ValueError, match=name):
+                    hp_to_vector(bad, spec)
+        for name in ("log_spatial_variances", "log_temporal_variances"):
+            if getattr(hp, name) is None:  # extra: a variance of a plain part
+                bad = dataclasses.replace(hp, **{name: np.zeros(2)})
+            else:  # missing: a sum part without its variances
+                bad = dataclasses.replace(hp, **{name: None})
+            with pytest.raises(ValueError, match=name):
+                hp_to_vector(bad, spec)
+        if spec.has_sum:  # extra: a signal variance the sum part pins to 1
+            bad = dataclasses.replace(hp, log_signal_variance=0.3)
+            with pytest.raises(ValueError, match="log_signal_variance"):
+                hp_to_vector(bad, spec)
+        else:  # wrong: length-scales shaped for the other spatial form
+            sum_shaped = np.stack([hp.log_spatial_lengthscales] * 2)
+            bad = dataclasses.replace(hp, log_spatial_lengthscales=sum_shaped)
+            with pytest.raises(ValueError, match="log_spatial_lengthscales"):
+                hp_to_vector(bad, spec)
+
+
+@pytest.mark.parametrize("name", ["log_spatial_variances", "log_temporal_variances"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_component_variances_rejected(name, bad):
+    spec = KernelSpec(KernelForm.SUM, KernelForm.SUM)
+    hp = Hyperparameters.default(2, spec)
+    with pytest.raises(ValueError, match="hyperparameters must be finite"):
+        dataclasses.replace(hp, **{name: np.array([bad, 0.0])})
 
 
 @settings(max_examples=50, deadline=None)
