@@ -223,6 +223,9 @@ def normalize_config(raw: dict) -> dict:
     for m in modes:
         if m not in _MODES:
             errors.append(f"modes: {m!r} is not one of {_MODES}")
+    for m in _MODES:
+        if modes.count(m) > 1:  # a second run would overwrite the first's trace
+            errors.append(f"modes: {m!r} is listed more than once")
 
     overrides = raw.get("mode_overrides", {})
     norm_overrides: dict = {}
@@ -291,9 +294,13 @@ def load_config(source) -> ExperimentConfig:
     """Parse and validate a config from a path or a mapping."""
     if isinstance(source, dict):
         return ExperimentConfig(normalize_config(source))
-    text = Path(source).read_text()
+    data = Path(source).read_bytes()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))  # the encoding JSON requires
+    except UnicodeDecodeError as err:
+        raise ConfigError(
+            f"config parse error at byte {err.start}: not UTF-8 ({err.reason})"
+        ) from err
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"config parse error at line {err.lineno} column {err.colno}: {err.msg}"

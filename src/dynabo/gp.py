@@ -6,8 +6,12 @@ and its analytic gradient drive hyperparameter training by projected
 gradient ascent with restarts.  Training evaluates them through one objective
 per dataset: it keeps the standardized targets, the raw pairwise space and
 time differences and the constant term, takes the log-hyperparameter vector
-directly, and reuses the Cholesky factor of the last vector it evaluated, so
-the gradient at an accepted line-search probe costs no second factorization.
+directly, and reuses the Cholesky factor and the covariance's factors (the
+unit spatial and temporal parts, the spatial part times the signal variance)
+of the last vector it evaluated, so the gradient at an accepted line-search
+probe costs no second factorization and no second exponential.  It fills one
+``(P, n, n)`` stack with the derivatives and reduces them all at once, each
+reduction bitwise the per-matrix one.
 ``log_marginal_likelihood`` and ``lml_and_gradient`` are thin wrappers over
 the same objective.
 
@@ -31,15 +35,30 @@ mode, the temporal factor is one ``(n, 1)`` column broadcast over the batch;
 elementwise arithmetic gives the same bits whatever the array's shape.  The
 solve goes through LAPACK ``dtrtrs`` directly, the routine
 ``scipy.linalg.solve_triangular`` runs.
+
+The three LAPACK routines, ``dpotrf``, ``dpotrs`` and ``dtrtrs``, come from
+scipy's own extension module ``scipy.linalg._flapack``, loaded by file from
+the installed scipy without running ``scipy.linalg``'s package import, which
+takes more than half of a fresh ``import dynabo.cli`` (it pulls in
+``numpy.testing``, ``numpy.f2py`` and ``numpy.ma`` through scipy's array-API
+layer).  The module is registered under its own name, so a later
+``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dpotrf is
+gp.dpotrf``: the same function objects, so the same bits.  Where the file is
+not found, as on an install laid out differently, the routines are imported
+from ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+import scipy  # cheap; on Windows wheels it makes the bundled OpenBLAS findable
 
 from dynabo.kernels import (
     Hyperparameters,
@@ -47,6 +66,7 @@ from dynabo.kernels import (
     KernelSpec,
     _cov,
     _cov_grads,
+    _cov_parts,
     _diffs,
     _layout,
     _params,
@@ -73,6 +93,35 @@ __all__ = [
     "default_log_bounds",
     "train",
 ]
+
+
+def _flapack():
+    """scipy's LAPACK extension module, loaded under its own name without
+    running ``scipy.linalg``'s package import; ``None`` when the file is not
+    where scipy's wheels put it.  It is registered in ``sys.modules``, so a
+    later ``import scipy.linalg`` reuses this module object."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    for base in scipy.__path__:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                )
+                sys.modules[name] = module
+                loader.exec_module(module)
+                return module
+    return None
+
+
+_lapack = _flapack()
+if _lapack is None:
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+else:
+    dpotrf, dpotrs, dtrtrs = _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
 
 # standardization is skipped when the target spread is below this
 _STD_FLOOR = 1e-12
@@ -246,7 +295,8 @@ class _MarginalLikelihood:
         self._gram_diagonal = self._gram.reshape(-1)[:: n + 1]
         self._theta = np.zeros(n_hyperparameters(spec, d))
         self._params = _params_from_vector(self._theta, spec, d)
-        self._last = None  # (theta bytes, params, factor, alpha, value)
+        self._grads = np.empty((len(self._theta), n, n))
+        self._last = None  # (theta bytes, params, parts, factor, alpha, value)
 
     def _evaluate(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -260,26 +310,29 @@ class _MarginalLikelihood:
         self._last = None  # its params view the buffer overwritten here
         self._theta[:] = theta
         p = self._params
-        k = _cov(self._spec, self._dx, self._dt, p, out=self._gram)
+        parts = _cov_parts(self._spec, self._dx, self._dt, p)
+        k = np.multiply(parts.scaled_spatial, parts.temporal_part, out=self._gram)
         self._gram_diagonal += float(np.exp(p.log_noise_variance))
         el, _ = chol_with_jitter(k)
         alpha = _cho_solve(el, self._y)
         value = _lml_from_factor(el, alpha, self._neg_half_y, self._log_norm)
-        self._last = (key, p, el, alpha, value)
+        self._last = (key, p, parts, el, alpha, value)
         return self._last
 
     def value(self, theta) -> float:
-        return self._evaluate(theta)[4]
+        return self._evaluate(theta)[5]
 
     def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
-        _, p, el, alpha, value = self._evaluate(theta)
+        _, p, parts, el, alpha, value = self._evaluate(theta)
         k_inv = _cho_solve(el, self._eye)
-        grads = _cov_grads(self._spec, self._dx, self._dt, p, self._eye)
-        out = np.empty(len(grads))
-        for i, dk in enumerate(grads):
-            # 0.5 * tr((alpha alpha^T - K^-1) dK)
-            out[i] = 0.5 * (alpha @ dk @ alpha - np.add.reduce(k_inv * dk, axis=None))
-        return value, out
+        g = _cov_grads(self._spec, self._dx, self._dt, p, parts, self._grads)
+        # 0.5 * tr((alpha alpha^T - K^-1) dK) for every dK at once, each
+        # reduction bitwise the per-matrix one; ``a @ alpha`` would run gemv
+        # and round differently from ``alpha @ dk @ alpha``
+        a = alpha @ g
+        quad = np.matmul(a[:, None, :], alpha)[:, 0]
+        trace = np.add.reduce((k_inv * g).reshape(len(g), -1), axis=1)
+        return value, 0.5 * (quad - trace)
 
 
 def log_marginal_likelihood(

@@ -20,8 +20,14 @@ distance is summed one dimension at a time into one ``(n, m)`` array (eight
 from eight dimensions on), and the exponentials run on it in place.  The
 additions follow numpy's pairwise order for a reduction over a short last
 axis, so the result is bitwise the one an ``(n, m, p)`` layout reduced with
-``sum(axis=-1)`` gives, without its ``(n, m, p)`` temporaries.  The
-length-scale derivatives reuse the per-dimension squares.
+``sum(axis=-1)`` gives, without its ``(n, m, p)`` temporaries.
+
+A covariance is built from its factors (``_cov_parts``): the unit-variance
+covariance of each plain component of either part, the spatial part times
+the signal variance, and the temporal part.  The derivatives take those
+factors instead of recomputing them, so a training gradient reuses what the
+probe at the same vector built; ``grad_gram_log_hp`` builds them itself and
+runs the same derivative routine.
 """
 
 from __future__ import annotations
@@ -215,12 +221,11 @@ def _diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return xa.T.copy()[:, :, None] - xb.T.copy()[:, None, :]
 
 
-def _squares(diffs: np.ndarray, ells: np.ndarray, out: np.ndarray | None = None):
+def _squares(diffs: np.ndarray, ells: np.ndarray):
     """``(diffs[j] / ells[j]) ** 2`` for each dimension ``j``, one fresh
-    ``(n, m)`` array at a time; the first one in ``out`` when given."""
+    ``(n, m)`` array at a time."""
     for diff, ell in zip(diffs, ells):
-        z = np.divide(diff, ell, out=out)
-        out = None
+        z = np.divide(diff, ell)
         z *= z
         yield z
 
@@ -264,68 +269,63 @@ def _plain_cov(form: KernelForm, s: np.ndarray) -> np.ndarray:
     return np.exp(s, out=s)
 
 
-def _part_cov(
-    form: KernelForm,
-    diffs: np.ndarray,
-    log_ells: np.ndarray,
-    log_vars: np.ndarray | None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Part covariance, computed in ``out`` when given (the sums of squares
-    accumulate into their first term)."""
+def _part_units(form: KernelForm, diffs: np.ndarray, log_ells: np.ndarray) -> tuple:
+    """Unit-variance covariance of each plain component of one part: the
+    form's own, or the sum form's SE then Matern 1/2 one."""
     ells = np.exp(log_ells)
     p = len(diffs)
     if form is KernelForm.SUM:
-        va, vb = np.exp(log_vars)
-        k = _plain_cov(KernelForm.SE, _sum_squares(_squares(diffs, ells[0], out), p))
-        k *= va
-        k_m12 = _plain_cov(KernelForm.MATERN12, _sum_squares(_squares(diffs, ells[1]), p))
-        k_m12 *= vb
-        k += k_m12
-        return k
-    return _plain_cov(form, _sum_squares(_squares(diffs, ells, out), p))
+        return (
+            _plain_cov(KernelForm.SE, _sum_squares(_squares(diffs, ells[0]), p)),
+            _plain_cov(KernelForm.MATERN12, _sum_squares(_squares(diffs, ells[1]), p)),
+        )
+    return (_plain_cov(form, _sum_squares(_squares(diffs, ells), p)),)
 
 
-def _plain_cov_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray):
-    """Covariance of a unit-variance plain part plus d/dlog(l_j) matrices.
+def _part_cov(units: tuple, log_vars: np.ndarray | None) -> np.ndarray:
+    """One part's covariance from its unit components: the plain form's one
+    component itself, or the sum form's two weighted by their variances."""
+    if len(units) == 1:
+        return units[0]
+    va, vb = np.exp(log_vars)
+    k = units[0] * va
+    k += units[1] * vb
+    return k
 
-    The derivative for dimension ``j`` is ``z_j^2`` times ``k`` (SE) or
-    ``k / r`` (Matern 1/2, 0 at zero distance); it reuses the square's array.
-    """
-    squares = list(_squares(diffs, ells))
-    s = _sum_squares((z.copy() for z in squares), len(squares))
+
+def _lengthscale_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray, k, out):
+    """Derivatives of a unit-variance plain component ``k`` by each log(l_j),
+    written into ``out[j]``: ``z_j^2`` times ``k`` (SE) or ``k / r``
+    (Matern 1/2, 0 at zero distance)."""
+    np.divide(diffs, ells[:, None, None], out=out)
+    out *= out
     if form is KernelForm.SE:
-        k = scale = _plain_cov(form, s)
-    else:
-        r = np.sqrt(s, out=s)
-        k = np.exp(-r)
-        # divides only where r > 0, so no zero division to silence
-        scale = np.divide(k, r, out=np.zeros(r.shape), where=r > 0)
-    for z in squares:
-        z *= scale
-    return k, squares
+        out *= k
+        return
+    r = np.sqrt(_sum_squares(iter(out.copy()), len(out)))
+    # divides only where r > 0, so no zero division to silence
+    out *= np.divide(k, r, out=np.zeros(r.shape), where=r > 0)
 
 
-def _part_cov_grads(
-    form: KernelForm,
-    diffs: np.ndarray,
-    log_ells: np.ndarray,
-    log_vars: np.ndarray | None,
-):
-    """Part covariance and gradient matrices, length-scale block then variances."""
+def _part_grads(
+    form: KernelForm, diffs: np.ndarray, log_ells: np.ndarray, log_vars, units: tuple, out
+) -> int:
+    """One part's unit-variance derivatives, written into the leading slots
+    of ``out``: its length-scales (one row per sum component, each times its
+    variance), then the sum form's two variances.  Returns the slot count."""
     ells = np.exp(log_ells)
-    if form is KernelForm.SUM:
-        va, vb = np.exp(log_vars)
-        k_se, g_se = _plain_cov_grads(KernelForm.SE, diffs, ells[0])
-        k_m12, g_m12 = _plain_cov_grads(KernelForm.MATERN12, diffs, ells[1])
-        for g in g_se:
-            g *= va
-        for g in g_m12:
-            g *= vb
-        k_se *= va
-        k_m12 *= vb
-        return k_se + k_m12, g_se + g_m12 + [k_se, k_m12]
-    return _plain_cov_grads(form, diffs, ells)
+    p = len(diffs)
+    if form is not KernelForm.SUM:
+        _lengthscale_grads(form, diffs, ells, units[0], out[:p])
+        return p
+    for c, (f, k, v) in enumerate(
+        zip((KernelForm.SE, KernelForm.MATERN12), units, np.exp(log_vars))
+    ):
+        block = out[c * p : (c + 1) * p]
+        _lengthscale_grads(f, diffs, ells[c], k, block)
+        block *= v
+        np.multiply(k, v, out=out[2 * p + c])
+    return 2 * p + 2
 
 
 class _Params(NamedTuple):
@@ -372,37 +372,57 @@ def _params_from_vector(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -
     return _cov_params(_split(theta, spec, spatial_dim))
 
 
-def _cov(
-    spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Noise-free covariance from raw spatial and temporal differences;
-    written into and returned as ``out`` when given."""
-    k = _part_cov(spec.spatial, dx, p.log_spatial_lengthscales, p.log_spatial_variances, out)
+class _Parts(NamedTuple):
+    """The factors a covariance is built from, kept by a training probe for
+    the gradient at the same vector."""
+
+    spatial: tuple  # unit-variance covariance of each spatial component
+    temporal: tuple  # the same for the temporal part
+    scaled_spatial: np.ndarray  # the spatial part times the signal variance
+    temporal_part: np.ndarray  # the temporal part
+
+
+def _cov_parts(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params) -> _Parts:
+    """The factors of the noise-free covariance (see ``_cov``)."""
+    spatial = _part_units(spec.spatial, dx, p.log_spatial_lengthscales)
+    temporal = _part_units(spec.temporal, dt, p.log_temporal_lengthscale)
+    scaled = _part_cov(spatial, p.log_spatial_variances) * np.exp(p.log_signal_variance)
+    return _Parts(spatial, temporal, scaled, _part_cov(temporal, p.log_temporal_variances))
+
+
+def _cov(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params) -> np.ndarray:
+    """Noise-free covariance from raw spatial and temporal differences: the
+    spatial part times the signal variance, times the temporal part, built in
+    place: ``_cov_parts`` keeps the factors, and the array that costs raised
+    the peak memory of long runs when predict went through it."""
+    k = _part_cov(_part_units(spec.spatial, dx, p.log_spatial_lengthscales),
+                  p.log_spatial_variances)
     k *= np.exp(p.log_signal_variance)
-    k *= _part_cov(spec.temporal, dt, p.log_temporal_lengthscale, p.log_temporal_variances)
+    k *= _part_cov(_part_units(spec.temporal, dt, p.log_temporal_lengthscale),
+                   p.log_temporal_variances)
     return k
 
 
 def _cov_grads(
-    spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params, eye: np.ndarray
-) -> list[np.ndarray]:
-    """Noisy-gram derivatives in ``_layout`` order (see ``grad_gram_log_hp``)."""
-    sls, svar, tls, tvar, log_s2, log_noise = p
-    s2 = np.exp(log_s2)
-    k_s, gs = _part_cov_grads(spec.spatial, dx, sls, svar)
-    k_t, gt = _part_cov_grads(spec.temporal, dt, tls, tvar)
-    for g in gs:
-        g *= s2
-        g *= k_t
-    k_s *= s2
-    for g in gt:
-        g *= k_s
-    grads = gs + gt
+    spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params, parts: _Parts, out
+) -> np.ndarray:
+    """Noisy-gram derivatives in ``_layout`` order (see ``grad_gram_log_hp``),
+    built from the covariance's ``parts`` into the ``(P, n, n)`` stack
+    ``out``: a spatial derivative is the part's own times the signal
+    variance times the temporal part, a temporal one the part's own times
+    the scaled spatial part."""
+    i = _part_grads(spec.spatial, dx, p.log_spatial_lengthscales, p.log_spatial_variances,
+                    parts.spatial, out)
+    out[:i] *= np.exp(p.log_signal_variance)
+    out[:i] *= parts.temporal_part
+    j = i + _part_grads(spec.temporal, dt, p.log_temporal_lengthscale,
+                        p.log_temporal_variances, parts.temporal, out[i:])
+    out[i:j] *= parts.scaled_spatial
     if spec.signal_variance_free:
-        k_s *= k_t
-        grads.append(k_s)
-    grads.append(float(np.exp(log_noise)) * eye)
-    return grads
+        np.multiply(parts.scaled_spatial, parts.temporal_part, out=out[j])
+    out[-1] = 0.0
+    np.fill_diagonal(out[-1], np.exp(p.log_noise_variance))
+    return out
 
 
 def _split_points(points: np.ndarray, spatial_dim: int):
@@ -455,7 +475,9 @@ def grad_gram_log_hp(
     """
     p = _params(spec, hp)
     x, t = _split_points(points, hp.spatial_dim)
-    return _cov_grads(spec, _diffs(x, x), _diffs(t, t), p, np.eye(x.shape[0]))
+    dx, dt = _diffs(x, x), _diffs(t, t)
+    out = np.empty((n_hyperparameters(spec, hp.spatial_dim), len(x), len(x)))
+    return list(_cov_grads(spec, dx, dt, p, _cov_parts(spec, dx, dt, p), out))
 
 
 def n_hyperparameters(spec: KernelSpec, spatial_dim: int) -> int:

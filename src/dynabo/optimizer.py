@@ -4,6 +4,10 @@ Global search is particle-swarm optimization seeded from a Latin hypercube;
 a quasi-Newton polish with numerical gradients runs from the swarm's best
 position.  A dimension whose bounds coincide is a slice: it is held fixed
 and removed from the search space instead of being searched at zero width.
+The swarm stops once no particle can move again: every particle sits on its
+own best and the swarm's best, with a velocity of 0 or one pointing out of
+the box at the bound it sits on.  From there on every iteration would repeat
+the last, so the stop is exact for a deterministic objective.
 
 Objectives are batch maps: given an ``(M, dim)`` array of candidate points
 they return ``(M,)`` scores.  Evaluations within one swarm iteration are
@@ -158,6 +162,12 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
     scores count as +inf and the search continues.  ``init`` optionally
     seeds particle positions (rows beyond the particle count are dropped,
     missing rows drawn uniformly).  Deterministic given ``seed``.
+
+    The swarm stops early, after an iteration in which no particle improved,
+    once no particle can move again (see ``_cannot_move``).  For a
+    deterministic objective every later iteration would score the same
+    positions to the same values, so every position, best and the returned
+    point and value are bit for bit what running all iterations gives.
     """
     free, reduced, embed = _freeze_degenerate(box)
     if reduced is None:
@@ -195,13 +205,34 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
         positions.clip(reduced.lower, reduced.upper, out=positions)
         values = _batch_eval(objective, embed(positions))
         improved = values < best_val
-        best_pos[improved] = positions[improved]
-        best_val[improved] = values[improved]
-        g_idx = int(np.argmin(best_val))
-        if best_val[g_idx] < g_val:
-            g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
+        if improved.any():
+            best_pos[improved] = positions[improved]
+            best_val[improved] = values[improved]
+            g_idx = int(np.argmin(best_val))
+            if best_val[g_idx] < g_val:
+                g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
+        elif _cannot_move(positions, velocities, best_pos, g_pos, reduced):
+            break
 
     return embed(g_pos[None, :])[0], g_val
+
+
+def _cannot_move(positions, velocities, best_pos, g_pos, box: Box) -> bool:
+    """Whether no particle can leave its position again.
+
+    Every particle sits on its own best and on the swarm's best, so both
+    pulls are exactly 0 and the next velocity is the inertia times this one,
+    of the same sign; and each velocity is 0 or points out of the box at the
+    bound the particle sits on, where the clip puts it back."""
+    return bool(
+        (positions == best_pos).all()
+        and (positions == g_pos).all()
+        and (
+            (velocities == 0)
+            | ((velocities < 0) & (positions == box.lower))
+            | ((velocities > 0) & (positions == box.upper))
+        ).all()
+    )
 
 
 def _batch_eval(objective, points: np.ndarray) -> np.ndarray:

@@ -65,10 +65,13 @@ def test_expected_improvement_equals_scipy_stats_formula_exactly():
     assert np.array_equal(score(acq, mean, var), expected)
 
 
-@pytest.mark.parametrize("heavy", ["scipy.stats", "scipy.optimize", "scipy.special"])
+@pytest.mark.parametrize(
+    "heavy", ["scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg"]
+)
 def test_import_does_not_load_scipy_stats(heavy):
     # each costs import time that a run which never needs it should not pay;
-    # scipy.optimize and scipy.special are imported where they are used
+    # scipy.optimize and scipy.special are imported where they are used, and
+    # dynabo.gp loads scipy.linalg's LAPACK extension module without the package
     import dynabo
 
     src = str(Path(dynabo.__file__).resolve().parents[1])

@@ -104,6 +104,18 @@ def test_unknown_mode_rejected():
         load_config(minimal_raw(modes=[]))
 
 
+def test_repeated_mode_rejected_before_running(tmp_path, capsys):
+    # run would run the mode twice, its second trace overwriting the first
+    out = tmp_path / "out"
+    raw = fast_raw(output_dir=str(out), modes=["abo_fixed", "standard_bo", "abo_fixed"])
+    path = write_cfg(tmp_path, raw)
+    assert main(["validate", str(path)]) == 2
+    assert "modes: 'abo_fixed' is listed more than once" in capsys.readouterr().err
+    assert main(["run", str(path)]) == 2
+    assert "'abo_fixed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_error_message_lists_every_field():
     raw = minimal_raw(lookahead_fraction=0.0, repetitions=0, bogus=1)
     with pytest.raises(ConfigError) as err:
@@ -168,6 +180,31 @@ def test_parse_error_reports_position(tmp_path):
     path.write_text('{"schema": 1,\n  "problem": }\n')
     with pytest.raises(ConfigError, match="line 2"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    ("data", "offset"),
+    [
+        (json.dumps(minimal_raw()).encode("utf-16"), 0),  # starts with ff fe
+        (b'{"schema": 1, "output_dir": "r\xe9sultats"}', 30),  # latin-1, not UTF-8
+    ],
+    ids=["utf16_bom", "latin1"],
+)
+def test_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, data, offset):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=f"parse error at byte {offset}: not UTF-8"):
+        load_config(path)
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    assert f"byte {offset}" in capsys.readouterr().err
+
+
+def test_config_is_read_as_utf8(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(minimal_raw(output_dir="résultats"), ensure_ascii=False)
+                     .encode("utf-8"))
+    assert load_config(path).output_dir == Path("résultats")
 
 
 def test_problem_requires_kind_specific_fields():

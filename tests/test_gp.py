@@ -6,6 +6,10 @@ the oracle cannot share a bug.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,3 +539,39 @@ def test_train_matches_unfused_reference_loop(tie, spec, monkeypatch):
     assert result.iterations == iters > 0
     # a gradient always lands on the last probe's vector: no second factorization
     assert factorizations == probes
+
+
+# -- where the LAPACK routines come from ---------------------------------------
+
+LAPACK_SOURCE = """
+import sys
+{prelude}
+from dynabo import gp
+print("scipy.linalg" in sys.modules)
+import scipy.linalg.lapack, scipy.optimize, scipy.stats
+lapack = scipy.linalg.lapack
+print(gp.dpotrf is lapack.dpotrf, gp.dpotrs is lapack.dpotrs, gp.dtrtrs is lapack.dtrtrs,
+      gp._lapack in (None, lapack._flapack))
+"""
+
+
+@pytest.mark.parametrize(
+    ("prelude", "fallback"),
+    [
+        ("", False),
+        # no extension file can be found: gp imports the routines from the package
+        ("import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES = []", True),
+    ],
+    ids=["extension_module", "fallback"],
+)
+def test_gp_runs_the_routines_scipy_linalg_runs(prelude, fallback):
+    # the same function objects, so every factorization and solve is bitwise
+    # what scipy.linalg gives; a later import of scipy.linalg reuses the
+    # module gp loaded instead of loading the extension a second time
+    src = str(Path(gp.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = LAPACK_SOURCE.format(prelude=prelude)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == [str(fallback)] + ["True"] * 4

@@ -149,6 +149,110 @@ def test_pso_respects_init_positions():
     assert with_init <= sphere(init)[0] + 1e-12
 
 
+def full_swarm(objective, box, config):
+    """``pso_minimize``'s update run for every iteration, with no early stop."""
+    free = ~box.degenerate
+    lo, hi = box.lower[free], box.upper[free]
+    rng = np.random.default_rng(config.seed)
+    p, dim = config.particles, lo.size
+
+    def score(z):
+        full = np.tile(box.lower, (z.shape[0], 1))
+        full[:, free] = z
+        values = np.asarray(objective(full), dtype=float)
+        return np.where(np.isfinite(values), values, np.inf)
+
+    positions = rng.uniform(lo, hi, size=(p, dim))
+    v_max = 0.5 * (hi - lo)
+    velocities = rng.uniform(-v_max, v_max, size=(p, dim))
+    best_val = score(positions)
+    best_pos = positions.copy()
+    g_idx = int(np.argmin(best_val))
+    g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
+    for _ in range(config.iterations):
+        r_cog = rng.uniform(size=(p, dim))
+        r_soc = rng.uniform(size=(p, dim))
+        velocities = np.clip(
+            optimizer._INERTIA * velocities
+            + optimizer._COGNITIVE * r_cog * (best_pos - positions)
+            + optimizer._SOCIAL * r_soc * (g_pos - positions),
+            -v_max, v_max,
+        )
+        positions = np.clip(positions + velocities, lo, hi)
+        values = score(positions)
+        improved = values < best_val
+        best_pos[improved] = positions[improved]
+        best_val[improved] = values[improved]
+        g_idx = int(np.argmin(best_val))
+        if best_val[g_idx] < g_val:
+            g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
+    point = box.lower.copy()
+    point[free] = g_pos
+    return point, g_val
+
+
+@pytest.mark.parametrize(
+    ("name", "stops_early"),
+    [("corner", True), ("pinned_corner", True), ("sphere", False), ("holey", False)],
+)
+def test_pso_stop_returns_what_every_iteration_returns(name, stops_early):
+    # a plane falling toward the lower corner drives every particle into it,
+    # where the clip holds it: the swarm stops; the sphere's swarm keeps moving
+    box = {
+        "corner": Box([0.0, 0.0], [1.0, 1.0]),
+        "pinned_corner": Box([0.0, 0.5, -1.0], [1.0, 0.5, 2.0]),
+        "sphere": Box([-5.0, -5.0], [5.0, 5.0]),
+        "holey": Box([-2.0, -2.0], [2.0, 2.0]),
+    }[name]
+
+    def objective(points):
+        if name == "sphere":
+            return sphere(points)
+        if name == "holey":
+            return np.where(points[:, 0] > 0.5, np.nan, sphere(points))
+        return points.sum(axis=1)
+
+    calls = []
+
+    def counted(points):
+        calls.append(points.copy())
+        return objective(points)
+
+    config = PsoConfig(particles=10, iterations=80, seed=5)
+    point, value = pso_minimize(counted, box, config)
+    want_point, want_value = full_swarm(objective, box, config)
+    assert np.array_equal(point, want_point) and value == want_value
+    assert (len(calls) < config.iterations + 1) == stops_early
+    if stops_early:
+        assert np.array_equal(point, box.lower)
+
+
+@pytest.mark.parametrize(
+    ("velocity", "position", "gbest", "stuck"),
+    [
+        (0.0, 0.5, 0.5, True),  # at rest on both bests
+        (-0.1, 0.0, 0.0, True),  # pointing out at the lower bound
+        (0.1, 1.0, 1.0, True),  # pointing out at the upper bound
+        (0.1, 0.0, 0.0, False),  # pointing into the box: it moves on
+        (-0.1, 1.0, 1.0, False),
+        (0.1, 0.5, 0.5, False),
+        (0.0, 0.5, 0.25, False),  # off the swarm's best: pulled there
+    ],
+)
+def test_swarm_cannot_move_only_when_every_iteration_would_repeat(
+    velocity, position, gbest, stuck
+):
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    positions = np.array([[0.0, position], [0.0, position]])
+    velocities = np.array([[-0.2, velocity], [0.0, 0.0]])
+    g_pos = np.array([0.0, gbest])
+    best_pos = positions.copy()
+    assert optimizer._cannot_move(positions, velocities, best_pos, g_pos, box) is stuck
+    if stuck:  # not on its own best: pulled back there
+        best_pos[0, 1] = 0.75
+        assert not optimizer._cannot_move(positions, velocities, best_pos, g_pos, box)
+
+
 def test_pso_rejects_bad_config():
     with pytest.raises(ValueError):
         PsoConfig(particles=1)
