@@ -256,18 +256,6 @@ def _tri_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _lml_from_factor(
-    el: np.ndarray, alpha: np.ndarray, neg_half_y: np.ndarray, log_norm: float
-) -> float:
-    """``neg_half_y`` is ``-0.5 * y``; ``log_norm`` is the constant term
-    ``0.5 * n * log(2 pi)``."""
-    return float(neg_half_y @ alpha - np.add.reduce(np.log(el.diagonal())) - log_norm)
-
-
-def _log_norm(n: int) -> float:
-    return 0.5 * n * math.log(2 * math.pi)
-
-
 class _MarginalLikelihood:
     """Log marginal likelihood of one dataset as a function of the
     log-hyperparameter vector, in ``hp_to_vector`` order.
@@ -290,7 +278,7 @@ class _MarginalLikelihood:
         self._neg_half_y = -0.5 * self._y
         self._dx, self._dt = _diffs(x, x), _diffs(t, t)
         self._eye = np.eye(n)
-        self._log_norm = _log_norm(n)
+        self._log_norm = 0.5 * n * math.log(2 * math.pi)
         self._gram = np.empty((n, n))
         self._gram_diagonal = self._gram.reshape(-1)[:: n + 1]
         self._theta = np.zeros(n_hyperparameters(spec, d))
@@ -315,7 +303,9 @@ class _MarginalLikelihood:
         self._gram_diagonal += float(np.exp(p.log_noise_variance))
         el, _ = chol_with_jitter(k)
         alpha = _cho_solve(el, self._y)
-        value = _lml_from_factor(el, alpha, self._neg_half_y, self._log_norm)
+        value = float(
+            self._neg_half_y @ alpha - np.add.reduce(np.log(el.diagonal())) - self._log_norm
+        )
         self._last = (key, p, parts, el, alpha, value)
         return self._last
 
@@ -365,7 +355,6 @@ class GpModel:
     _kernel_params: _Params = field(repr=False)
     _space: np.ndarray = field(repr=False)
     _time: np.ndarray = field(repr=False)
-    lml: float = 0.0
 
     @classmethod
     def fit(cls, dataset: Dataset, spec: KernelSpec, hp: Hyperparameters) -> "GpModel":
@@ -375,11 +364,10 @@ class GpModel:
         y = (dataset.targets - mean) / std
         el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
         alpha = _cho_solve(el, y)
-        lml = _lml_from_factor(el, alpha, -0.5 * y, _log_norm(dataset.n))
         columns = dataset.points.T.copy()[:, :, None]
         return cls(
             dataset, spec, hp, el, alpha, mean, std, hp.signal_variance,
-            _params(spec, hp), columns[:-1], columns[-1:], lml,
+            _params(spec, hp), columns[:-1], columns[-1:],
         )
 
     def _query(self, points) -> np.ndarray:
@@ -537,7 +525,7 @@ def train(
     def objective(theta: np.ndarray) -> float:
         try:
             return likelihood.value(theta)
-        except (FactorizationError, np.linalg.LinAlgError):
+        except FactorizationError:
             return -np.inf
 
     def gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -561,7 +549,7 @@ def train(
             total_iters += 1
             try:
                 value, grad = gradient(theta)
-            except (FactorizationError, np.linalg.LinAlgError):
+            except FactorizationError:
                 break
             if not np.logical_and.reduce(np.isfinite(grad)):
                 break

@@ -2,8 +2,8 @@
 
 The central score is offline performance: the mean over iterations of the
 best value seen within a trailing window.  Lower is better throughout.
-Warmup evaluations are excluded here, in one place, so every consumer of a
-trace gets the same scored series.
+Warmup evaluations are excluded in one place, ``RunTrace.scored_values``, so
+every consumer of a trace gets the same scored series.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ class ModeSummary:
 
 
 def _scored_values(trace) -> np.ndarray:
-    steps = getattr(trace, "steps", None)
-    if steps is not None:
-        return np.array([s.y for s in steps if s.phase == "scored"], dtype=float)
+    values = getattr(trace, "scored_values", None)
+    if values is not None:
+        return values
     return np.asarray(trace, dtype=float).ravel()
 
 

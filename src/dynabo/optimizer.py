@@ -6,23 +6,15 @@ position.  A dimension whose bounds coincide is a slice: it is held fixed
 and removed from the search space instead of being searched at zero width.
 The swarm stops once no particle can move again: every particle sits on its
 own best and the swarm's best, with a velocity of 0 or one pointing out of
-the box at the bound it sits on.  From there on every iteration would repeat
-the last, so the stop is exact for a deterministic objective.
+the box at the bound it sits on.  The test runs on each iteration's clipped
+positions, before they are scored: a batch that passes it holds only stored
+bests, so scoring it could improve nothing, and every later iteration would
+repeat it.
 
 Objectives are batch maps: given an ``(M, dim)`` array of candidate points
 they return ``(M,)`` scores.  Evaluations within one swarm iteration are
 independent and may therefore run concurrently (here: vectorized), with the
 reduction order fixed by particle index so results are reproducible.
-
-``optimize_acquisition`` scores each distinct batch once per call.  Within
-one call the model, the acquisition and the box are fixed, so its objective
-is a pure function of the batch's bytes, and a batch seen before gets the
-stored scores, bit for bit the ones a second evaluation would give.  Repeats
-are common: a swarm piled against the box boundary keeps clipping to the
-same positions, and the polish scores its start point and start gradient
-once itself and once more through scipy.  The memo lives in that call, not
-in ``pso_minimize`` or ``local_refine``, because those take any objective,
-and an objective that is not pure must be called every time.
 
 Most polishes start where L-BFGS-B would stop at once: the swarm's best
 point sits at a stationary point or against the box with an outward
@@ -163,10 +155,10 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
     seeds particle positions (rows beyond the particle count are dropped,
     missing rows drawn uniformly).  Deterministic given ``seed``.
 
-    The swarm stops early, after an iteration in which no particle improved,
-    once no particle can move again (see ``_cannot_move``).  For a
-    deterministic objective every later iteration would score the same
-    positions to the same values, so every position, best and the returned
+    The swarm stops early, before it scores a batch, once no particle can
+    move again (see ``_cannot_move``): that batch and every later one would
+    be the stored bests.  The stop is exact for an objective that scores each
+    row the same whatever else is in its batch: every best and the returned
     point and value are bit for bit what running all iterations gives.
     """
     free, reduced, embed = _freeze_degenerate(box)
@@ -203,6 +195,8 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
         velocities.clip(-v_max, v_max, out=velocities)
         positions = positions + velocities
         positions.clip(reduced.lower, reduced.upper, out=positions)
+        if _cannot_move(positions, velocities, best_pos, g_pos, reduced):
+            break
         values = _batch_eval(objective, embed(positions))
         improved = values < best_val
         if improved.any():
@@ -211,8 +205,6 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
             g_idx = int(np.argmin(best_val))
             if best_val[g_idx] < g_val:
                 g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
-        elif _cannot_move(positions, velocities, best_pos, g_pos, reduced):
-            break
 
     return embed(g_pos[None, :])[0], g_val
 
@@ -314,18 +306,13 @@ def optimize_acquisition(
 ) -> np.ndarray:
     """Best scoring point in the box: LHD-seeded swarm, then local polish.
 
-    Each distinct batch is scored once per call: see the module docstring.
+    Every batch the swarm and the polish propose is scored on ``model``;
+    ``evaluate_on_model`` is looked up at each call, so a wrapper installed
+    on this module sees them all.
     """
-    scored = {}
 
     def objective(points):
-        key = (points.shape, points.tobytes())
-        values = scored.get(key)
-        if values is None:
-            values = evaluate_on_model(acq, model, points)
-            values.flags.writeable = False
-            scored[key] = values
-        return values
+        return evaluate_on_model(acq, model, points)
 
     probes = latin_hypercube(pso.particles, box, pso.seed)
     point, _ = pso_minimize(objective, box, pso, init=probes)

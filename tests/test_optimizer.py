@@ -149,7 +149,7 @@ def test_pso_respects_init_positions():
     assert with_init <= sphere(init)[0] + 1e-12
 
 
-def full_swarm(objective, box, config):
+def full_swarm(objective, box, config, init=None):
     """``pso_minimize``'s update run for every iteration, with no early stop."""
     free = ~box.degenerate
     lo, hi = box.lower[free], box.upper[free]
@@ -163,6 +163,9 @@ def full_swarm(objective, box, config):
         return np.where(np.isfinite(values), values, np.inf)
 
     positions = rng.uniform(lo, hi, size=(p, dim))
+    if init is not None:
+        init = np.atleast_2d(init)[:p, free]
+        positions[: init.shape[0]] = np.clip(init, lo, hi)
     v_max = 0.5 * (hi - lo)
     velocities = rng.uniform(-v_max, v_max, size=(p, dim))
     best_val = score(positions)
@@ -189,6 +192,10 @@ def full_swarm(objective, box, config):
     point = box.lower.copy()
     point[free] = g_pos
     return point, g_val
+
+
+def pairwise_distinct(batches) -> bool:
+    return len({(b.shape, b.tobytes()) for b in batches}) == len(batches)
 
 
 @pytest.mark.parametrize(
@@ -223,6 +230,7 @@ def test_pso_stop_returns_what_every_iteration_returns(name, stops_early):
     want_point, want_value = full_swarm(objective, box, config)
     assert np.array_equal(point, want_point) and value == want_value
     assert (len(calls) < config.iterations + 1) == stops_early
+    assert pairwise_distinct(calls)  # the stop comes before a repeat is scored
     if stops_early:
         assert np.array_equal(point, box.lower)
 
@@ -442,7 +450,7 @@ def test_pso_stays_in_box_property(seed):
     assert point[1] == 0.0
 
 
-# ---- each batch is scored once per search
+# ---- the swarm stops before it scores a batch twice
 
 NINE_SPECS = [KernelSpec(s, t) for s, t in itertools.product(KernelForm, KernelForm)]
 SEARCH_BOXES = {
@@ -460,14 +468,14 @@ def random_model(spec, seed, n=12, d=2):
     return GpModel.fit(Dataset(pts, y), spec, hp_from_vector(theta, spec, d))
 
 
-def unmemoized_search(model, acq, box, pso):
-    """``optimize_acquisition`` as written before its memo: every batch scored."""
+def full_search(model, acq, box, pso):
+    """``optimize_acquisition`` with a swarm that runs every iteration."""
 
     def objective(points):
         return evaluate_on_model(acq, model, points)
 
     probes = latin_hypercube(pso.particles, box, pso.seed)
-    point, _ = pso_minimize(objective, box, pso, init=probes)
+    point, _ = full_swarm(objective, box, pso, init=probes)
     point, _ = local_refine(objective, point, box)
     return box.clip(point)
 
@@ -478,10 +486,27 @@ def recording(monkeypatch):
     evaluate = optimizer.evaluate_on_model
 
     def recorded(acq, model, points):
-        batches.append((points.shape, points.tobytes()))
+        batches.append(points.copy())
         return evaluate(acq, model, points)
 
     monkeypatch.setattr(optimizer, "evaluate_on_model", recorded)
+    return batches
+
+
+def recording_swarm(monkeypatch):
+    """Patch ``optimizer.pso_minimize`` to record every batch the swarm
+    passes to the objective ``optimize_acquisition`` hands it."""
+    batches = []
+    swarm = optimizer.pso_minimize
+
+    def recorded(objective, box, config, init=None):
+        def wrapped(points):
+            batches.append(points.copy())
+            return objective(points)
+
+        return swarm(wrapped, box, config, init=init)
+
+    monkeypatch.setattr(optimizer, "pso_minimize", recorded)
     return batches
 
 
@@ -497,11 +522,11 @@ def test_optimize_acquisition_equals_unmemoized_search(spec, acq_name, box_name,
     }[acq_name]
     box = SEARCH_BOXES[box_name]
     pso = PsoConfig(particles=8, iterations=15, seed=4)
-    want = unmemoized_search(model, acq, box, pso)
-    batches = recording(monkeypatch)
+    want = full_search(model, acq, box, pso)
+    batches = recording_swarm(monkeypatch)
     got = optimize_acquisition(model, acq, box, pso)
     assert np.array_equal(got, want)
-    assert len(set(batches)) == len(batches)  # no batch scored twice
+    assert pairwise_distinct(batches)  # no swarm batch scored twice
 
 
 def test_swarm_in_a_corner_is_not_rescored(monkeypatch):
@@ -517,5 +542,5 @@ def test_swarm_in_a_corner_is_not_rescored(monkeypatch):
     batches = recording(monkeypatch)
     point = optimize_acquisition(model, PosteriorMean(), box, pso)
     assert np.array_equal(point, [0.0, 0.0, 0.0])
-    assert len(set(batches)) == len(batches)
+    assert pairwise_distinct(batches)
     assert len(batches) < pso.iterations + 1
