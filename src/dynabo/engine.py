@@ -140,8 +140,9 @@ class EngineConfig:
     hyperparameters; ``freeze_after_warmup`` trains once at the first
     model-guided step and reuses that fit for the rest of the run.
 
-    A fit explores, from the previous fit plus ``train.restarts - 1``
-    random starts, when the run has no fit yet, during warmup, on every
+    A fit explores, from the previous fit plus the best of
+    ``8 * (train.restarts - 1)`` random vectors, each probed once (see
+    ``TrainConfig``), when the run has no fit yet, during warmup, on every
     second model-guided step, and on the retry after a ``TrainingError``.
     Every other fit trains from the previous fit alone: consecutive
     datasets differ by one sample, so that fit already sits near the next

@@ -2,18 +2,27 @@
 
 Targets are standardized internally (zero mean, unit standard deviation);
 predictions are mapped back to the original scale.  The marginal likelihood
-and its analytic gradient drive hyperparameter training by projected
-gradient ascent with restarts.  Training evaluates them through one objective
-per dataset: it keeps the standardized targets, the raw pairwise space and
-time differences and the constant term, takes the log-hyperparameter vector
-directly, and reuses the Cholesky factor and the covariance's factors (the
-unit spatial and temporal parts, the spatial part times the signal variance)
-of the last vector it evaluated, so the gradient at an accepted line-search
-probe costs no second factorization and no second exponential.  It fills one
+and its analytic gradient, plus a weak log-normal prior on each temporal
+length-scale, drive hyperparameter training by projected gradient ascent
+from the warm start and, when restarts are asked for, one screened random
+start: the best of eight one-probe random draws per restart beyond the warm
+one.  The prior (sd 1 in log units, centred on a tenth of the temporal
+width under the default bounds) keeps short warmups, which span a small
+part of the horizon, from learning a temporal scale far longer than the
+horizon; it enters only what training ascends, and the reported LML is the
+marginal likelihood alone.
+
+Training evaluates the likelihood through one objective per dataset: it
+keeps the standardized targets, the raw pairwise space and time differences
+and the constant term, takes the log-hyperparameter vector directly, and
+reuses the Cholesky factor and the covariance's factors (the unit spatial
+and temporal parts, the spatial part times the signal variance) of the last
+vector it evaluated, so the gradient at an accepted line-search probe costs
+no second factorization and no second exponential.  It fills one
 ``(P, n, n)`` stack with the derivatives and reduces them all at once, each
-reduction bitwise the per-matrix one.
-``log_marginal_likelihood`` and ``lml_and_gradient`` are thin wrappers over
-the same objective.
+reduction bitwise the per-matrix one.  ``log_marginal_likelihood`` and
+``lml_and_gradient`` are thin wrappers over the same objective, without
+the prior.
 
 Training probes, gradients and projections avoid numpy's per-call wrappers,
 which at n ~ 18 cost more than the factorization itself.  The vector's
@@ -125,9 +134,17 @@ else:
 
 # standardization is skipped when the target spread is below this
 _STD_FLOOR = 1e-12
-# a restart stops after three accepted steps in a row that each gain at most
-# this share of (1 + |LML|)
+# an ascent stops after three accepted steps in a row that each gain at most
+# this share of (1 + |objective|)
 _RELATIVE_TOL = 1e-7
+# an exploring fit probes this many random vectors per restart beyond the
+# warm one, and ascends from the best of them only
+_SCREENS_PER_RESTART = 8
+# the prior on each log temporal length-scale: normal, with this sd, centred
+# this far above the centre of the entry's bounds (a tenth of the temporal
+# width under ``default_log_bounds``)
+_PRIOR_SD = 1.0
+_PRIOR_OFFSET = math.log(0.1)
 
 
 class FactorizationError(RuntimeError):
@@ -325,6 +342,37 @@ class _MarginalLikelihood:
         return value, 0.5 * (quad - trace)
 
 
+class _TrainingObjective:
+    """What ``train`` ascends: the log marginal likelihood plus a weak
+    log-normal prior on each temporal length-scale, with sd ``_PRIOR_SD`` in
+    log units and mean the centre of that entry's row in ``lower``/``upper``
+    plus ``_PRIOR_OFFSET``; the normal's constant is left out.  Both methods
+    also return the marginal likelihood alone.  The temporal entries are
+    found through ``kernels._layout``; they are contiguous.
+    """
+
+    def __init__(self, dataset: Dataset, spec: KernelSpec, lower: np.ndarray, upper: np.ndarray):
+        fields = [f for f, _, names in _layout(spec, dataset.spatial_dim) for _ in names]
+        first = fields.index("log_temporal_lengthscale")
+        self._temporal = slice(first, first + fields.count("log_temporal_lengthscale"))
+        self._mean = 0.5 * (lower[self._temporal] + upper[self._temporal]) + _PRIOR_OFFSET
+        self._likelihood = _MarginalLikelihood(dataset, spec)
+
+    def _scaled_offset(self, theta: np.ndarray) -> np.ndarray:
+        return (theta[self._temporal] - self._mean) / _PRIOR_SD
+
+    def value(self, theta) -> tuple[float, float]:
+        lml = self._likelihood.value(theta)
+        z = self._scaled_offset(theta)
+        return lml - 0.5 * float(z @ z), lml
+
+    def value_and_gradient(self, theta) -> tuple[float, float, np.ndarray]:
+        lml, grad = self._likelihood.value_and_gradient(theta)
+        z = self._scaled_offset(theta)
+        grad[self._temporal] -= z / _PRIOR_SD
+        return lml - 0.5 * float(z @ z), lml, grad
+
+
 def log_marginal_likelihood(
     dataset: Dataset, spec: KernelSpec, hp: Hyperparameters
 ) -> float:
@@ -408,6 +456,11 @@ class GpModel:
 class TrainConfig:
     """Training knobs.
 
+    ``restarts`` sizes an exploring fit: besides the warm start, it probes
+    ``8 * (restarts - 1)`` random vectors once each and ascends from the
+    best of them only; ``restarts = 1`` ascends from the warm start alone.
+    ``max_iters`` caps the iterations of each ascent.
+
     ``tie_lengthscales``: "none" trains every length-scale freely (ARD),
     "spatial" ties the spatial ones into a single isotropic value, and
     "all" additionally ties the temporal one to them (time treated as just
@@ -431,6 +484,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """The trained hyperparameters, their log marginal likelihood (without
+    the prior training adds) and the iterations of every ascent."""
+
     hp: Hyperparameters
     lml: float
     iterations: int
@@ -484,12 +540,17 @@ def train(
     init: Hyperparameters,
     config: TrainConfig = TrainConfig(),
 ) -> TrainResult:
-    """Maximize the marginal likelihood over the log-hyperparameters.
+    """Maximize the marginal likelihood, plus a weak prior on each temporal
+    length-scale, over the log-hyperparameters.
 
-    Projected gradient ascent with a backtracking line search, run from the
-    supplied warm start plus ``restarts - 1`` random initializations drawn
-    log-uniformly within the bounds.  Returns the best restart; raises
-    ``TrainingError`` when every restart fails to produce a finite value.
+    Projected gradient ascent with a backtracking line search on the
+    objective ``_TrainingObjective`` defines, run from the supplied warm
+    start and, when ``restarts > 1``, from one screened random start: the
+    fit draws ``_SCREENS_PER_RESTART * (restarts - 1)`` vectors
+    log-uniformly within the bounds, probes each once and ascends only from
+    the best (the first drawn among equals).  Returns the better ascent, with
+    its marginal likelihood alone as ``lml``; raises ``TrainingError`` when
+    no start gives a finite value.
     """
     d = dataset.spatial_dim
     if init.spatial_dim != d:
@@ -520,37 +581,27 @@ def train(
     def project(theta: np.ndarray) -> np.ndarray:
         return tie(theta.clip(lower, upper))
 
-    likelihood = _MarginalLikelihood(dataset, spec)
+    ascended = _TrainingObjective(dataset, spec, lower, upper)
 
-    def objective(theta: np.ndarray) -> float:
+    def objective(theta: np.ndarray) -> tuple[float, float]:
         try:
-            return likelihood.value(theta)
+            return ascended.value(theta)
         except FactorizationError:
-            return -np.inf
+            return -np.inf, -np.inf
 
-    def gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = likelihood.value_and_gradient(theta)
-        return value, tie(grad)
-
-    rng = np.random.default_rng(config.seed)
-    starts = [project(hp_to_vector(init, spec))]
-    for _ in range(config.restarts - 1):
-        starts.append(project(rng.uniform(lower, upper)))
-
-    best_theta, best_value, total_iters = None, -np.inf, 0
-    for theta in starts:
-        value = objective(theta)
-        if not math.isfinite(value):
-            continue
+    def ascend(theta: np.ndarray, value: float, lml: float):
+        """The ascent from a probed start: its end, value, LML and iterations."""
         theta_prev = grad_prev = None
         step = 0.1
         small_gains = 0
+        iters = 0
         for _ in range(config.max_iters):
-            total_iters += 1
+            iters += 1
             try:
-                value, grad = gradient(theta)
+                value, lml, grad = ascended.value_and_gradient(theta)
             except FactorizationError:
                 break
+            grad = tie(grad)
             if not np.logical_and.reduce(np.isfinite(grad)):
                 break
             if np.maximum.reduce(np.abs(project(theta + grad) - theta)) < 1e-8 * (1 + abs(value)):
@@ -569,10 +620,10 @@ def train(
             gained = 0.0
             while step > 1e-14:
                 candidate = project(theta + step * grad)
-                cand_value = objective(candidate)
+                cand_value, cand_lml = objective(candidate)
                 if cand_value > value:
                     gained = cand_value - value
-                    theta, value = candidate, cand_value
+                    theta, value, lml = candidate, cand_value, cand_lml
                     break
                 step *= 0.5
             if gained == 0.0:
@@ -583,8 +634,27 @@ def train(
                     break
             else:
                 small_gains = 0
+        return theta, value, lml, iters
+
+    def starts():
+        """The warm start, then the best of the screened random draws, each
+        with its value and LML; drawn only once the warm ascent is done."""
+        warm = project(hp_to_vector(init, spec))
+        yield (warm, *objective(warm))
+        if config.restarts > 1:
+            rng = np.random.default_rng(config.seed)
+            draws = rng.uniform(lower, upper, (_SCREENS_PER_RESTART * (config.restarts - 1), n_hp))
+            screened = [(theta, *objective(theta)) for theta in map(project, draws)]
+            yield max(screened, key=lambda start: start[1])  # the first of equals
+
+    best_theta, best_value, best_lml, total_iters = None, -np.inf, -np.inf, 0
+    for theta, value, lml in starts():
+        if not math.isfinite(value):
+            continue
+        theta, value, lml, iters = ascend(theta, value, lml)
+        total_iters += iters
         if value > best_value:
-            best_value, best_theta = value, theta.copy()
+            best_theta, best_value, best_lml = theta.copy(), value, lml
     if best_theta is None:
         raise TrainingError("all restarts failed to factorize")
-    return TrainResult(hp_from_vector(best_theta, spec, d), best_value, total_iters)
+    return TrainResult(hp_from_vector(best_theta, spec, d), best_lml, total_iters)

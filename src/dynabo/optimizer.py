@@ -4,12 +4,18 @@ Global search is particle-swarm optimization seeded from a Latin hypercube;
 a quasi-Newton polish with numerical gradients runs from the swarm's best
 position.  A dimension whose bounds coincide is a slice: it is held fixed
 and removed from the search space instead of being searched at zero width.
-The swarm stops once no particle can move again: every particle sits on its
-own best and the swarm's best, with a velocity of 0 or one pointing out of
-the box at the bound it sits on.  The test runs on each iteration's clipped
-positions, before they are scored: a batch that passes it holds only stored
-bests, so scoring it could improve nothing, and every later iteration would
-repeat it.
+
+``PsoConfig.iterations`` is a cap; the swarm has two earlier stops.  It
+stops once no particle can move again: every particle sits on its own best
+and the swarm's best, with a velocity of 0 or one pointing out of the box at
+the bound it sits on.  The test runs on each iteration's clipped positions,
+before they are scored: a batch that passes it holds only stored bests, so
+scoring it could improve nothing, and every later iteration would repeat it.
+That stop is exact.  The swarm also stops once it has stalled: 15 scored
+iterations in a row that each lowered its best by no more than ``1e-9``
+times the best's magnitude (the ``ftol``/``ftol_iter`` rule of PySwarms).
+That stop is not exact: a later iteration might still have found a lower
+value.
 
 Objectives are batch maps: given an ``(M, dim)`` array of candidate points
 they return ``(M,)`` scores.  Evaluations within one swarm iteration are
@@ -90,6 +96,12 @@ _INERTIA = 0.729
 _COGNITIVE = 1.49445
 _SOCIAL = 1.49445
 
+# the stall stop: an iteration is stalled when the swarm's best fell by no
+# more than this share of its magnitude, and the swarm stops after this many
+# stalled iterations in a row
+_STALL_FTOL = 1e-9
+_STALL_ITERS = 15
+
 # the polish: L-BFGS-B's iteration cap, relative objective tolerance and
 # projected-gradient tolerance (scipy's default)
 _REFINE_MAX_ITERS = 100
@@ -155,11 +167,16 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
     seeds particle positions (rows beyond the particle count are dropped,
     missing rows drawn uniformly).  Deterministic given ``seed``.
 
-    The swarm stops early, before it scores a batch, once no particle can
-    move again (see ``_cannot_move``): that batch and every later one would
-    be the stored bests.  The stop is exact for an objective that scores each
-    row the same whatever else is in its batch: every best and the returned
-    point and value are bit for bit what running all iterations gives.
+    ``config.iterations`` caps the scored iterations; two stops end the
+    search sooner.  The swarm stops before it scores a batch once no
+    particle can move again (see ``_cannot_move``): that batch and every
+    later one would be the stored bests.  That stop is exact for an
+    objective that scores each row the same whatever else is in its batch:
+    every best and the returned point and value are bit for bit what the
+    search gives without it.  The swarm also stops after ``_STALL_ITERS``
+    scored iterations in a row that each lowered its best by no more than
+    ``_STALL_FTOL`` times that best's magnitude; a best of +inf never
+    stalls.  That stop is not exact: later iterations might have gone lower.
     """
     free, reduced, embed = _freeze_degenerate(box)
     if reduced is None:
@@ -183,6 +200,7 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
     g_idx = int(np.argmin(best_val))
     g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
 
+    stalled = 0
     for _ in range(config.iterations):
         r_cog = rng.uniform(size=(p, dim))
         r_soc = rng.uniform(size=(p, dim))
@@ -198,6 +216,7 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
         if _cannot_move(positions, velocities, best_pos, g_pos, reduced):
             break
         values = _batch_eval(objective, embed(positions))
+        before = g_val
         improved = values < best_val
         if improved.any():
             best_pos[improved] = positions[improved]
@@ -205,6 +224,10 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
             g_idx = int(np.argmin(best_val))
             if best_val[g_idx] < g_val:
                 g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
+        # inf - inf is nan, so a best still at +inf never counts as stalled
+        stalled = stalled + 1 if g_val >= before - _STALL_FTOL * abs(before) else 0
+        if stalled == _STALL_ITERS:
+            break
 
     return embed(g_pos[None, :])[0], g_val
 

@@ -21,7 +21,7 @@ from dynabo.cli import (
     main,
     normalize_config,
 )
-from dynabo.engine import RunTrace, StepRecord
+from dynabo.engine import RunTrace, StepRecord, run
 from dynabo.metrics import ScoredSeries, offline_performance, windowed_best
 
 
@@ -586,6 +586,20 @@ def test_readme_minimal_config_normalizes():
     cfg = normalize_config(json.loads(block.group(1)))
     assert cfg["problem"]["name"] == "branin_scaled"
     assert cfg["modes"] == ["standard_bo", "abo_fixed", "abo_adaptive_time"]
+
+
+def test_readme_config_learns_a_temporal_scale_shorter_than_the_horizon():
+    # short warmups cannot pin down the temporal length-scale; without the
+    # prior training puts on it, adaptive mode learnt up to 19.4 on this unit
+    # horizon, and one such step opened the window to the horizon's end
+    block = re.search(r"A minimal config:\s*```json\n(.*?)```", README.read_text(), re.S)
+    cfg = load_config(json.loads(block.group(1)))
+    problem = cli.build_problem(cfg)
+    t_start, t_end = problem.horizon
+    for repetition in range(5):
+        trace = run(problem, cli.engine_config_for(cfg, problem, "abo_adaptive_time", repetition))
+        lt_hats = [s.lt_hat for s in trace.steps if s.phase == "scored"]
+        assert lt_hats and max(lt_hats) < t_end - t_start, (repetition, lt_hats)
 
 
 # ---- mpb-preview

@@ -7,6 +7,7 @@ the oracle cannot share a bug.
 
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,7 @@ from dynabo.kernels import (
     gram,
     hp_from_vector,
     hp_to_vector,
+    hyperparameter_names,
     n_hyperparameters,
 )
 
@@ -405,19 +407,39 @@ def reference_lml_and_gradient(dataset, spec, hp):
     return value, out
 
 
-def reference_train(dataset, spec, init, config):
-    """Projected gradient ascent as ``train`` runs it, built on the reference
-    functions: a fresh gram and factorization at every probe and gradient.
+def temporal_lengthscale_entries(spec, d):
+    """Mask of the temporal length-scale entries, found by their names."""
+    names = hyperparameter_names(spec, d)
+    return np.array([n.startswith("temporal_") and "lengthscale" in n for n in names])
 
-    Returns the best vector, its value, the iteration count and the number of
-    probes (value-only evaluations)."""
+
+def reference_train(dataset, spec, init, config):
+    """The screened, prior-weighted projected gradient ascent as ``train``
+    runs it, built on the reference functions: a fresh gram and factorization
+    at every probe and gradient.  The prior on each log temporal length-scale
+    is normal with sd 1 and mean a tenth of the way into its bounds' width in
+    log terms: the centre of its row in the projection box plus log 0.1.
+
+    Returns the best vector, its marginal likelihood (no prior), the
+    iteration count and the number of factorizations ``train`` makes: one per
+    evaluation at a vector other than the last one evaluated, since the
+    objective keeps the factor of that one only."""
     d = dataset.spatial_dim
     bounds = np.array(config.log_bounds, dtype=float)
     tie_blocks = gp._tie_blocks(spec, d, config.tie_lengthscales)
     for block in tie_blocks:
         bounds[block, 0] = bounds[block, 0].max()
         bounds[block, 1] = bounds[block, 1].min()
-    probes = 0
+    temporal = temporal_lengthscale_entries(spec, d)
+    prior_mean = 0.5 * (bounds[temporal, 0] + bounds[temporal, 1]) + math.log(0.1)
+    last = None
+    factorizations = 0
+
+    def factorized(theta):
+        nonlocal last, factorizations
+        if last != theta.tobytes():
+            factorizations += 1
+        last = theta.tobytes()
 
     def project(theta):
         theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
@@ -425,35 +447,36 @@ def reference_train(dataset, spec, init, config):
             theta[block] = theta[block].mean()
         return theta
 
+    def log_prior(theta):
+        z = theta[temporal] - prior_mean
+        return -0.5 * float(z @ z)
+
     def objective(theta):
-        nonlocal probes
-        probes += 1
+        factorized(theta)
         try:
-            return reference_lml(dataset, spec, hp_from_vector(theta, spec, d))[0]
+            lml = reference_lml(dataset, spec, hp_from_vector(theta, spec, d))[0]
         except FactorizationError:
-            return -np.inf
+            nonlocal last
+            last = None
+            return -np.inf, -np.inf
+        return lml + log_prior(theta), lml
 
     def gradient(theta):
-        value, grad = reference_lml_and_gradient(dataset, spec, hp_from_vector(theta, spec, d))
+        factorized(theta)
+        lml, grad = reference_lml_and_gradient(dataset, spec, hp_from_vector(theta, spec, d))
+        grad[temporal] -= theta[temporal] - prior_mean
         for block in tie_blocks:
             grad[block] = grad[block].mean()
-        return value, grad
+        return lml + log_prior(theta), lml, grad
 
-    rng = np.random.default_rng(config.seed)
-    starts = [project(hp_to_vector(init, spec))]
-    for _ in range(config.restarts - 1):
-        starts.append(project(rng.uniform(bounds[:, 0], bounds[:, 1])))
-    best_theta, best_value, total_iters = None, -np.inf, 0
-    for theta in starts:
-        value = objective(theta)
-        if not np.isfinite(value):
-            continue
+    def ascend(theta, value, lml):
         theta_prev = grad_prev = None
         step = 0.1
         small_gains = 0
+        iters = 0
         for _ in range(config.max_iters):
-            total_iters += 1
-            value, grad = gradient(theta)
+            iters += 1
+            value, lml, grad = gradient(theta)
             if not np.all(np.isfinite(grad)):
                 break
             if np.max(np.abs(project(theta + grad) - theta)) < 1e-8 * (1 + abs(value)):
@@ -469,10 +492,10 @@ def reference_train(dataset, spec, init, config):
             gained = 0.0
             while step > 1e-14:
                 candidate = project(theta + step * grad)
-                cand_value = objective(candidate)
+                cand_value, cand_lml = objective(candidate)
                 if cand_value > value:
                     gained = cand_value - value
-                    theta, value = candidate, cand_value
+                    theta, value, lml = candidate, cand_value, cand_lml
                     break
                 step *= 0.5
             if gained == 0.0:
@@ -483,9 +506,31 @@ def reference_train(dataset, spec, init, config):
                     break
             else:
                 small_gains = 0
+        return theta, value, lml, iters
+
+    best_theta, best_value, best_lml, total_iters = None, -np.inf, -np.inf, 0
+
+    def run_from(theta, value, lml):
+        nonlocal best_theta, best_value, best_lml, total_iters
+        if not np.isfinite(value):
+            return
+        theta, value, lml, iters = ascend(theta, value, lml)
+        total_iters += iters
         if value > best_value:
-            best_value, best_theta = value, theta.copy()
-    return best_theta, best_value, total_iters, probes
+            best_theta, best_value, best_lml = theta.copy(), value, lml
+
+    warm = project(hp_to_vector(init, spec))
+    run_from(warm, *objective(warm))
+    if config.restarts > 1:
+        # eight one-probe draws per extra restart; ascend from the best only
+        rng = np.random.default_rng(config.seed)
+        screened = []
+        for _ in range(8 * (config.restarts - 1)):
+            theta = project(rng.uniform(bounds[:, 0], bounds[:, 1]))
+            screened.append((theta, *objective(theta)))
+        values = [value for _, value, _ in screened]
+        run_from(*screened[values.index(max(values))])
+    return best_theta, best_lml, total_iters, factorizations
 
 
 @pytest.mark.parametrize("spec", FORMS)
@@ -523,7 +568,7 @@ def test_train_matches_unfused_reference_loop(tie, spec, monkeypatch):
         log_bounds=default_log_bounds(spec, [1.0] * d, 2.0),
     )
     init = Hyperparameters.default(d, spec)
-    theta, value, iters, probes = reference_train(dataset, spec, init, config)
+    theta, lml, iters, want_factorizations = reference_train(dataset, spec, init, config)
 
     factorizations = 0
 
@@ -534,11 +579,66 @@ def test_train_matches_unfused_reference_loop(tie, spec, monkeypatch):
 
     monkeypatch.setattr(gp, "chol_with_jitter", counted)
     result = train(dataset, spec, init, config)
+    # a gradient at the last vector probed reuses its factor
+    assert factorizations == want_factorizations
     assert np.array_equal(hp_to_vector(result.hp, spec), theta)
-    assert result.lml == value
     assert result.iterations == iters > 0
-    # a gradient always lands on the last probe's vector: no second factorization
-    assert factorizations == probes
+    # the marginal likelihood of the result, without the prior
+    assert result.lml == lml == log_marginal_likelihood(dataset, spec, result.hp)
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 4])
+def test_train_probes_each_screened_candidate_once(restarts, monkeypatch):
+    rng = np.random.default_rng(9)
+    spec, d = KernelSpec(), 2
+    dataset = Dataset(rng.uniform(0, 1, size=(10, d + 1)), rng.normal(size=10))
+    bounds = default_log_bounds(spec, [1.0] * d, 1.0)
+    init = Hyperparameters.default(d, spec)
+    probes = []
+    value = gp._MarginalLikelihood.value
+
+    def recorded(self, theta):
+        probes.append(np.asarray(theta).tobytes())
+        return value(self, theta)
+
+    monkeypatch.setattr(gp._MarginalLikelihood, "value", recorded)
+    # the draws ``train`` makes: inside the box, so the projection keeps them
+    draws = np.random.default_rng(3).uniform(
+        bounds[:, 0], bounds[:, 1], size=(8 * (restarts - 1), len(bounds))
+    )
+    candidates = [row.tobytes() for row in draws]
+    config = TrainConfig(restarts=restarts, max_iters=0, seed=3, log_bounds=bounds)
+    train(dataset, spec, init, config)
+    assert probes == [hp_to_vector(init, spec).tobytes(), *candidates]
+    probes.clear()
+    result = train(dataset, spec, init, replace(config, max_iters=30))
+    assert result.iterations > 0
+    assert all(probes.count(c) == 1 for c in candidates)
+
+
+@pytest.mark.parametrize("spec", FORMS)
+def test_training_objective_gradient_matches_central_differences(spec):
+    # what ``train`` ascends: the LML plus, on each log temporal length-scale,
+    # a normal prior with sd 1 centred on log(0.1 * temporal width)
+    rng = np.random.default_rng(17)
+    h = 1e-5
+    for _ in range(6):
+        d = int(rng.integers(1, 3))
+        dataset, hp = random_case(rng, spec, 8, d)
+        bounds = default_log_bounds(spec, [4.0] * d, 4.0)
+        objective = gp._TrainingObjective(dataset, spec, bounds[:, 0], bounds[:, 1])
+        theta = hp_to_vector(hp, spec)
+        value, lml, grad = objective.value_and_gradient(theta)
+        z = theta[temporal_lengthscale_entries(spec, d)] - math.log(0.4)
+        assert lml == log_marginal_likelihood(dataset, spec, hp)
+        assert value == pytest.approx(lml - 0.5 * float(z @ z), abs=1e-12)
+        assert objective.value(theta) == (value, lml)
+        for j in range(theta.size):
+            up, down = theta.copy(), theta.copy()
+            up[j] += h
+            down[j] -= h
+            fd = (objective.value(up)[0] - objective.value(down)[0]) / (2 * h)
+            assert abs(grad[j] - fd) <= 1e-4 * max(1.0, abs(grad[j]))
 
 
 # -- where the LAPACK routines come from ---------------------------------------

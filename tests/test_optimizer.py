@@ -150,7 +150,9 @@ def test_pso_respects_init_positions():
 
 
 def full_swarm(objective, box, config, init=None):
-    """``pso_minimize``'s update run for every iteration, with no early stop."""
+    """``pso_minimize``'s update with its stall stop and no can't-move stop:
+    it ends after 15 scored iterations in a row that each lower the best by no
+    more than 1e-9 times its magnitude, or after ``config.iterations``."""
     free = ~box.degenerate
     lo, hi = box.lower[free], box.upper[free]
     rng = np.random.default_rng(config.seed)
@@ -172,6 +174,7 @@ def full_swarm(objective, box, config, init=None):
     best_pos = positions.copy()
     g_idx = int(np.argmin(best_val))
     g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
+    stalled = 0
     for _ in range(config.iterations):
         r_cog = rng.uniform(size=(p, dim))
         r_soc = rng.uniform(size=(p, dim))
@@ -183,12 +186,16 @@ def full_swarm(objective, box, config, init=None):
         )
         positions = np.clip(positions + velocities, lo, hi)
         values = score(positions)
+        before = g_val
         improved = values < best_val
         best_pos[improved] = positions[improved]
         best_val[improved] = values[improved]
         g_idx = int(np.argmin(best_val))
         if best_val[g_idx] < g_val:
             g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
+        stalled = stalled + 1 if g_val >= before - 1e-9 * abs(before) else 0
+        if stalled == 15:
+            break
     point = box.lower.copy()
     point[free] = g_pos
     return point, g_val
@@ -233,6 +240,54 @@ def test_pso_stop_returns_what_every_iteration_returns(name, stops_early):
     assert pairwise_distinct(calls)  # the stop comes before a repeat is scored
     if stops_early:
         assert np.array_equal(point, box.lower)
+
+
+def stalled_runs(calls):
+    """Per scored iteration, whether the swarm's best fell by no more than
+    1e-9 times its magnitude; ``calls`` starts with the initial batch."""
+    bests = np.minimum.accumulate([np.min(c) for c in calls])
+    return [b >= a - 1e-9 * abs(a) for a, b in zip(bests, bests[1:])]
+
+
+@pytest.mark.parametrize("name", ["plateau", "floored_sphere"])
+def test_pso_stops_after_15_stalled_iterations(name):
+    box = Box([-5.0, -5.0], [5.0, 5.0])
+    calls = []
+
+    def objective(points):
+        if name == "plateau":
+            calls.append(np.full(len(points), 2.0))
+        else:
+            calls.append(np.maximum(sphere(points), 0.5))
+        return calls[-1]
+
+    config = PsoConfig(particles=10, iterations=200, seed=5)
+    _, value = pso_minimize(objective, box, config)
+    stalled = stalled_runs(calls)
+    # stopped right after the first 15th stalled scored iteration in a row
+    assert stalled[-15:] == [True] * 15
+    run = 0
+    for s in stalled[:-1]:
+        run = run + 1 if s else 0
+        assert run < 15
+    assert len(calls) < config.iterations + 1
+    if name == "plateau":
+        assert len(calls) == 1 + 15 and value == 2.0
+    else:
+        assert value == 0.5 and not all(stalled)
+
+
+def test_pso_improving_every_iteration_runs_to_the_cap():
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    calls = []
+
+    def objective(points):  # each batch scores below every earlier one
+        calls.append(points)
+        return np.full(len(points), -float(len(calls)))
+
+    config = PsoConfig(particles=6, iterations=40, seed=1)
+    _, value = pso_minimize(objective, box, config)
+    assert len(calls) == config.iterations + 1 and value == -41.0
 
 
 @pytest.mark.parametrize(
