@@ -2,15 +2,19 @@
 
 Targets are standardized internally (zero mean, unit standard deviation);
 predictions are mapped back to the original scale.  The marginal likelihood
-and its analytic gradient, plus a weak log-normal prior on each temporal
+and its analytic gradient, plus a one-sided prior on each temporal
 length-scale, drive hyperparameter training by projected gradient ascent
 from the warm start and, when restarts are asked for, one screened random
 start: the best of eight one-probe random draws per restart beyond the warm
-one.  The prior (sd 1 in log units, centred on a tenth of the temporal
-width under the default bounds) keeps short warmups, which span a small
-part of the horizon, from learning a temporal scale far longer than the
-horizon; it enters only what training ascends, and the reported LML is the
-marginal likelihood alone.
+one.  The prior is a soft ceiling: flat up to a tenth of the temporal width
+(the centre of the entry's bounds before tying, plus log 0.1), and a normal
+with sd 1 in log units above it.  It keeps short warmups, which span a
+small part of the horizon, from learning a temporal scale far longer than
+the horizon, and leaves shorter scales alone: a two-sided prior that pulled
+them up locked a fixed-interval run onto the box edge.  It enters only what
+training ascends, and the reported LML is the marginal likelihood alone.
+When every length-scale is tied (time treated as one more input, as the
+time-blind ``standard_bo`` mode trains), there is no prior.
 
 Training evaluates the likelihood through one objective per dataset: it
 keeps the standardized targets, the raw pairwise space and time differences
@@ -140,9 +144,9 @@ _RELATIVE_TOL = 1e-7
 # an exploring fit probes this many random vectors per restart beyond the
 # warm one, and ascends from the best of them only
 _SCREENS_PER_RESTART = 8
-# the prior on each log temporal length-scale: normal, with this sd, centred
-# this far above the centre of the entry's bounds (a tenth of the temporal
-# width under ``default_log_bounds``)
+# the prior on each log temporal length-scale: flat up to this far above the
+# centre of the entry's untied bounds (a tenth of the temporal width under
+# ``default_log_bounds``), and a normal with this sd above it
 _PRIOR_SD = 1.0
 _PRIOR_OFFSET = math.log(0.1)
 
@@ -343,23 +347,29 @@ class _MarginalLikelihood:
 
 
 class _TrainingObjective:
-    """What ``train`` ascends: the log marginal likelihood plus a weak
-    log-normal prior on each temporal length-scale, with sd ``_PRIOR_SD`` in
-    log units and mean the centre of that entry's row in ``lower``/``upper``
-    plus ``_PRIOR_OFFSET``; the normal's constant is left out.  Both methods
-    also return the marginal likelihood alone.  The temporal entries are
-    found through ``kernels._layout``; they are contiguous.
+    """What ``train`` ascends: the log marginal likelihood plus a one-sided
+    log-normal prior on each temporal length-scale.  The prior's log density
+    is flat up to the ceiling, the centre of that entry's row in ``bounds``
+    plus ``_PRIOR_OFFSET``, and falls as a normal with sd ``_PRIOR_SD`` in log
+    units above it; the normal's constant is left out.  With ``tied`` the
+    temporal entry shares its value with the spatial length-scales, and the
+    objective is the marginal likelihood alone.  Both methods also return the
+    marginal likelihood alone.  The temporal entries are found through
+    ``kernels._layout``; they are contiguous.
     """
 
-    def __init__(self, dataset: Dataset, spec: KernelSpec, lower: np.ndarray, upper: np.ndarray):
+    def __init__(self, dataset: Dataset, spec: KernelSpec, bounds: np.ndarray, tied: bool):
         fields = [f for f, _, names in _layout(spec, dataset.spatial_dim) for _ in names]
         first = fields.index("log_temporal_lengthscale")
-        self._temporal = slice(first, first + fields.count("log_temporal_lengthscale"))
-        self._mean = 0.5 * (lower[self._temporal] + upper[self._temporal]) + _PRIOR_OFFSET
+        count = 0 if tied else fields.count("log_temporal_lengthscale")
+        self._temporal = slice(first, first + count)
+        rows = bounds[self._temporal]
+        self._ceiling = 0.5 * (rows[:, 0] + rows[:, 1]) + _PRIOR_OFFSET
         self._likelihood = _MarginalLikelihood(dataset, spec)
 
     def _scaled_offset(self, theta: np.ndarray) -> np.ndarray:
-        return (theta[self._temporal] - self._mean) / _PRIOR_SD
+        excess = theta[self._temporal] - self._ceiling
+        return np.maximum(excess, 0.0, out=excess) / _PRIOR_SD
 
     def value(self, theta) -> tuple[float, float]:
         lml = self._likelihood.value(theta)
@@ -461,10 +471,16 @@ class TrainConfig:
     best of them only; ``restarts = 1`` ascends from the warm start alone.
     ``max_iters`` caps the iterations of each ascent.
 
+    ``log_bounds`` is the box the ascent projects onto (by default
+    ``default_log_bounds`` over the data's extent).  It also places the
+    prior on each temporal length-scale: flat up to the centre of that
+    entry's row plus log 0.1, a tenth of the temporal width under the
+    default bounds, and normal with sd 1 in log units above it.
+
     ``tie_lengthscales``: "none" trains every length-scale freely (ARD),
     "spatial" ties the spatial ones into a single isotropic value, and
     "all" additionally ties the temporal one to them (time treated as just
-    another input dimension; plain kernel forms only).
+    another input dimension; plain kernel forms only; no temporal prior).
     """
 
     restarts: int = 5
@@ -540,8 +556,9 @@ def train(
     init: Hyperparameters,
     config: TrainConfig = TrainConfig(),
 ) -> TrainResult:
-    """Maximize the marginal likelihood, plus a weak prior on each temporal
-    length-scale, over the log-hyperparameters.
+    """Maximize the marginal likelihood, plus a soft ceiling on each temporal
+    length-scale (none under ``tie_lengthscales="all"``), over the
+    log-hyperparameters.
 
     Projected gradient ascent with a backtracking line search on the
     objective ``_TrainingObjective`` defines, run from the supplied warm
@@ -565,6 +582,8 @@ def train(
     bounds = np.array(bounds, dtype=float)
     if bounds.shape != (n_hp, 2):
         raise ValueError(f"bounds must have shape ({n_hp}, 2)")
+    # the prior's ceiling comes from the temporal row before tying
+    ascended = _TrainingObjective(dataset, spec, bounds, config.tie_lengthscales == "all")
     tie_blocks = _tie_blocks(spec, d, config.tie_lengthscales)
     for block in tie_blocks:
         # tied entries share one box so projection cannot split them again
@@ -580,8 +599,6 @@ def train(
 
     def project(theta: np.ndarray) -> np.ndarray:
         return tie(theta.clip(lower, upper))
-
-    ascended = _TrainingObjective(dataset, spec, lower, upper)
 
     def objective(theta: np.ndarray) -> tuple[float, float]:
         try:

@@ -417,8 +417,9 @@ def reference_train(dataset, spec, init, config):
     """The screened, prior-weighted projected gradient ascent as ``train``
     runs it, built on the reference functions: a fresh gram and factorization
     at every probe and gradient.  The prior on each log temporal length-scale
-    is normal with sd 1 and mean a tenth of the way into its bounds' width in
-    log terms: the centre of its row in the projection box plus log 0.1.
+    is flat up to a ceiling, the centre of its row in the bounds before tying
+    plus log 0.1, and normal with sd 1 above it; with every length-scale tied
+    there is no prior.
 
     Returns the best vector, its marginal likelihood (no prior), the
     iteration count and the number of factorizations ``train`` makes: one per
@@ -426,12 +427,14 @@ def reference_train(dataset, spec, init, config):
     objective keeps the factor of that one only."""
     d = dataset.spatial_dim
     bounds = np.array(config.log_bounds, dtype=float)
+    temporal = temporal_lengthscale_entries(spec, d)
+    if config.tie_lengthscales == "all":
+        temporal[:] = False
+    ceiling = 0.5 * (bounds[temporal, 0] + bounds[temporal, 1]) + math.log(0.1)
     tie_blocks = gp._tie_blocks(spec, d, config.tie_lengthscales)
     for block in tie_blocks:
         bounds[block, 0] = bounds[block, 0].max()
         bounds[block, 1] = bounds[block, 1].min()
-    temporal = temporal_lengthscale_entries(spec, d)
-    prior_mean = 0.5 * (bounds[temporal, 0] + bounds[temporal, 1]) + math.log(0.1)
     last = None
     factorizations = 0
 
@@ -447,8 +450,11 @@ def reference_train(dataset, spec, init, config):
             theta[block] = theta[block].mean()
         return theta
 
+    def excess(theta):
+        return np.maximum(theta[temporal] - ceiling, 0.0)
+
     def log_prior(theta):
-        z = theta[temporal] - prior_mean
+        z = excess(theta)
         return -0.5 * float(z @ z)
 
     def objective(theta):
@@ -464,7 +470,7 @@ def reference_train(dataset, spec, init, config):
     def gradient(theta):
         factorized(theta)
         lml, grad = reference_lml_and_gradient(dataset, spec, hp_from_vector(theta, spec, d))
-        grad[temporal] -= theta[temporal] - prior_mean
+        grad[temporal] -= excess(theta)
         for block in tie_blocks:
             grad[block] = grad[block].mean()
         return lml + log_prior(theta), lml, grad
@@ -616,22 +622,35 @@ def test_train_probes_each_screened_candidate_once(restarts, monkeypatch):
     assert all(probes.count(c) == 1 for c in candidates)
 
 
-@pytest.mark.parametrize("spec", FORMS)
-def test_training_objective_gradient_matches_central_differences(spec):
+@pytest.mark.parametrize(
+    "spec, tied",
+    [(spec, False) for spec in FORMS] + [(KernelSpec(KernelForm.SE, KernelForm.SE), True)],
+)
+def test_training_objective_gradient_matches_central_differences(spec, tied):
     # what ``train`` ascends: the LML plus, on each log temporal length-scale,
-    # a normal prior with sd 1 centred on log(0.1 * temporal width)
+    # a prior flat up to log(0.1 * temporal width) and normal with sd 1 above
+    # it; none when the temporal length-scale is tied to the spatial ones
     rng = np.random.default_rng(17)
     h = 1e-5
-    for _ in range(6):
+    for case in range(8):
         d = int(rng.integers(1, 3))
         dataset, hp = random_case(rng, spec, 8, d)
-        bounds = default_log_bounds(spec, [4.0] * d, 4.0)
-        objective = gp._TrainingObjective(dataset, spec, bounds[:, 0], bounds[:, 1])
+        bounds = default_log_bounds(spec, [4.0] * d, 40.0)
+        objective = gp._TrainingObjective(dataset, spec, bounds, tied)
+        temporal = temporal_lengthscale_entries(spec, d)
         theta = hp_to_vector(hp, spec)
+        # the temporal scales below the ceiling in half the cases, above it in
+        # the other half, never within a step of it
+        side = 1 - 2 * (case % 2)
+        theta[temporal] = math.log(4.0) + side * rng.uniform(0.3, 1.5, temporal.sum())
         value, lml, grad = objective.value_and_gradient(theta)
-        z = theta[temporal_lengthscale_entries(spec, d)] - math.log(0.4)
-        assert lml == log_marginal_likelihood(dataset, spec, hp)
-        assert value == pytest.approx(lml - 0.5 * float(z @ z), abs=1e-12)
+        z = 0.0 if tied else np.maximum(theta[temporal] - math.log(4.0), 0.0)
+        want_lml, want_grad = gp._MarginalLikelihood(dataset, spec).value_and_gradient(theta)
+        assert lml == want_lml
+        assert value == pytest.approx(lml - 0.5 * float(np.sum(z * z)), abs=1e-12)
+        prior_grad = np.zeros_like(theta)
+        prior_grad[temporal] = -z
+        assert np.allclose(grad - want_grad, prior_grad, rtol=0, atol=1e-12)
         assert objective.value(theta) == (value, lml)
         for j in range(theta.size):
             up, down = theta.copy(), theta.copy()
