@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from dynabo.engine import (
 )
 from dynabo.gp import TrainConfig
 from dynabo.kernels import KernelForm, KernelSpec
-from dynabo.metrics import ScoredSeries, best_so_far, summarize, windowed_best
+from dynabo.metrics import ScoredSeries, TraceStats, best_so_far, summarize, windowed_best
 from dynabo.optimizer import PsoConfig
 from dynabo.problems import (
     Problem,
@@ -456,62 +456,79 @@ def write_plot_data(trace_path, out_path, window: int):
 # verbs
 
 
-def cmd_validate(args) -> int:
+class _Exit(Exception):
+    """``_Exit(code, message)`` ends a verb; ``main`` prints the message."""
+
+
+def _checked(path) -> tuple[ExperimentConfig, Problem]:
+    """Every check a run makes before it starts: load and normalize the
+    config, build the problem, and check each mode's engine settings
+    against the problem's horizon.  ``validate`` and ``run`` share it, so
+    both accept the same configs."""
     try:
-        config = load_config(args.config)
+        config = load_config(path)
     except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Exit(EXIT_CONFIG, str(err)) from err
     except OSError as err:
-        print(f"cannot read config: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise _Exit(EXIT_IO, f"cannot read config: {err}") from err
+    try:
+        problem = build_problem(config)
+    except (ValueError, KeyError) as err:
+        raise _Exit(EXIT_CONFIG, f"problem construction failed: {err}") from err
+    except OSError as err:
+        raise _Exit(EXIT_IO, f"cannot read problem data: {err}") from err
+    for mode in config.modes:
+        try:
+            check_horizon(problem, engine_config_for(config, problem, mode, 0))
+        except ValueError as err:
+            raise _Exit(EXIT_CONFIG, f"config rejected for mode {mode}: {err}") from err
+    return config, problem
+
+
+def _summary_rows(mode: str, traces: list[RunTrace], window: int, budget: int) -> list:
+    """A mode's summary rows: one per repetition, then its mean and std.
+
+    The configured budget is the reference step count of the iteration
+    difference.  A run with no scored step gets a NaN row; when no run of
+    the mode scored, the mean and std rows are NaN and marked partial.
+    """
+    usable = [t for t in traces if t.n_scored > 0]
+    stats = summarize(usable, window=window, reference_steps=budget) if usable else None
+    per_trace = iter(stats.per_trace if stats else [])
+    rows = []
+    for rep, trace in enumerate(traces):
+        ts = next(per_trace) if trace.n_scored > 0 else TraceStats(np.nan, 0, -100.0)
+        rows.append((mode, rep, *astuple(ts), int(trace.aborted)))
+    if stats:
+        return rows + [(mode, label, *astuple(s), 0)
+                       for label, s in (("mean", stats.mean), ("std", stats.std))]
+    return rows + [(mode, label, np.nan, np.nan, np.nan, 1) for label in ("mean", "std")]
+
+
+def cmd_validate(args) -> int:
+    config, _ = _checked(args.config)
     sys.stdout.write(config.canonical_json())
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
-        print(f"cannot read config: {err}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        problem = build_problem(config)
-    except (ValueError, KeyError) as err:
-        print(f"problem construction failed: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
-        print(f"cannot read problem data: {err}", file=sys.stderr)
-        return EXIT_IO
-
-    for mode in config.modes:
-        try:
-            check_horizon(problem, engine_config_for(config, problem, mode, 0))
-        except ValueError as err:
-            print(f"config rejected for mode {mode}: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-
+    config, problem = _checked(args.config)
     out_dir = config.output_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        print(f"cannot create output directory: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise _Exit(EXIT_IO, f"cannot create output directory: {err}") from err
 
     emit = config.data
     summary_rows = []
-    traces: dict[str, list[RunTrace]] = {}
+    aborted = []
     try:
         for mode in config.modes:
-            traces[mode] = []
+            traces = []
             for rep in range(config.repetitions):
                 engine_cfg = engine_config_for(config, problem, mode, rep)
                 trace = run(problem, engine_cfg)
-                traces[mode].append(trace)
+                traces.append(trace)
                 if emit["emit_traces"]:
                     path = out_dir / trace_filename(mode, rep)
                     write_trace_csv(path, trace, problem.spatial_dim)
@@ -532,57 +549,21 @@ def cmd_run(args) -> int:
                         plot_path = out_dir / (path.stem + ".plot.csv")
                         write_plot_data(path, plot_path, config.metric_window)
                         print(f"wrote {plot_path}")
-
-            # per-mode rows and aggregates; the reference step count for the
-            # iteration difference is the configured fixed-mode budget
             budget = config.engine_params(mode)["budget"]
-            usable = [t for t in traces[mode] if t.n_scored > 0]
-            stats = (
-                summarize(usable, window=config.metric_window, reference_steps=budget)
-                if usable
-                else None
-            )
-            per_trace = iter(stats.per_trace if stats else [])
-            for rep, trace in enumerate(traces[mode]):
-                partial = int(trace.aborted)
-                if trace.n_scored > 0:
-                    ts = next(per_trace)
-                    summary_rows.append(
-                        (mode, rep, ts.offline_performance, ts.steps, ts.iters_pct_diff, partial)
-                    )
-                else:
-                    summary_rows.append((mode, rep, np.nan, 0, -100.0, partial))
-            if stats:
-                summary_rows.append(
-                    (mode, "mean", stats.mean_performance, stats.mean_steps,
-                     stats.mean_pct_diff, 0)
-                )
-                bs = [t.steps for t in stats.per_trace]
-                summary_rows.append(
-                    (mode, "std", stats.std_performance,
-                     float(np.std(bs, ddof=1)) if len(bs) > 1 else 0.0,
-                     float(np.std([t.iters_pct_diff for t in stats.per_trace], ddof=1))
-                     if len(bs) > 1 else 0.0,
-                     0)
-                )
-            else:
-                summary_rows.append((mode, "mean", np.nan, np.nan, np.nan, 1))
-                summary_rows.append((mode, "std", np.nan, np.nan, np.nan, 1))
+            summary_rows += _summary_rows(mode, traces, config.metric_window, budget)
+            aborted += [t.aborted for t in traces]
     except OSError as err:
-        print(f"cannot write outputs: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise _Exit(EXIT_IO, f"cannot write outputs: {err}") from err
 
     if emit["emit_summary"]:
         try:
             write_summary_csv(out_dir / SUMMARY_NAME, summary_rows)
         except OSError as err:
-            print(f"cannot write summary: {err}", file=sys.stderr)
-            return EXIT_IO
+            raise _Exit(EXIT_IO, f"cannot write summary: {err}") from err
         print(f"wrote {out_dir / SUMMARY_NAME}")
 
-    if all(t.aborted for ts in traces.values() for t in ts):
-        print("every run aborted during model training", file=sys.stderr)
-        return EXIT_ALL_ABORTED
+    if all(aborted):
+        raise _Exit(EXIT_ALL_ABORTED, "every run aborted during model training")
     return EXIT_OK
 
 
@@ -592,8 +573,7 @@ def cmd_plot_data(args) -> int:
         try:
             write_plot_data(trace_path, out_path, args.window)
         except (OSError, ValueError) as err:
-            print(f"cannot process {trace_path}: {err}", file=sys.stderr)
-            return EXIT_IO
+            raise _Exit(EXIT_IO, f"cannot process {trace_path}: {err}") from err
         print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -602,8 +582,7 @@ def cmd_mpb_preview(args) -> int:
     presets = scenario_presets()["scenarios"]
     key = str(args.scenario)
     if key not in presets:
-        print(f"unknown scenario {key!r}; have {sorted(presets)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Exit(EXIT_CONFIG, f"unknown scenario {key!r}; have {sorted(presets)}")
     from dynabo.problems.mpb import _config_from_preset
 
     state = mpb_init(_config_from_preset(presets[key]), args.seed)
@@ -664,7 +643,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as err:
+        code, message = err.args
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -147,6 +147,10 @@ class EngineConfig:
     Every other fit trains from the previous fit alone: consecutive
     datasets differ by one sample, so that fit already sits near the next
     optimum.
+
+    ``seed`` is the run's only seed: each fit and each search draws from a
+    seed derived from it, so ``pso.seed`` and ``train.seed`` must stay 0;
+    any other value raises ``ValueError`` rather than being ignored.
     """
 
     mode: Mode
@@ -177,6 +181,9 @@ class EngineConfig:
             raise ValueError("fixed_interval must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        for name in ("pso", "train"):
+            if getattr(self, name).seed != 0:
+                raise ValueError(f"{name}.seed must be 0: runs derive it from seed")
         if self.mode is Mode.STANDARD_BO:
             k = self.kernel
             if k.has_sum or k.spatial is not k.temporal:

@@ -9,7 +9,7 @@ every consumer of a trace gets the same scored series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -71,34 +71,27 @@ def best_so_far(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceStats:
+    """Summary columns of one trace, or their mean or std over traces."""
+
     offline_performance: float
-    steps: int
+    steps: float
     iters_pct_diff: float
 
 
 @dataclass(frozen=True)
 class ModeSummary:
     per_trace: list[TraceStats]
-    mean_performance: float
-    std_performance: float
-    mean_steps: float
-    mean_pct_diff: float
-
-
-def _scored_values(trace) -> np.ndarray:
-    values = getattr(trace, "scored_values", None)
-    if values is not None:
-        return values
-    return np.asarray(trace, dtype=float).ravel()
+    mean: TraceStats
+    std: TraceStats
 
 
 def summarize(traces, window: int = 5, reference_steps: int | None = None) -> ModeSummary:
-    """Aggregate offline performance across repeated runs.
+    """Aggregate offline performance across repeated run traces.
 
-    Accepts run traces (warmup steps are dropped) or plain scored-value
-    sequences.  ``reference_steps`` anchors the iteration-count difference
-    column: each trace reports ``(steps - reference) / reference`` in
-    percent, 0 when no reference is given.  The spread is the sample
+    Each trace contributes its scored values (warmup steps are dropped).
+    ``reference_steps`` anchors the iteration-count difference column:
+    each trace reports ``(steps - reference) / reference`` in percent, 0
+    when no reference is given.  Every column's spread is the sample
     standard deviation, 0.0 for a single trace.
     """
     traces = list(traces)
@@ -106,7 +99,7 @@ def summarize(traces, window: int = 5, reference_steps: int | None = None) -> Mo
         raise ValueError("need at least one trace")
     per_trace = []
     for trace in traces:
-        values = _scored_values(trace)
+        values = trace.scored_values
         b = offline_performance(ScoredSeries(values, window))
         steps = int(values.size)
         if reference_steps:
@@ -114,12 +107,10 @@ def summarize(traces, window: int = 5, reference_steps: int | None = None) -> Mo
         else:
             pct = 0.0
         per_trace.append(TraceStats(b, steps, pct))
-    bs = np.array([t.offline_performance for t in per_trace])
-    std = float(bs.std(ddof=1)) if len(bs) > 1 else 0.0
+    # one contiguous array per column, so each mean keeps numpy's summation order
+    columns = [np.array(c, dtype=float) for c in zip(*(astuple(t) for t in per_trace))]
     return ModeSummary(
         per_trace=per_trace,
-        mean_performance=float(bs.mean()),
-        std_performance=std,
-        mean_steps=float(np.mean([t.steps for t in per_trace])),
-        mean_pct_diff=float(np.mean([t.iters_pct_diff for t in per_trace])),
+        mean=TraceStats(*(float(c.mean()) for c in columns)),
+        std=TraceStats(*(float(c.std(ddof=1)) if c.size > 1 else 0.0 for c in columns)),
     )

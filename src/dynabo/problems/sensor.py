@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date as date_type
 from datetime import time as time_type
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +46,32 @@ class SensorTable:
 
     @property
     def epochs(self) -> np.ndarray:
-        return np.array(sorted({e for e, _ in self.readings}), dtype=int)
+        return np.array(sorted(self._by_epoch), dtype=int)
 
     @property
     def sensors(self) -> list[int]:
         return sorted(self.coords)
 
+    @cached_property
+    def _by_epoch(self) -> dict:
+        """Each epoch's positions and temperatures, sensors ascending,
+        grouped in one pass over the readings; read-only, since every
+        ``readings_at`` call and every problem built on the table shares
+        them."""
+        grouped: dict = {}
+        for (epoch, sensor), value in sorted(self.readings.items()):
+            grouped.setdefault(epoch, []).append((self.coords[sensor], value))
+        out = {}
+        for epoch, items in grouped.items():
+            pos = np.array([xy for xy, _ in items], dtype=float)
+            temps = np.array([v for _, v in items], dtype=float)
+            pos.flags.writeable = temps.flags.writeable = False
+            out[epoch] = (pos, temps)
+        return out
+
     def readings_at(self, epoch: int):
         """Positions (k, 2) and temperatures (k,) of that epoch's readings."""
-        items = sorted(
-            (s, v) for (e, s), v in self.readings.items() if e == epoch
-        )
-        pos = np.array([self.coords[s] for s, _ in items], dtype=float)
-        temps = np.array([v for _, v in items], dtype=float)
-        return pos, temps
+        return self._by_epoch.get(epoch, (np.empty((0, 2)), np.empty(0)))
 
     def bounding_box(self) -> Box:
         xy = np.array([self.coords[s] for s in self.sensors], dtype=float)
@@ -158,12 +171,11 @@ def make_sensor_problem(
     table: SensorTable,
     first_n_epochs: int = 3000,
     negate: bool = True,
-    idw_exponent: float = 2.0,
 ) -> Problem:
     """Interpolated-temperature objective over the sensor bounding box.
 
     Time maps to the nearest kept epoch (clamped at the ends, lower epoch
-    on ties).  The value at a query point is the inverse-distance-weighted
+    on ties).  The value at a query point is the inverse-distance-squared
     blend of that epoch's readings, with an exact shortcut when the query
     sits on a sensor; ``negate`` flips sign for minimization.
     """
@@ -191,7 +203,7 @@ def make_sensor_problem(
         nearest = int(np.argmin(dist_sq))
         if dist_sq[nearest] <= 1e-18:
             return sign * float(temps[nearest])
-        weights = dist_sq ** (-idw_exponent / 2.0)
+        weights = 1.0 / dist_sq
         return sign * float(weights @ temps / weights.sum())
 
     return Problem(

@@ -506,6 +506,28 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys):
     assert "pso_particles: must be an integer of at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"problem": {"kind": "standard", "name": "nosuch", "seed": 0}},
+        {"mode_overrides": {"abo_fixed": {"warmup_span": 5.0}}},
+        {"modes": ["abo_fixed", "standard_bo"], "kernel_temporal": "matern12"},
+        {"kernel_spatial": "sum", "tie_lengthscales": "all"},
+    ],
+    ids=["unknown_function", "warmup_past_horizon", "standard_bo_mixed_forms", "tied_sum"],
+)
+def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, change):
+    # every check run makes before it starts, validate makes too
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, fast_raw(output_dir=str(out), **change))
+    assert main(["validate", str(path)]) == 2
+    validate_err = capsys.readouterr().err
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == validate_err
+    assert validate_err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bad_problem_field_types_exit_2_without_output(tmp_path, capsys):
     out = tmp_path / "out"
     raw = fast_raw(output_dir=str(out),

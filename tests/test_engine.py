@@ -160,6 +160,14 @@ def test_config_rejects_nonpositive_scalars():
         small_cfg(fixed_interval=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [("pso", PsoConfig(seed=3)), ("train", TrainConfig(seed=1))])
+def test_config_rejects_a_component_seed(field, value):
+    # run derives every search and fit seed from EngineConfig.seed, so one
+    # set here would be silently ignored
+    with pytest.raises(ValueError, match=f"{field}.seed"):
+        small_cfg(**{field: value})
+
+
 def test_config_accepts_wire_names():
     cfg = small_cfg(mode="abo_adaptive_time")
     assert cfg.mode is Mode.ABO_ADAPTIVE_TIME

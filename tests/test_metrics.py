@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynabo.engine import RunTrace, StepRecord
 from dynabo.metrics import (
     ScoredSeries,
+    TraceStats,
     best_so_far,
     offline_performance,
     summarize,
@@ -96,29 +98,53 @@ def test_matches_oracle_property(values, w):
     assert offline_performance(ScoredSeries(values, w)) == brute_force_b(values, w)
 
 
-def test_summarize_single_trace():
-    summary = summarize([[1.0, 2.0, 3.0]], window=5)
-    assert summary.mean_performance == pytest.approx(
-        offline_performance(ScoredSeries([1.0, 2.0, 3.0], 5))
+def trace_of(scored, warmup=(9.0,)):
+    """A run trace whose warmup steps precede the given scored values."""
+    phases = ["warmup"] * len(warmup) + ["scored"] * len(scored)
+    steps = tuple(
+        StepRecord(i, np.zeros(1), float(i), float(y), phase, "explore_exploit",
+                   np.nan, 0.0, 1.0)
+        for i, (y, phase) in enumerate(zip([*warmup, *scored], phases))
     )
-    assert summary.std_performance == 0.0
+    return RunTrace(steps, ())
+
+
+def test_summarize_single_trace():
+    # the warmup value 9.0 would be the series' worst; it must not count
+    summary = summarize([trace_of([1.0, 2.0, 3.0])], window=5)
+    assert summary.mean.offline_performance == offline_performance(
+        ScoredSeries([1.0, 2.0, 3.0], 5)
+    )
+    assert summary.std == TraceStats(0.0, 0.0, 0.0)
     assert summary.per_trace[0].steps == 3
 
 
 def test_summarize_two_traces_hand_arithmetic():
     # constant traces make B equal the constant: mean 2, sample std sqrt(2)
-    summary = summarize([[1.0, 1.0], [3.0, 3.0]], window=5)
-    assert summary.mean_performance == pytest.approx(2.0)
-    assert summary.std_performance == pytest.approx(np.sqrt(2.0))
+    summary = summarize([trace_of([1.0, 1.0]), trace_of([3.0, 3.0])], window=5)
+    assert summary.mean.offline_performance == pytest.approx(2.0)
+    assert summary.std.offline_performance == pytest.approx(np.sqrt(2.0))
 
 
 def test_summarize_pct_diff():
-    summary = summarize([[1.0] * 10, [1.0] * 15], window=5, reference_steps=10)
+    summary = summarize([trace_of([1.0] * 10), trace_of([1.0] * 15)], window=5,
+                        reference_steps=10)
     assert summary.per_trace[0].iters_pct_diff == pytest.approx(0.0)
     assert summary.per_trace[1].iters_pct_diff == pytest.approx(50.0)
-    assert summary.mean_pct_diff == pytest.approx(25.0)
-    no_ref = summarize([[1.0] * 10], window=5)
+    assert summary.mean.iters_pct_diff == pytest.approx(25.0)
+    no_ref = summarize([trace_of([1.0] * 10)], window=5)
     assert no_ref.per_trace[0].iters_pct_diff == 0.0
+
+
+def test_summarize_applies_one_rule_to_every_column():
+    # sample mean and std of each column, as numpy computes them on that column
+    traces = [trace_of([float(k)] * n) for k, n in [(1, 4), (2, 7), (5, 5), (3, 9)]]
+    summary = summarize(traces, window=3, reference_steps=6)
+    for name in ("offline_performance", "steps", "iters_pct_diff"):
+        column = np.array([getattr(t, name) for t in summary.per_trace], dtype=float)
+        assert getattr(summary.mean, name) == float(column.mean())
+        assert getattr(summary.std, name) == float(column.std(ddof=1))
+    assert summary.std.steps == pytest.approx(np.sqrt(14.75 / 3.0))  # steps 4, 7, 5, 9
 
 
 def test_summarize_rejects_empty():

@@ -208,6 +208,23 @@ def test_synthetic_fixture_round_trip(tmp_path):
     assert np.isfinite(v) and v < 0
 
 
+def test_readings_grouped_by_epoch_match_a_full_scan(tmp_path):
+    # sensors missing at some epochs, whole epochs missing, rows out of order
+    rng = np.random.default_rng(4)
+    coords = "".join(f"{s},{rng.uniform(0, 40):.3f},{rng.uniform(0, 30):.3f}\n"
+                     for s in range(1, 8))
+    rows = [f"2020-01-01,00:00:31,{e},{s},{rng.normal(20, 2):.4f}"
+            for e in range(1, 41) for s in range(1, 8) if rng.uniform() < 0.6]
+    rng.shuffle(rows)
+    table = ingest_sensor_csv(*write(tmp_path, "\n".join(rows) + "\n", coords))
+    for epoch in range(0, 42):
+        keys = sorted(s for e, s in table.readings if e == epoch)
+        pos, temps = table.readings_at(epoch)  # array_equal compares shapes too
+        assert np.array_equal(pos, np.reshape([table.coords[s] for s in keys], (-1, 2)))
+        assert np.array_equal(temps, [table.readings[(epoch, s)] for s in keys])
+    assert np.array_equal(table.epochs, sorted({e for e, _ in table.readings}))
+
+
 def test_synthetic_fixture_without_sensor_column(tmp_path):
     rp, cp = tmp_path / "r.csv", tmp_path / "c.csv"
     write_synthetic_fixture(rp, cp, n_sensors=1, n_epochs=30, seed=5, sensor_column=False)
