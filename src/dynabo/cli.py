@@ -226,6 +226,9 @@ def normalize_config(raw: dict) -> dict:
     for m in _MODES:
         if modes.count(m) > 1:  # a second run would overwrite the first's trace
             errors.append(f"modes: {m!r} is listed more than once")
+    if top["emit_plot_data"] is True and top["emit_traces"] is False:
+        # a plot file is made from a trace file, which would not be written
+        errors.append("emit_plot_data: needs emit_traces, which is false")
 
     overrides = raw.get("mode_overrides", {})
     norm_overrides: dict = {}

@@ -149,8 +149,8 @@ class EngineConfig:
     optimum.
 
     ``seed`` is the run's only seed: each fit and each search draws from a
-    seed derived from it, so ``pso.seed`` and ``train.seed`` must stay 0;
-    any other value raises ``ValueError`` rather than being ignored.
+    seed derived from it, which ``run`` passes to ``train`` and
+    ``optimize_acquisition``.
     """
 
     mode: Mode
@@ -181,9 +181,6 @@ class EngineConfig:
             raise ValueError("fixed_interval must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        for name in ("pso", "train"):
-            if getattr(self, name).seed != 0:
-                raise ValueError(f"{name}.seed must be 0: runs derive it from seed")
         if self.mode is Mode.STANDARD_BO:
             k = self.kernel
             if k.has_sum or k.spatial is not k.temporal:
@@ -412,9 +409,8 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
                 restarts = train_cfg.restarts if explore or attempt else 1
                 try:
                     result = train(
-                        dataset, kernel, start,
-                        replace(train_cfg, restarts=restarts,
-                                seed=_derived_seed(config.seed, 1, iteration, attempt)),
+                        dataset, kernel, start, replace(train_cfg, restarts=restarts),
+                        _derived_seed(config.seed, 1, iteration, attempt),
                     )
                     break
                 except TrainingError:
@@ -451,8 +447,7 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
 
         # ---- choose, evaluate, record
         point = optimize_acquisition(
-            model, acq, box,
-            pso=replace(config.pso, seed=_derived_seed(config.seed, 2, iteration)),
+            model, acq, box, config.pso, _derived_seed(config.seed, 2, iteration)
         )
         t_next = float(point[d])
         y = float(problem.evaluate(point[:d], t_next))

@@ -6,15 +6,16 @@ and its analytic gradient, plus a one-sided prior on each temporal
 length-scale, drive hyperparameter training by projected gradient ascent
 from the warm start and, when restarts are asked for, one screened random
 start: the best of eight one-probe random draws per restart beyond the warm
-one.  The prior is a soft ceiling: flat up to a tenth of the temporal width
-(the centre of the entry's bounds before tying, plus log 0.1), and a normal
-with sd 1 in log units above it.  It keeps short warmups, which span a
-small part of the horizon, from learning a temporal scale far longer than
-the horizon, and leaves shorter scales alone: a two-sided prior that pulled
-them up locked a fixed-interval run onto the box edge.  It enters only what
-training ascends, and the reported LML is the marginal likelihood alone.
-When every length-scale is tied (time treated as one more input, as the
-time-blind ``standard_bo`` mode trains), there is no prior.
+one, drawn from the seed ``train`` takes as an argument.  The prior is a
+soft ceiling: flat up to a tenth of the temporal width (the centre of the
+entry's bounds before tying, plus log 0.1), and a normal with sd 1 in log
+units above it.  It keeps short warmups, which span a small part of the
+horizon, from learning a temporal scale far longer than the horizon, and
+leaves shorter scales alone: a two-sided prior that pulled them up locked a
+fixed-interval run onto the box edge.  It enters only what training
+ascends, and the reported LML is the marginal likelihood alone.  When every
+length-scale is tied (time treated as one more input, as the time-blind
+``standard_bo`` mode trains), there is no prior.
 
 Training evaluates the likelihood through one objective per dataset: it
 keeps the standardized targets, the raw pairwise space and time differences
@@ -191,10 +192,6 @@ class Dataset:
     @property
     def times(self) -> np.ndarray:
         return self.points[:, -1]
-
-    @property
-    def current_time(self) -> float:
-        return float(self.times.max())
 
     @property
     def target_mean(self) -> float:
@@ -485,7 +482,6 @@ class TrainConfig:
 
     restarts: int = 5
     max_iters: int = 200
-    seed: int = 0
     log_bounds: np.ndarray | None = None
     tie_lengthscales: str = "none"
 
@@ -555,6 +551,7 @@ def train(
     spec: KernelSpec,
     init: Hyperparameters,
     config: TrainConfig = TrainConfig(),
+    seed: int = 0,
 ) -> TrainResult:
     """Maximize the marginal likelihood, plus a soft ceiling on each temporal
     length-scale (none under ``tie_lengthscales="all"``), over the
@@ -565,9 +562,9 @@ def train(
     start and, when ``restarts > 1``, from one screened random start: the
     fit draws ``_SCREENS_PER_RESTART * (restarts - 1)`` vectors
     log-uniformly within the bounds, probes each once and ascends only from
-    the best (the first drawn among equals).  Returns the better ascent, with
-    its marginal likelihood alone as ``lml``; raises ``TrainingError`` when
-    no start gives a finite value.
+    the best (the first drawn among equals); ``seed`` seeds those draws.
+    Returns the better ascent, with its marginal likelihood alone as
+    ``lml``; raises ``TrainingError`` when no start gives a finite value.
     """
     d = dataset.spatial_dim
     if init.spatial_dim != d:
@@ -659,7 +656,7 @@ def train(
         warm = project(hp_to_vector(init, spec))
         yield (warm, *objective(warm))
         if config.restarts > 1:
-            rng = np.random.default_rng(config.seed)
+            rng = np.random.default_rng(seed)
             draws = rng.uniform(lower, upper, (_SCREENS_PER_RESTART * (config.restarts - 1), n_hp))
             screened = [(theta, *objective(theta)) for theta in map(project, draws)]
             yield max(screened, key=lambda start: start[1])  # the first of equals

@@ -16,11 +16,8 @@ derivatives with respect to each free log-hyperparameter in that order.
 
 The arithmetic is dimension-major: pairwise differences are laid out
 ``(p, n, m)``, one ``(n, m)`` slab per input dimension.  The scaled squared
-distance is summed one dimension at a time into one ``(n, m)`` array (eight
-from eight dimensions on), and the exponentials run on it in place.  The
-additions follow numpy's pairwise order for a reduction over a short last
-axis, so the result is bitwise the one an ``(n, m, p)`` layout reduced with
-``sum(axis=-1)`` gives, without its ``(n, m, p)`` temporaries.
+distance is summed in place into one ``(n, m)`` array, one dimension at a
+time in index order, and the exponentials run on it in place.
 
 A covariance is built from its factors (``_cov_parts``): the unit-variance
 covariance of each plain component of either part, the spatial part times
@@ -221,40 +218,16 @@ def _diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return xa.T.copy()[:, :, None] - xb.T.copy()[:, None, :]
 
 
-def _squares(diffs: np.ndarray, ells: np.ndarray):
-    """``(diffs[j] / ells[j]) ** 2`` for each dimension ``j``, one fresh
-    ``(n, m)`` array at a time."""
-    for diff, ell in zip(diffs, ells):
-        z = np.divide(diff, ell)
+def _sum_squares(diffs: np.ndarray, ells: np.ndarray) -> np.ndarray:
+    """``(diffs[j] / ells[j]) ** 2`` summed over the dimensions ``j`` in
+    index order, in place into one ``(n, m)`` array."""
+    s = np.divide(diffs[0], ells[0])
+    s *= s
+    z = None  # one scratch array for every later dimension
+    for diff, ell in zip(diffs[1:], ells[1:]):
+        z = np.divide(diff, ell, out=z)
         z *= z
-        yield z
-
-
-def _sum_squares(squares, p: int) -> np.ndarray:
-    """Sum of ``p`` per-dimension squares in the order numpy's
-    ``(z * z).sum(axis=-1)`` adds a short contiguous last axis, so the
-    dimension-major layout gives the same bits.  That order is pairwise
-    summation: one by one below 8 terms; up to 128 terms, eight running sums
-    combined as a tree, then the rest one by one; beyond that, two halves.
-    Accumulates in place into the first terms it draws."""
-    if p > 128:
-        half = p // 2 - (p // 2) % 8
-        s = _sum_squares(squares, half)
-        s += _sum_squares(squares, p - half)
-        return s
-    if p < 8:
-        s = next(squares)
-        for _ in range(p - 1):
-            s += next(squares)
-        return s
-    r = [next(squares) for _ in range(8)]
-    for i in range(8, p - p % 8):
-        r[i % 8] += next(squares)
-    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-        r[a] += r[b]
-    s = r[0]
-    for _ in range(p % 8):
-        s += next(squares)
+        s += z
     return s
 
 
@@ -273,13 +246,12 @@ def _part_units(form: KernelForm, diffs: np.ndarray, log_ells: np.ndarray) -> tu
     """Unit-variance covariance of each plain component of one part: the
     form's own, or the sum form's SE then Matern 1/2 one."""
     ells = np.exp(log_ells)
-    p = len(diffs)
     if form is KernelForm.SUM:
         return (
-            _plain_cov(KernelForm.SE, _sum_squares(_squares(diffs, ells[0]), p)),
-            _plain_cov(KernelForm.MATERN12, _sum_squares(_squares(diffs, ells[1]), p)),
+            _plain_cov(KernelForm.SE, _sum_squares(diffs, ells[0])),
+            _plain_cov(KernelForm.MATERN12, _sum_squares(diffs, ells[1])),
         )
-    return (_plain_cov(form, _sum_squares(_squares(diffs, ells), p)),)
+    return (_plain_cov(form, _sum_squares(diffs, ells)),)
 
 
 def _part_cov(units: tuple, log_vars: np.ndarray | None) -> np.ndarray:
@@ -302,7 +274,9 @@ def _lengthscale_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray, k,
     if form is KernelForm.SE:
         out *= k
         return
-    r = np.sqrt(_sum_squares(iter(out.copy()), len(out)))
+    # index order, as in _sum_squares: numpy adds the slabs of a leading axis
+    # one by one, except for a 1 x 1 gram, whose distance is 0 in any order
+    r = np.sqrt(np.add.reduce(out, axis=0))
     # divides only where r > 0, so no zero division to silence
     out *= np.divide(k, r, out=np.zeros(r.shape), where=r > 0)
 

@@ -4,6 +4,8 @@ Global search is particle-swarm optimization seeded from a Latin hypercube;
 a quasi-Newton polish with numerical gradients runs from the swarm's best
 position.  A dimension whose bounds coincide is a slice: it is held fixed
 and removed from the search space instead of being searched at zero width.
+``PsoConfig`` sets the swarm's size and length; each search takes its seed
+as an argument, as ``latin_hypercube`` does.
 
 ``PsoConfig.iterations`` is a cap; the swarm has two earlier stops.  It
 stops once no particle can move again: every particle sits on its own best
@@ -113,7 +115,6 @@ _REFINE_GTOL = 1e-5
 class PsoConfig:
     particles: int = 50
     iterations: int = 120
-    seed: int = 0
 
     def __post_init__(self):
         if self.particles < 2:
@@ -159,7 +160,9 @@ def _freeze_degenerate(box: Box):
     return free, reduced, embed
 
 
-def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None):
+def pso_minimize(
+    objective, box: Box, config: PsoConfig = PsoConfig(), seed: int = 0, init=None
+):
     """Global minimization by a velocity-clamped particle swarm.
 
     ``objective`` maps an ``(M, dim)`` array to ``(M,)`` scores; non-finite
@@ -184,7 +187,7 @@ def pso_minimize(objective, box: Box, config: PsoConfig = PsoConfig(), init=None
         value = _batch_eval(objective, point[None, :])[0]
         return point, float(value)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     p, dim = config.particles, reduced.dim
     width = reduced.width
     positions = rng.uniform(reduced.lower, reduced.upper, size=(p, dim))
@@ -325,9 +328,10 @@ def _raw_eval(objective, points: np.ndarray) -> np.ndarray:
 
 
 def optimize_acquisition(
-    model, acq: AcquisitionSpec, box: Box, pso: PsoConfig = PsoConfig()
+    model, acq: AcquisitionSpec, box: Box, pso: PsoConfig = PsoConfig(), seed: int = 0
 ) -> np.ndarray:
-    """Best scoring point in the box: LHD-seeded swarm, then local polish.
+    """Best scoring point in the box: LHD-seeded swarm, then local polish;
+    deterministic given ``seed``, which the hypercube and the swarm share.
 
     Every batch the swarm and the polish propose is scored on ``model``;
     ``evaluate_on_model`` is looked up at each call, so a wrapper installed
@@ -337,7 +341,7 @@ def optimize_acquisition(
     def objective(points):
         return evaluate_on_model(acq, model, points)
 
-    probes = latin_hypercube(pso.particles, box, pso.seed)
-    point, _ = pso_minimize(objective, box, pso, init=probes)
+    probes = latin_hypercube(pso.particles, box, seed)
+    point, _ = pso_minimize(objective, box, pso, seed, init=probes)
     point, _ = local_refine(objective, point, box)
     return box.clip(point)

@@ -14,7 +14,6 @@ from dynabo.problems.sensor import (
     SensorTable,
     ingest_sensor_csv,
     make_sensor_problem,
-    train_epoch_split,
     write_synthetic_fixture,
 )
 from dynabo.problems.standard import (
@@ -40,6 +39,5 @@ __all__ = [
     "SensorTable",
     "ingest_sensor_csv",
     "make_sensor_problem",
-    "train_epoch_split",
     "write_synthetic_fixture",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "SensorTable",
     "ingest_sensor_csv",
     "make_sensor_problem",
-    "train_epoch_split",
     "write_synthetic_fixture",
 ]
 
@@ -156,15 +155,6 @@ def ingest_sensor_csv(readings_path, coords_path) -> SensorTable:
         unlocated_rows=unlocated,
         dropped_coord_rows=dropped_coords,
     )
-
-
-def train_epoch_split(table: SensorTable, fraction: float = 0.66):
-    """Chronological split of the table's epochs; first ``fraction`` train."""
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must lie in (0, 1)")
-    epochs = table.epochs
-    cut = int(len(epochs) * fraction)
-    return epochs[:cut], epochs[cut:]
 
 
 def make_sensor_problem(

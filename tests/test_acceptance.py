@@ -1,4 +1,4 @@
-"""Acceptance gate: ten checks, one printed pass/fail line each.
+"""Acceptance gate: eleven checks, one printed pass/fail line each.
 
 Each criterion has a runtime ceiling enforced alongside its assertions.
 Run with ``pytest -s tests/test_acceptance.py`` to watch the lines appear.
@@ -312,7 +312,7 @@ def test_criterion_09_hyperparameter_recovery():
             bounds = default_log_bounds(spec, [3.0, 3.0], 3.0)
             result = train(
                 Dataset(pts, y), spec, start,
-                TrainConfig(restarts=5, max_iters=200, seed=seed, log_bounds=bounds),
+                TrainConfig(restarts=5, max_iters=200, log_bounds=bounds), seed,
             )
             got = np.concatenate(
                 [result.hp.log_spatial_lengthscales, [result.hp.log_temporal_lengthscale]]
@@ -348,3 +348,58 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         assert first == second
 
     _report(10, "identical config produces bitwise-identical artifacts", 120, body)
+
+
+def _space_time_gp_sample(lx: float, lt: float, seed: int, features: int = 400):
+    """One draw from a zero-mean GP on [0, 1] x [0, 1] with the product SE
+    kernel ``exp(-dx^2 / (2 lx^2) - dt^2 / (2 lt^2))``, approximated by
+    random Fourier features (Rahimi & Recht, NeurIPS 2007).  The same seed
+    gives the same standard draws at every scale, so two samples that share
+    a seed differ only in how fast time runs."""
+    from dynabo.problems import Problem
+
+    rng = np.random.default_rng(seed)
+    w_x = rng.normal(size=features) / lx
+    w_t = rng.normal(size=features) / lt
+    phase = rng.uniform(0, 2 * np.pi, size=features)
+    weights = rng.normal(size=features) * np.sqrt(2 / features)
+
+    def f(x, t):
+        return float(weights @ np.cos(w_x * x[0] + w_t * t + phase))
+
+    return Problem("gp_sample", Box(np.zeros(1), np.ones(1)), (0.0, 1.0), f)
+
+
+def test_criterion_11_trained_step_budget_follows_true_temporal_scale():
+    def body():
+        # trained hyperparameters, so the window follows the learnt lt_hat;
+        # criterion 8 fixes them
+        fast, slow = 0.03, 0.3
+        steps = {fast: [], slow: []}
+        medians = {fast: [], slow: []}
+        for seed in range(10):
+            for lt_true in (fast, slow):
+                cfg = EngineConfig(
+                    mode=Mode.ABO_ADAPTIVE_TIME, budget=200, min_lookahead=0.005,
+                    warmup=WarmupConfig(lhd=4, span=0.05),
+                    train=TrainConfig(restarts=3, max_iters=100),
+                    pso=PsoConfig(particles=30, iterations=60), seed=seed,
+                )
+                trace = run(_space_time_gp_sample(0.3, lt_true, seed), cfg)
+                assert not trace.aborted
+                steps[lt_true].append(trace.n_scored)
+                medians[lt_true].append(
+                    float(np.median([s.lt_hat for s in trace.steps if s.phase == "scored"]))
+                )
+        ratios = np.divide(steps[fast], steps[slow])
+        # a run that oversteps a fast truth early can lose sight of it and
+        # settle on a long scale, so the pairs hold by majority; a window of
+        # fixed width gives about as many steps at either scale
+        assert np.sum(ratios >= 1.5) >= 7, (steps, ratios)
+        assert np.sum(steps[fast]) >= 3 * np.sum(steps[slow]), steps
+        for lt_true in (fast, slow):
+            got = np.array(medians[lt_true])
+            assert np.all((got > lt_true / 10) & (got < lt_true * 10)), (lt_true, got)
+            assert lt_true / 3 < np.median(got) < lt_true * 3, (lt_true, got)
+
+    _report(11, "trained step budget follows the true temporal scale", 60, body)

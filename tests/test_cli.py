@@ -117,6 +117,19 @@ def test_repeated_mode_rejected_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_plot_data_without_traces_rejected_before_running(tmp_path, capsys):
+    # a plot file is made from its trace file, so run would write none
+    out = tmp_path / "out"
+    raw = fast_raw(output_dir=str(out), emit_plot_data=True, emit_traces=False)
+    path = write_cfg(tmp_path, raw)
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "emit_plot_data" in err and "emit_traces" in err
+    assert not out.exists()
+    load_config(minimal_raw(emit_plot_data=False, emit_traces=False))
+
+
 def test_error_message_lists_every_field():
     raw = minimal_raw(lookahead_fraction=0.0, repetitions=0, bogus=1)
     with pytest.raises(ConfigError) as err:
@@ -609,6 +622,16 @@ def test_readme_minimal_config_normalizes():
     cfg = normalize_config(json.loads(block.group(1)))
     assert cfg["problem"]["name"] == "branin_scaled"
     assert cfg["modes"] == ["standard_bo", "abo_fixed", "abo_adaptive_time"]
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first code a reader runs; nothing else calls the library this way
+    block = re.search(r"## Quick start\s*```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(block.group(1), "README.md (Quick start)", "exec"), {})
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == "30 evaluations"
+    assert second.startswith("offline performance: ")
+    assert math.isfinite(float(second.split(": ")[1]))
 
 
 def test_readme_config_learns_a_temporal_scale_shorter_than_the_horizon():

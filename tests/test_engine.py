@@ -160,14 +160,6 @@ def test_config_rejects_nonpositive_scalars():
         small_cfg(fixed_interval=-1.0)
 
 
-@pytest.mark.parametrize("field, value", [("pso", PsoConfig(seed=3)), ("train", TrainConfig(seed=1))])
-def test_config_rejects_a_component_seed(field, value):
-    # run derives every search and fit seed from EngineConfig.seed, so one
-    # set here would be silently ignored
-    with pytest.raises(ValueError, match=f"{field}.seed"):
-        small_cfg(**{field: value})
-
-
 def test_config_accepts_wire_names():
     cfg = small_cfg(mode="abo_adaptive_time")
     assert cfg.mode is Mode.ABO_ADAPTIVE_TIME
@@ -396,11 +388,11 @@ def recording_train(monkeypatch, fail_at=None):
     restarts = []
     real_train = engine_mod.train
 
-    def recorded(dataset, spec, init, config):
+    def recorded(dataset, spec, init, config, seed):
         restarts.append(config.restarts)
         if len(restarts) - 1 == fail_at:
             raise TrainingError("forced")
-        return real_train(dataset, spec, init, config)
+        return real_train(dataset, spec, init, config, seed)
 
     monkeypatch.setattr(engine_mod, "train", recorded)
     return restarts

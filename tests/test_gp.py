@@ -225,8 +225,8 @@ def test_dataset_validation_and_append():
     base = Dataset(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([3.0, 4.0]))
     grown = base.append([0.5, 3.0], 5.0)
     assert base.n == 2 and grown.n == 3
-    assert grown.current_time == 3.0
-    assert base.current_time == 2.0
+    assert np.array_equal(grown.times, [0.0, 2.0, 3.0])
+    assert np.array_equal(base.times, [0.0, 2.0])  # append leaves the base as it was
 
 
 def test_constant_targets_use_guarded_std():
@@ -248,7 +248,7 @@ def test_train_beats_warm_start_and_truth():
     y = np.linalg.cholesky(cov) @ rng.normal(size=25)
     dataset = Dataset(pts, y)
     start = Hyperparameters.default(1, spec)
-    result = train(dataset, spec, start, TrainConfig(restarts=5, seed=5))
+    result = train(dataset, spec, start, TrainConfig(restarts=5), seed=5)
     assert result.lml >= log_marginal_likelihood(dataset, spec, start) - 1e-9
     assert result.lml >= log_marginal_likelihood(dataset, spec, truth) - 1e-6
     assert result.iterations > 0
@@ -261,7 +261,7 @@ def test_train_ties_spatial_lengthscales():
     dataset = Dataset(pts, rng.normal(size=12))
     init = Hyperparameters.default(3, spec)
     result = train(
-        dataset, spec, init, TrainConfig(restarts=2, seed=1, tie_lengthscales="spatial")
+        dataset, spec, init, TrainConfig(restarts=2, tie_lengthscales="spatial"), seed=1
     )
     ls = result.hp.log_spatial_lengthscales
     assert np.allclose(ls, ls[0])
@@ -276,7 +276,8 @@ def test_train_ties_all_lengthscales():
         dataset,
         spec,
         Hyperparameters.default(2, spec),
-        TrainConfig(restarts=2, seed=3, tie_lengthscales="all"),
+        TrainConfig(restarts=2, tie_lengthscales="all"),
+        seed=3,
     )
     ls = result.hp.log_spatial_lengthscales
     assert np.allclose(ls, ls[0])
@@ -297,7 +298,7 @@ def test_train_zero_iters_returns_projected_warm_start():
     spec = KernelSpec(KernelForm.SE, KernelForm.SE)
     dataset = Dataset(rng.uniform(0, 1, size=(5, 3)), rng.normal(size=5))
     init = Hyperparameters.default(2, spec)
-    result = train(dataset, spec, init, TrainConfig(restarts=1, max_iters=0, seed=0))
+    result = train(dataset, spec, init, TrainConfig(restarts=1, max_iters=0))
     assert np.isfinite(result.lml)
     assert result.iterations == 0
 
@@ -311,7 +312,8 @@ def test_train_respects_bounds():
         dataset,
         spec,
         Hyperparameters.default(2, spec),
-        TrainConfig(restarts=3, seed=8, log_bounds=bounds),
+        TrainConfig(restarts=3, log_bounds=bounds),
+        seed=8,
     )
     theta = hp_to_vector(result.hp, spec)
     assert np.all(theta >= bounds[:, 0] - 1e-12)
@@ -376,7 +378,7 @@ def test_train_leaves_caller_bounds_untouched():
         dataset,
         spec,
         Hyperparameters.default(3, spec),
-        TrainConfig(restarts=2, seed=0, log_bounds=b, tie_lengthscales="spatial"),
+        TrainConfig(restarts=2, log_bounds=b, tie_lengthscales="spatial"),
     )
     assert np.array_equal(b, before)
 
@@ -413,7 +415,7 @@ def temporal_lengthscale_entries(spec, d):
     return np.array([n.startswith("temporal_") and "lengthscale" in n for n in names])
 
 
-def reference_train(dataset, spec, init, config):
+def reference_train(dataset, spec, init, config, seed):
     """The screened, prior-weighted projected gradient ascent as ``train``
     runs it, built on the reference functions: a fresh gram and factorization
     at every probe and gradient.  The prior on each log temporal length-scale
@@ -529,7 +531,7 @@ def reference_train(dataset, spec, init, config):
     run_from(warm, *objective(warm))
     if config.restarts > 1:
         # eight one-probe draws per extra restart; ascend from the best only
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         screened = []
         for _ in range(8 * (config.restarts - 1)):
             theta = project(rng.uniform(bounds[:, 0], bounds[:, 1]))
@@ -570,11 +572,11 @@ def test_train_matches_unfused_reference_loop(tie, spec, monkeypatch):
     pts = np.hstack([rng.uniform(0, 1, size=(14, d)), np.sort(rng.uniform(0, 2, size=(14, 1)), 0)])
     dataset = Dataset(pts, np.sin(4 * pts[:, 0]) + pts[:, -1] + 0.1 * rng.normal(size=14))
     config = TrainConfig(
-        restarts=3, max_iters=40, seed=4, tie_lengthscales=tie,
+        restarts=3, max_iters=40, tie_lengthscales=tie,
         log_bounds=default_log_bounds(spec, [1.0] * d, 2.0),
     )
     init = Hyperparameters.default(d, spec)
-    theta, lml, iters, want_factorizations = reference_train(dataset, spec, init, config)
+    theta, lml, iters, want_factorizations = reference_train(dataset, spec, init, config, 4)
 
     factorizations = 0
 
@@ -584,7 +586,7 @@ def test_train_matches_unfused_reference_loop(tie, spec, monkeypatch):
         return chol_with_jitter(matrix)
 
     monkeypatch.setattr(gp, "chol_with_jitter", counted)
-    result = train(dataset, spec, init, config)
+    result = train(dataset, spec, init, config, 4)
     # a gradient at the last vector probed reuses its factor
     assert factorizations == want_factorizations
     assert np.array_equal(hp_to_vector(result.hp, spec), theta)
@@ -613,11 +615,11 @@ def test_train_probes_each_screened_candidate_once(restarts, monkeypatch):
         bounds[:, 0], bounds[:, 1], size=(8 * (restarts - 1), len(bounds))
     )
     candidates = [row.tobytes() for row in draws]
-    config = TrainConfig(restarts=restarts, max_iters=0, seed=3, log_bounds=bounds)
-    train(dataset, spec, init, config)
+    config = TrainConfig(restarts=restarts, max_iters=0, log_bounds=bounds)
+    train(dataset, spec, init, config, seed=3)
     assert probes == [hp_to_vector(init, spec).tobytes(), *candidates]
     probes.clear()
-    result = train(dataset, spec, init, replace(config, max_iters=30))
+    result = train(dataset, spec, init, replace(config, max_iters=30), seed=3)
     assert result.iterations > 0
     assert all(probes.count(c) == 1 for c in candidates)
 

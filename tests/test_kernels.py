@@ -128,14 +128,23 @@ def fd_gradient(points, spec, hp, h=1e-5):
     return grads
 
 
+def index_order_squares(z):
+    """Sum of ``z * z`` over the last axis, one term at a time in index order
+    (numpy's ``sum`` would add eight terms or more pairwise)."""
+    s = z[..., 0] * z[..., 0]
+    for j in range(1, z.shape[-1]):
+        s = s + z[..., j] * z[..., j]
+    return s
+
+
 def fixed_order_cross_gram(a, b, spec, hp):
     """Reference covariance in one fixed elementwise order: differences over
-    length-scales, sum of squares over the last axis, component weights,
-    then signal * spatial * temporal.  Exact equality pins the arithmetic
-    that training's iterates depend on."""
+    length-scales, sum of squares over the last axis in index order,
+    component weights, then signal * spatial * temporal.  Exact equality
+    pins the arithmetic that training's iterates depend on."""
 
     def plain(form, z):
-        s = np.sum(z * z, axis=-1)
+        s = index_order_squares(z)
         return np.exp(-0.5 * s) if form is KernelForm.SE else np.exp(-np.sqrt(s))
 
     def part(form, diffs, log_ells, log_vars):
@@ -158,11 +167,12 @@ def fixed_order_cross_gram(a, b, spec, hp):
 
 def nmd_grad_gram(points, spec, hp):
     """Reference noisy-gram derivatives with the differences laid out
-    ``(n, m, d)`` and each squared distance reduced over the last axis, in
-    the elementwise order the dimension-major kernels must reproduce."""
+    ``(n, m, d)`` and each squared distance summed over the last axis in
+    index order, the elementwise order the dimension-major kernels must
+    reproduce."""
 
     def plain(form, z):
-        s = (z * z).sum(axis=-1)
+        s = index_order_squares(z)
         if form is KernelForm.SE:
             k = np.exp(-0.5 * s)
             return k, [k * z[..., j] ** 2 for j in range(z.shape[-1])]
@@ -198,8 +208,8 @@ def nmd_grad_gram(points, spec, hp):
 
 @pytest.mark.parametrize("spec", NINE_SPECS)
 def test_gram_keeps_fixed_elementwise_order(spec):
-    # from d = 8 on numpy sums pairwise: eight running sums (12, 20), and
-    # two halves beyond 128 terms (130)
+    # from d = 8 on a pairwise sum would differ from index order: eight
+    # running sums (12, 20), and two halves beyond 128 terms (130)
     rng = np.random.default_rng(23)
     for d in (1, 2, 3, 6, 7, 12, 20, 130):
         hp = random_hp(rng, spec, d)

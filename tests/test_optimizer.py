@@ -95,14 +95,14 @@ def test_latin_hypercube_single_point():
 
 def test_pso_sphere():
     box = Box([-5.0, -5.0], [5.0, 5.0])
-    point, value = pso_minimize(sphere, box, PsoConfig(particles=40, iterations=100, seed=1))
+    point, value = pso_minimize(sphere, box, PsoConfig(particles=40, iterations=100), seed=1)
     assert value <= 1e-3
     assert box.contains(point[None, :])
 
 
 def test_pso_all_degenerate_box():
     box = Box([1.0, 2.0], [1.0, 2.0])
-    point, value = pso_minimize(sphere, box, PsoConfig(seed=0))
+    point, value = pso_minimize(sphere, box)
     assert np.array_equal(point, [1.0, 2.0])
     assert value == pytest.approx(5.0)
 
@@ -110,7 +110,7 @@ def test_pso_all_degenerate_box():
 def test_pso_constant_objective():
     box = Box([0.0, 0.0], [1.0, 1.0])
     point, value = pso_minimize(
-        lambda pts: np.full(pts.shape[0], 3.25), box, PsoConfig(particles=5, iterations=3, seed=2)
+        lambda pts: np.full(pts.shape[0], 3.25), box, PsoConfig(particles=5, iterations=3), seed=2
     )
     assert value == 3.25
     assert box.contains(point[None, :])
@@ -124,19 +124,19 @@ def test_pso_handles_nonfinite_regions():
         vals[points[:, 0] > 0.5] = np.nan  # poisoned half-plane
         return vals
 
-    point, value = pso_minimize(holey, box, PsoConfig(particles=30, iterations=60, seed=4))
+    point, value = pso_minimize(holey, box, PsoConfig(particles=30, iterations=60), seed=4)
     assert np.isfinite(value)
     assert value <= 1e-2
 
 
 def test_pso_deterministic_and_monotone_in_iterations():
     box = Box([-5.0, -5.0, -5.0], [5.0, 5.0, 5.0])
-    cfg = lambda k: PsoConfig(particles=12, iterations=k, seed=9)
-    p1, v1 = pso_minimize(sphere, box, cfg(40))
-    p2, v2 = pso_minimize(sphere, box, cfg(40))
+    cfg = lambda k: PsoConfig(particles=12, iterations=k)
+    p1, v1 = pso_minimize(sphere, box, cfg(40), seed=9)
+    p2, v2 = pso_minimize(sphere, box, cfg(40), seed=9)
     assert np.array_equal(p1, p2) and v1 == v2
     # same seed, growing iteration budget: reported best can only improve
-    values = [pso_minimize(sphere, box, cfg(k))[1] for k in (1, 5, 10, 20, 40)]
+    values = [pso_minimize(sphere, box, cfg(k), seed=9)[1] for k in (1, 5, 10, 20, 40)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -144,18 +144,18 @@ def test_pso_respects_init_positions():
     box = Box([-5.0, -5.0], [5.0, 5.0])
     init = np.array([[0.01, -0.01]])  # near the optimum
     _, with_init = pso_minimize(
-        sphere, box, PsoConfig(particles=8, iterations=1, seed=3), init=init
+        sphere, box, PsoConfig(particles=8, iterations=1), seed=3, init=init
     )
     assert with_init <= sphere(init)[0] + 1e-12
 
 
-def full_swarm(objective, box, config, init=None):
+def full_swarm(objective, box, config, seed, init=None):
     """``pso_minimize``'s update with its stall stop and no can't-move stop:
     it ends after 15 scored iterations in a row that each lower the best by no
     more than 1e-9 times its magnitude, or after ``config.iterations``."""
     free = ~box.degenerate
     lo, hi = box.lower[free], box.upper[free]
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     p, dim = config.particles, lo.size
 
     def score(z):
@@ -232,9 +232,9 @@ def test_pso_stop_returns_what_every_iteration_returns(name, stops_early):
         calls.append(points.copy())
         return objective(points)
 
-    config = PsoConfig(particles=10, iterations=80, seed=5)
-    point, value = pso_minimize(counted, box, config)
-    want_point, want_value = full_swarm(objective, box, config)
+    config = PsoConfig(particles=10, iterations=80)
+    point, value = pso_minimize(counted, box, config, seed=5)
+    want_point, want_value = full_swarm(objective, box, config, 5)
     assert np.array_equal(point, want_point) and value == want_value
     assert (len(calls) < config.iterations + 1) == stops_early
     assert pairwise_distinct(calls)  # the stop comes before a repeat is scored
@@ -261,8 +261,8 @@ def test_pso_stops_after_15_stalled_iterations(name):
             calls.append(np.maximum(sphere(points), 0.5))
         return calls[-1]
 
-    config = PsoConfig(particles=10, iterations=200, seed=5)
-    _, value = pso_minimize(objective, box, config)
+    config = PsoConfig(particles=10, iterations=200)
+    _, value = pso_minimize(objective, box, config, seed=5)
     stalled = stalled_runs(calls)
     # stopped right after the first 15th stalled scored iteration in a row
     assert stalled[-15:] == [True] * 15
@@ -285,8 +285,8 @@ def test_pso_improving_every_iteration_runs_to_the_cap():
         calls.append(points)
         return np.full(len(points), -float(len(calls)))
 
-    config = PsoConfig(particles=6, iterations=40, seed=1)
-    _, value = pso_minimize(objective, box, config)
+    config = PsoConfig(particles=6, iterations=40)
+    _, value = pso_minimize(objective, box, config, seed=1)
     assert len(calls) == config.iterations + 1 and value == -41.0
 
 
@@ -468,7 +468,7 @@ def quadratic_model():
 def test_optimize_acquisition_grid_oracle():
     model = quadratic_model()
     box = Box([0.0, 0.0], [1.0, 0.0])  # time pinned to the sampled slice
-    point = optimize_acquisition(model, PosteriorMean(), box, PsoConfig(seed=5))
+    point = optimize_acquisition(model, PosteriorMean(), box, seed=5)
     grid = np.linspace(0, 1, 2001)
     scores, _ = model.predict(np.column_stack([grid, np.zeros_like(grid)]))
     oracle = grid[np.argmin(scores)]
@@ -479,9 +479,9 @@ def test_optimize_acquisition_grid_oracle():
 def test_optimize_acquisition_beats_lhd_probes():
     model = quadratic_model()
     box = Box([0.0, 0.0], [1.0, 0.0])
-    pso = PsoConfig(particles=20, iterations=30, seed=8)
-    point = optimize_acquisition(model, PosteriorMean(), box, pso)
-    probes = latin_hypercube(pso.particles, box, pso.seed)
+    pso = PsoConfig(particles=20, iterations=30)
+    point = optimize_acquisition(model, PosteriorMean(), box, pso, seed=8)
+    probes = latin_hypercube(pso.particles, box, 8)
     best_probe = np.min(model.predict(probes)[0])
     found = model.predict(point[None, :])[0][0]
     assert found <= best_probe + 1e-12
@@ -490,7 +490,7 @@ def test_optimize_acquisition_beats_lhd_probes():
 def test_optimize_acquisition_respects_time_slice():
     model = quadratic_model()
     box = Box([0.0, 2.5], [1.0, 2.5])
-    point = optimize_acquisition(model, PosteriorMean(), box, PsoConfig(seed=1))
+    point = optimize_acquisition(model, PosteriorMean(), box, seed=1)
     assert point[1] == 2.5
 
 
@@ -499,7 +499,7 @@ def test_optimize_acquisition_respects_time_slice():
 def test_pso_stays_in_box_property(seed):
     box = Box([-1.0, 0.0, 2.0], [1.0, 0.0, 3.0])
     point, _ = pso_minimize(
-        sphere, box, PsoConfig(particles=6, iterations=8, seed=seed)
+        sphere, box, PsoConfig(particles=6, iterations=8), seed=seed
     )
     assert box.contains(point[None, :])
     assert point[1] == 0.0
@@ -523,14 +523,14 @@ def random_model(spec, seed, n=12, d=2):
     return GpModel.fit(Dataset(pts, y), spec, hp_from_vector(theta, spec, d))
 
 
-def full_search(model, acq, box, pso):
+def full_search(model, acq, box, pso, seed):
     """``optimize_acquisition`` with a swarm that runs every iteration."""
 
     def objective(points):
         return evaluate_on_model(acq, model, points)
 
-    probes = latin_hypercube(pso.particles, box, pso.seed)
-    point, _ = full_swarm(objective, box, pso, init=probes)
+    probes = latin_hypercube(pso.particles, box, seed)
+    point, _ = full_swarm(objective, box, pso, seed, init=probes)
     point, _ = local_refine(objective, point, box)
     return box.clip(point)
 
@@ -554,12 +554,12 @@ def recording_swarm(monkeypatch):
     batches = []
     swarm = optimizer.pso_minimize
 
-    def recorded(objective, box, config, init=None):
+    def recorded(objective, box, config, seed, init=None):
         def wrapped(points):
             batches.append(points.copy())
             return objective(points)
 
-        return swarm(wrapped, box, config, init=init)
+        return swarm(wrapped, box, config, seed, init=init)
 
     monkeypatch.setattr(optimizer, "pso_minimize", recorded)
     return batches
@@ -576,10 +576,10 @@ def test_optimize_acquisition_equals_unmemoized_search(spec, acq_name, box_name,
         "mean": PosteriorMean(),
     }[acq_name]
     box = SEARCH_BOXES[box_name]
-    pso = PsoConfig(particles=8, iterations=15, seed=4)
-    want = full_search(model, acq, box, pso)
+    pso = PsoConfig(particles=8, iterations=15)
+    want = full_search(model, acq, box, pso, 4)
     batches = recording_swarm(monkeypatch)
-    got = optimize_acquisition(model, acq, box, pso)
+    got = optimize_acquisition(model, acq, box, pso, 4)
     assert np.array_equal(got, want)
     assert pairwise_distinct(batches)  # no swarm batch scored twice
 
@@ -593,9 +593,9 @@ def test_swarm_in_a_corner_is_not_rescored(monkeypatch):
     hp = Hyperparameters.default(2, spec, spatial_scale=2.0, noise_variance=1e-6)
     model = GpModel.fit(Dataset(pts, pts[:, 0] + pts[:, 1]), spec, hp)
     box = Box([0.0, 0.0, 0.0], [1.0, 1.0, 0.0])
-    pso = PsoConfig(particles=10, iterations=60, seed=3)
+    pso = PsoConfig(particles=10, iterations=60)
     batches = recording(monkeypatch)
-    point = optimize_acquisition(model, PosteriorMean(), box, pso)
+    point = optimize_acquisition(model, PosteriorMean(), box, pso, seed=3)
     assert np.array_equal(point, [0.0, 0.0, 0.0])
     assert pairwise_distinct(batches)
     assert len(batches) < pso.iterations + 1

@@ -6,7 +6,6 @@ import pytest
 from dynabo.problems import (
     ingest_sensor_csv,
     make_sensor_problem,
-    train_epoch_split,
     write_synthetic_fixture,
 )
 
@@ -181,18 +180,6 @@ def test_problem_needs_two_epochs(tmp_path):
     table = ingest_sensor_csv(*write(tmp_path, rows, COORDS_3))
     with pytest.raises(ValueError):
         make_sensor_problem(table)
-
-
-def test_train_epoch_split(tmp_path):
-    rows = []
-    for e in range(100):
-        rows.append(f"2020-01-01,00:00:31,{e},1,20.0")
-    table = ingest_sensor_csv(*write(tmp_path, "\n".join(rows) + "\n", COORDS_3))
-    train, test = train_epoch_split(table, 0.66)
-    assert len(train) == 66 and len(test) == 34
-    assert train[-1] < test[0]
-    with pytest.raises(ValueError):
-        train_epoch_split(table, 1.5)
 
 
 def test_synthetic_fixture_round_trip(tmp_path):
