@@ -58,8 +58,10 @@ takes more than half of a fresh ``import dynabo.cli`` (it pulls in
 layer).  The module is registered under its own name, so a later
 ``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dpotrf is
 gp.dpotrf``: the same function objects, so the same bits.  Where the file is
-not found, as on an install laid out differently, the routines are imported
-from ``scipy.linalg.lapack``.
+not found, as on an install laid out differently, the module is imported
+through ``scipy.linalg``.  The loader, ``_scipy_extension``, also serves the
+acquisition polish, which loads L-BFGS-B's ``scipy.optimize._lbfgsb`` the
+same way.
 """
 
 from __future__ import annotations
@@ -109,33 +111,40 @@ __all__ = [
 ]
 
 
-def _flapack():
-    """scipy's LAPACK extension module, loaded under its own name without
-    running ``scipy.linalg``'s package import; ``None`` when the file is not
-    where scipy's wheels put it.  It is registered in ``sys.modules``, so a
-    later ``import scipy.linalg`` reuses this module object."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's extension module ``scipy.<subpackage>.<name>``, loaded by file
+    without running ``scipy.<subpackage>``'s package import.
+
+    The module is registered in ``sys.modules`` under its own name (one
+    already there is reused), so a later ``import scipy.<subpackage>`` and
+    its ``from . import <name>`` find this module object instead of loading
+    the extension a second time.  One thing differs: the package imported
+    later has no ``<name>`` attribute (``scipy.linalg._flapack`` or
+    ``scipy.optimize._lbfgsb`` as an attribute raises ``AttributeError``),
+    because the import system sets a submodule as a package attribute only
+    when it loads the submodule itself.  scipy reaches both modules only by
+    the ``from ... import`` form.  Where the file is not where scipy's wheels
+    put it, the module is imported through its package.
+    """
+    qualified = f"scipy.{subpackage}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
     for base in scipy.__path__:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            path = os.path.join(base, subpackage, name + suffix)
             if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                loader = importlib.machinery.ExtensionFileLoader(qualified, path)
                 module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                    importlib.util.spec_from_file_location(qualified, path, loader=loader)
                 )
-                sys.modules[name] = module
+                sys.modules[qualified] = module
                 loader.exec_module(module)
                 return module
-    return None
+    return importlib.import_module(qualified)
 
 
-_lapack = _flapack()
-if _lapack is None:
-    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-else:
-    dpotrf, dpotrs, dtrtrs = _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
+_lapack = _scipy_extension("linalg", "_flapack")
+dpotrf, dpotrs, dtrtrs = _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
 
 # standardization is skipped when the target spread is below this
 _STD_FLOOR = 1e-12

@@ -70,8 +70,9 @@ def test_expected_improvement_equals_scipy_stats_formula_exactly():
 )
 def test_import_does_not_load_scipy_stats(heavy):
     # each costs import time that a run which never needs it should not pay;
-    # scipy.optimize and scipy.special are imported where they are used, and
-    # dynabo.gp loads scipy.linalg's LAPACK extension module without the package
+    # scipy.special is imported where it is used, and dynabo.gp and the
+    # polish load scipy.linalg's and scipy.optimize's extension modules
+    # without their packages
     import dynabo
 
     src = str(Path(dynabo.__file__).resolve().parents[1])

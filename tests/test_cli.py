@@ -7,7 +7,10 @@ quality.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +434,40 @@ def test_rerun_bitwise_identical(completed_run, tmp_path):
     assert rc == 0
     for name, blob in sorted(saved.items()):
         assert (first_out / name).read_bytes() == blob, name
+
+
+RUN_LOADS = """
+import sys
+from dynabo.cli import main
+code = main(["run", sys.argv[1]])
+print(code, *(m in sys.modules for m in sys.argv[2:]))
+"""
+
+
+def test_run_polishes_without_loading_scipy_optimize_or_linalg(tmp_path):
+    # a run whose polish reaches L-BFGS-B (12 polishes here) loads its
+    # extension module alone, as dynabo.gp loads LAPACK's: neither package's
+    # import runs in a fresh dynabo process
+    raw = {
+        "schema": 1,
+        "problem": {"kind": "standard", "name": "branin_scaled", "seed": 0},
+        "modes": ["standard_bo", "abo_fixed"],
+        "repetitions": 1,
+        "budget": 12,
+        "pso_particles": 6,
+        "pso_iterations": 5,
+        "train_max_iters": 20,
+        "output_dir": str(tmp_path / "out"),
+    }
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    modules = ["scipy.optimize._lbfgsb", "scipy.optimize", "scipy.linalg"]
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_LOADS, str(write_cfg(tmp_path, raw)), *modules],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1].split() == ["0", "True", "False", "False"]
 
 
 def test_plot_data_columns_and_oracle(completed_run):

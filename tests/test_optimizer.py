@@ -7,6 +7,10 @@ with known minimizers.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,9 +388,10 @@ def test_refine_rejects_out_of_box_start():
         local_refine(sphere, np.array([2.0]), box)
 
 
-def refine_via_scipy(objective, start, box):
+def refine_via_scipy(objective, start, box, results=None):
     """``local_refine`` as written before its first stopping test: L-BFGS-B
-    is called from every start whose gradient is finite."""
+    is called from every start whose gradient is finite, through
+    ``scipy.optimize.minimize``; ``results`` collects scipy's result."""
     from scipy.optimize import minimize
 
     start = np.asarray(start, dtype=float).ravel()
@@ -417,6 +422,8 @@ def refine_via_scipy(objective, start, box):
         bounds=list(zip(reduced.lower, reduced.upper)),
         options={"maxiter": 100, "ftol": 1e-8},
     )
+    if results is not None:
+        results.append(result)
     candidate = embed(np.clip(result.x, reduced.lower, reduced.upper)[None, :])[0]
     cand_value = float(optimizer._batch_eval(objective, candidate[None, :])[0])
     if cand_value <= start_value:
@@ -444,7 +451,7 @@ def test_refine_equals_always_calling_scipy(start, scipy_skipped):
     calls = []
 
     def counted(points):
-        calls.append(points.shape[0])
+        calls.append(points.copy())
         return tilted_bowl(points)
 
     point, value = local_refine(counted, np.array(start), box)
@@ -453,6 +460,119 @@ def test_refine_equals_always_calling_scipy(start, scipy_skipped):
     assert np.array_equal(value, want_value)
     # the start and its two gradient probes only, when scipy is skipped
     assert (len(calls) == 3) == scipy_skipped
+    # L-BFGS-B starts from the start's value and gradient, and the result's
+    # value is the driver's last evaluation: no batch is scored twice
+    assert pairwise_distinct(calls)
+
+
+FUZZ_CASES = 600
+
+
+def fuzz_case(case):
+    """A box of 1 to 7 dimensions, some pinned, a start on a corner, a face
+    or inside, and one of five objectives: a tilted, badly scaled bowl; a
+    Rosenbrock valley (which runs into the iteration cap); a kinked bowl
+    (non-smooth); a bowl that is +inf beyond a wall between the start and
+    its minimum (the line search fails there); and a wavy bowl."""
+    rng = np.random.default_rng(case)
+    dim = 1 + case % 7
+    lower = rng.uniform(-2.0, 1.0, dim)
+    width = rng.uniform(0.1, 3.0, dim)
+    width[1:][rng.uniform(size=dim - 1) < 0.25] = 0.0  # the first stays free
+    box = Box(lower, lower + width)
+    start = lower + width * rng.uniform(size=dim)
+    where = ("corner", "face", "interior")[case // 7 % 3]
+    on_bound = rng.uniform(size=dim) < {"corner": 1.0, "face": 0.4, "interior": 0.0}[where]
+    start[on_bound] = np.where(rng.uniform(size=dim) < 0.5, box.lower, box.upper)[on_bound]
+    centre = lower + width * rng.uniform(-0.3, 1.3, dim)
+    scales = 10.0 ** rng.uniform(-1.5, 1.5, dim)
+    tilt = rng.normal(size=(dim, dim))
+    kind = ("bowl", "rosenbrock", "kink", "wall", "wavy")[case // 21 % 5]
+
+    def objective(points):
+        u = (points - centre) * scales
+        bowl = np.sum(u**2, axis=1) + 0.3 * np.sum((u @ tilt) ** 2, axis=1)
+        if kind == "rosenbrock":
+            v = 4.0 * (points - centre) + 1.0
+            head, tail = v[:, :-1], v[:, 1:]
+            return np.sum(1e6 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=1) + v[:, -1] ** 4
+        if kind == "kink":
+            return np.sum(np.abs(u), axis=1) + 0.1 * bowl
+        if kind == "wall":
+            beyond = (points[:, 0] - start[0]) * np.sign(centre[0] - start[0]) > 0.3 * width[0]
+            return np.where(beyond, np.inf, bowl)
+        if kind == "wavy":
+            return bowl + np.sum(np.cos(5.0 * u), axis=1)
+        return bowl
+
+    return objective, start, box, (where, kind)
+
+
+def test_refine_is_scipy_bit_for_bit_over_random_cases():
+    # the driver runs the same setulb loop as scipy.optimize.minimize, from
+    # the value and gradient the projected-gradient test already has, so every
+    # polish gives the same point and value to the bit
+    results = []
+    covered, moved = set(), 0
+    for case in range(FUZZ_CASES):
+        objective, start, box, labels = fuzz_case(case)
+        # a gradient probe pair beyond the wall differences inf and inf
+        with np.errstate(invalid="ignore"):
+            point, value = local_refine(objective, start, box)
+            want_point, want_value = refine_via_scipy(objective, start, box, results)
+        assert np.array_equal(point, want_point), case
+        assert np.array_equal(value, want_value), case
+        covered.add(labels)
+        moved += not np.array_equal(point, start)
+    assert len(covered) == 15  # every start with every objective
+    assert moved > FUZZ_CASES // 2
+    assert sum(r.nit == 100 for r in results) >= 10  # the iteration cap
+    assert any("ABNORMAL" in r.message for r in results)  # a failed line search
+
+
+POLISH_SOURCE = """
+import sys
+{prelude}
+import numpy as np
+from dynabo.optimizer import Box, local_refine
+box = Box([0.0, 0.0, 0.5], [1.0, 1.0, 0.5])
+def tilted_bowl(points):
+    x, y = points[:, 0], points[:, 1]
+    return (x - 1.5) ** 2 + 2.0 * (y - 1.3) ** 2 + 0.5 * x * y + points[:, 2]
+for start in ([1.0, 0.2, 0.5], [0.3, 0.4, 0.5]):
+    point, value = local_refine(tilted_bowl, np.array(start), box)
+    print(point.tobytes().hex(), np.float64(value).tobytes().hex())
+print("scipy.optimize" in sys.modules)
+from scipy.optimize import _lbfgsb_py
+print(_lbfgsb_py._lbfgsb is sys.modules["scipy.optimize._lbfgsb"])
+"""
+
+
+@pytest.mark.parametrize(
+    ("prelude", "fallback"),
+    [
+        ("", False),
+        # no extension file can be found: the polish imports the module
+        # through scipy.optimize
+        ("import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES = []", True),
+    ],
+    ids=["extension_module", "fallback"],
+)
+def test_polish_runs_the_routine_scipy_optimize_runs(prelude, fallback):
+    # either way the polish gives scipy's result to the bit, and a later
+    # import of scipy.optimize reuses the module the polish loaded
+    src = str(Path(optimizer.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = POLISH_SOURCE.format(prelude=prelude)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    box = Box([0.0, 0.0, 0.5], [1.0, 1.0, 0.5])
+    want = []
+    for start in ([1.0, 0.2, 0.5], [0.3, 0.4, 0.5]):
+        point, value = refine_via_scipy(tilted_bowl, np.array(start), box)
+        want.append(f"{point.tobytes().hex()} {np.float64(value).tobytes().hex()}")
+    assert out.stdout.splitlines() == want + [str(fallback), "True"]
 
 
 def quadratic_model():
