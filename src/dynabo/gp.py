@@ -3,17 +3,23 @@
 Targets are standardized internally (zero mean, unit standard deviation);
 predictions are mapped back to the original scale.  The marginal likelihood
 and its analytic gradient, plus a one-sided prior on each temporal
-length-scale, drive hyperparameter training by projected gradient ascent
-from the warm start and, when restarts are asked for, one screened random
-start: the best of eight one-probe random draws per restart beyond the warm
-one, drawn from the seed ``train`` takes as an argument.  The prior is a
+length-scale, drive hyperparameter training by L-BFGS-B (Byrd, Lu, Nocedal
+& Zhu, 1995) from the warm start and, when restarts are asked for, one
+screened random start: the best of eight one-probe random draws per restart
+beyond the warm one, drawn from the seed ``train`` takes as an argument.
+Each L-BFGS-B run is bounded by its start plus and minus 2 log units, within
+the bounds, and a start reruns from its best point while that point sits on
+an inner edge of its box: a first step of plain L-BFGS-B over the whole box
+can land in a flat corner that it never leaves, which the box keeps it from.
+The runs go through ``optimizer._lbfgsb``, the driver the acquisition polish
+uses, with scipy's default tolerances.  The prior is a
 soft ceiling: flat up to a tenth of the temporal width (the centre of the
 entry's bounds before tying, plus log 0.1), and a normal with sd 1 in log
 units above it.  It keeps short warmups, which span a small part of the
 horizon, from learning a temporal scale far longer than the horizon, and
 leaves shorter scales alone: a two-sided prior that pulled them up locked a
 fixed-interval run onto the box edge.  It enters only what training
-ascends, and the reported LML is the marginal likelihood alone.  When every
+maximizes, and the reported LML is the marginal likelihood alone.  When every
 length-scale is tied (time treated as one more input, as the time-blind
 ``standard_bo`` mode trains), there is no prior.
 
@@ -22,21 +28,19 @@ keeps the standardized targets, the raw pairwise space and time differences
 and the constant term, takes the log-hyperparameter vector directly, and
 reuses the Cholesky factor and the covariance's factors (the unit spatial
 and temporal parts, the spatial part times the signal variance) of the last
-vector it evaluated, so the gradient at an accepted line-search probe costs
-no second factorization and no second exponential.  It fills one
+vector it evaluated, so a gradient at that vector costs no second
+factorization and no second exponential.  It fills one
 ``(P, n, n)`` stack with the derivatives and reduces them all at once, each
 reduction bitwise the per-matrix one.  ``log_marginal_likelihood`` and
 ``lml_and_gradient`` are thin wrappers over the same objective, without
 the prior.
 
-Training probes, gradients and projections avoid numpy's per-call wrappers,
-which at n ~ 18 cost more than the factorization itself.  The vector's
-layout in the covariance shapes, the gram buffer and its diagonal view are
-made once per dataset; reductions call ``np.add.reduce`` and
-``np.maximum.reduce`` (bitwise what ``sum``, ``mean`` and ``max`` return);
-projection is ``ndarray.clip`` on contiguous bounds.  The factorization
-tries the plain matrix first and builds the jitter ladder only when that
-fails.  Every iterate is bitwise what the wrapped calls gave.
+Training probes and gradients avoid numpy's per-call wrappers, which at
+n ~ 18 cost more than the factorization itself.  The vector's layout in the
+covariance shapes, the gram buffer and its diagonal view are made once per
+dataset; reductions call ``np.add.reduce`` (bitwise what ``sum`` and
+``mean`` return).  The factorization tries the plain matrix first and
+builds the jitter ladder only when that fails.
 
 ``GpModel.fit`` keeps what every posterior predict on that fit shares: the
 target mean and std, the kernel's signal variance, the hyperparameters
@@ -60,8 +64,7 @@ layer).  The module is registered under its own name, so a later
 gp.dpotrf``: the same function objects, so the same bits.  Where the file is
 not found, as on an install laid out differently, the module is imported
 through ``scipy.linalg``.  The loader, ``_scipy_extension``, also serves the
-acquisition polish, which loads L-BFGS-B's ``scipy.optimize._lbfgsb`` the
-same way.
+L-BFGS-B driver, which loads ``scipy.optimize._lbfgsb`` the same way.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ from dynabo.kernels import (
     hp_to_vector,
     n_hyperparameters,
 )
+from dynabo.optimizer import _lbfgsb
 
 __all__ = [
     "Dataset",
@@ -148,11 +152,16 @@ dpotrf, dpotrs, dtrtrs = _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
 
 # standardization is skipped when the target spread is below this
 _STD_FLOOR = 1e-12
-# an ascent stops after three accepted steps in a row that each gain at most
-# this share of (1 + |objective|)
-_RELATIVE_TOL = 1e-7
+# training's L-BFGS-B runs: each is bounded by its start plus and minus this
+# many log units (within the bounds), and a start reruns from its best point
+# while that point sits on an inner edge of its box, at most this many times
+_TRUST_RADIUS = 2.0
+_TRUST_RERUNS = 20
+# L-BFGS-B's relative objective tolerance in training: scipy's default,
+# ``factr`` = 1e7 times the machine epsilon
+_TRAIN_FTOL = 2.2204460492503131e-09
 # an exploring fit probes this many random vectors per restart beyond the
-# warm one, and ascends from the best of them only
+# warm one, and runs L-BFGS-B from the best of them only
 _SCREENS_PER_RESTART = 8
 # the prior on each log temporal length-scale: flat up to this far above the
 # centre of the entry's untied bounds (a tenth of the temporal width under
@@ -353,7 +362,7 @@ class _MarginalLikelihood:
 
 
 class _TrainingObjective:
-    """What ``train`` ascends: the log marginal likelihood plus a one-sided
+    """What ``train`` maximizes: the log marginal likelihood plus a one-sided
     log-normal prior on each temporal length-scale.  The prior's log density
     is flat up to the ceiling, the centre of that entry's row in ``bounds``
     plus ``_PRIOR_OFFSET``, and falls as a normal with sd ``_PRIOR_SD`` in log
@@ -473,11 +482,12 @@ class TrainConfig:
     """Training knobs.
 
     ``restarts`` sizes an exploring fit: besides the warm start, it probes
-    ``8 * (restarts - 1)`` random vectors once each and ascends from the
-    best of them only; ``restarts = 1`` ascends from the warm start alone.
-    ``max_iters`` caps the iterations of each ascent.
+    ``8 * (restarts - 1)`` random vectors once each and runs L-BFGS-B from
+    the best of them only; ``restarts = 1`` runs from the warm start alone.
+    ``max_iters`` caps the L-BFGS-B iterations from each start, summed over
+    its trust-box runs; 0 keeps the better start as probed.
 
-    ``log_bounds`` is the box the ascent projects onto (by default
+    ``log_bounds`` is the box training stays in (by default
     ``default_log_bounds`` over the data's extent).  It also places the
     prior on each temporal length-scale: flat up to the centre of that
     entry's row plus log 0.1, a tenth of the temporal width under the
@@ -506,7 +516,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainResult:
     """The trained hyperparameters, their log marginal likelihood (without
-    the prior training adds) and the iterations of every ascent."""
+    the prior training adds) and the L-BFGS-B iterations of every run from
+    every start."""
 
     hp: Hyperparameters
     lml: float
@@ -566,14 +577,19 @@ def train(
     length-scale (none under ``tie_lengthscales="all"``), over the
     log-hyperparameters.
 
-    Projected gradient ascent with a backtracking line search on the
-    objective ``_TrainingObjective`` defines, run from the supplied warm
-    start and, when ``restarts > 1``, from one screened random start: the
-    fit draws ``_SCREENS_PER_RESTART * (restarts - 1)`` vectors
-    log-uniformly within the bounds, probes each once and ascends only from
-    the best (the first drawn among equals); ``seed`` seeds those draws.
-    Returns the better ascent, with its marginal likelihood alone as
-    ``lml``; raises ``TrainingError`` when no start gives a finite value.
+    L-BFGS-B on the negated objective ``_TrainingObjective`` defines, with
+    one variable per tie block (the block's gradients summed), run from the
+    supplied warm start and, when ``restarts > 1``, from one screened random
+    start: the fit draws ``_SCREENS_PER_RESTART * (restarts - 1)`` vectors
+    log-uniformly within the bounds, probes each once and runs only from the
+    best (the first drawn among equals); ``seed`` seeds those draws.  Each
+    run is bounded by its start plus and minus ``_TRUST_RADIUS`` within the
+    bounds; a start reruns from the best point it evaluated while that point
+    sits on an inner edge of its box (one that is not a bound), at most
+    ``_TRUST_RERUNS`` times, and its runs share ``max_iters`` iterations.  A
+    failed factorization reads as +inf.  Returns the best point evaluated,
+    with its marginal likelihood alone as ``lml``; raises ``TrainingError``
+    when no start gives a finite value.
     """
     d = dataset.spatial_dim
     if init.spatial_dim != d:
@@ -589,7 +605,7 @@ def train(
     if bounds.shape != (n_hp, 2):
         raise ValueError(f"bounds must have shape ({n_hp}, 2)")
     # the prior's ceiling comes from the temporal row before tying
-    ascended = _TrainingObjective(dataset, spec, bounds, config.tie_lengthscales == "all")
+    maximized = _TrainingObjective(dataset, spec, bounds, config.tie_lengthscales == "all")
     tie_blocks = _tie_blocks(spec, d, config.tie_lengthscales)
     for block in tie_blocks:
         # tied entries share one box so projection cannot split them again
@@ -608,60 +624,60 @@ def train(
 
     def objective(theta: np.ndarray) -> tuple[float, float]:
         try:
-            return ascended.value(theta)
+            return maximized.value(theta)
         except FactorizationError:
             return -np.inf, -np.inf
 
-    def ascend(theta: np.ndarray, value: float, lml: float):
-        """The ascent from a probed start: its end, value, LML and iterations."""
-        theta_prev = grad_prev = None
-        step = 0.1
-        small_gains = 0
-        iters = 0
-        for _ in range(config.max_iters):
-            iters += 1
+    # L-BFGS-B runs over one variable per tie block, the block's first entry:
+    # ``x[spread]`` is the full vector
+    kept = np.ones(n_hp, dtype=bool)
+    for block in tie_blocks:
+        kept[block.start + 1 : block.stop] = False
+    first, spread = np.flatnonzero(kept), np.cumsum(kept) - 1
+    low, high = lower[first], upper[first]
+    no_gradient = np.zeros(first.size)
+
+    def descend(theta: np.ndarray, value: float, lml: float):
+        """L-BFGS-B on the negated objective from a probed start, bounded by
+        the start plus and minus ``_TRUST_RADIUS`` within the bounds, and
+        rerun from the best point evaluated while that point sits on an inner
+        edge of its box: that point, its value and LML, and the iterations
+        summed over the runs."""
+        best = [value, lml, None, None]  # and the best point's x and gradient
+
+        def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
             try:
-                value, lml, grad = ascended.value_and_gradient(theta)
+                value, lml, grad = maximized.value_and_gradient(x[spread])
             except FactorizationError:
+                return math.inf, no_gradient
+            g = np.negative(np.bincount(spread, weights=grad))  # blocks summed
+            if not np.logical_and.reduce(np.isfinite(g)):
+                return math.inf, no_gradient
+            if best[3] is None or value > best[0]:
+                best[:] = value, lml, x, g
+            return -value, g
+
+        iters = 0
+        if config.max_iters:
+            fg(theta[first])
+        for _ in range(1 + _TRUST_RERUNS):
+            value, _, x, g = best
+            if g is None or iters == config.max_iters:
                 break
-            grad = tie(grad)
-            if not np.logical_and.reduce(np.isfinite(grad)):
+            box_low = np.maximum(low, x - _TRUST_RADIUS)
+            box_high = np.minimum(high, x + _TRUST_RADIUS)
+            remaining = config.max_iters - iters
+            iters += _lbfgsb(fg, x, -value, g, box_low, box_high, remaining, _TRAIN_FTOL)[2]
+            x = best[2]
+            on_inner_edge = ((x == box_low) & (box_low > low)) | ((x == box_high) & (box_high < high))
+            if not on_inner_edge.any():
                 break
-            if np.maximum.reduce(np.abs(project(theta + grad) - theta)) < 1e-8 * (1 + abs(value)):
-                break  # stationary within the box
-            if grad_prev is not None:
-                # secant-based step guess, then backtrack until it improves
-                ds = theta - theta_prev
-                dg = grad - grad_prev
-                denom = abs(float(ds @ dg))
-                if denom > 1e-300:
-                    step = float(min(max((ds @ ds) / denom, 1e-8), 1e2))
-            theta_prev, grad_prev = theta.copy(), grad.copy()
-            # never move a log-parameter more than 2 per iteration: early
-            # gradients can be enormous and a lucky giant leap still "improves"
-            step = min(step, 2.0 / (np.maximum.reduce(np.abs(grad)) + 1e-300))
-            gained = 0.0
-            while step > 1e-14:
-                candidate = project(theta + step * grad)
-                cand_value, cand_lml = objective(candidate)
-                if cand_value > value:
-                    gained = cand_value - value
-                    theta, value, lml = candidate, cand_value, cand_lml
-                    break
-                step *= 0.5
-            if gained == 0.0:
-                break
-            if gained <= _RELATIVE_TOL * (1.0 + abs(value)):
-                small_gains += 1
-                if small_gains >= 3:
-                    break
-            else:
-                small_gains = 0
-        return theta, value, lml, iters
+        value, lml, x, _ = best
+        return (theta if x is None else x[spread]), value, lml, iters
 
     def starts():
         """The warm start, then the best of the screened random draws, each
-        with its value and LML; drawn only once the warm ascent is done."""
+        with its value and LML; drawn only once the warm start's runs are done."""
         warm = project(hp_to_vector(init, spec))
         yield (warm, *objective(warm))
         if config.restarts > 1:
@@ -674,7 +690,7 @@ def train(
     for theta, value, lml in starts():
         if not math.isfinite(value):
             continue
-        theta, value, lml, iters = ascend(theta, value, lml)
+        theta, value, lml, iters = descend(theta, value, lml)
         total_iters += iters
         if value > best_value:
             best_theta, best_value, best_lml = theta.copy(), value, lml

@@ -33,10 +33,13 @@ scipy's ``setulb`` (Byrd, Lu, Nocedal & Zhu, 1995) that
 ``scipy.optimize.minimize(method="L-BFGS-B")`` runs, so every polish gives
 scipy's point and value bit for bit.  It starts from the value and gradient
 the test already has, and the candidate's value is the driver's last
-evaluation when it stops there, so no batch is scored twice for them.  The
+evaluation when it stops there, so no batch is scored twice for them.
+
+``_lbfgsb`` is the one L-BFGS-B driver of the package: hyperparameter
+training (``gp.train``) runs it too, with its own cap and tolerance.  The
 routine's extension module, ``scipy.optimize._lbfgsb``, is loaded by file at
-the first polish that needs it (``gp._scipy_extension``, which also loads
-LAPACK), without ``scipy.optimize``'s package import, which pulls in
+the driver's first run (``gp._scipy_extension``, which also loads LAPACK),
+without ``scipy.optimize``'s package import, which pulls in
 ``scipy.linalg``, ``scipy.sparse``, ``scipy.special`` and ``scipy.fft`` and
 took about 0.4 s of every fresh process.
 """
@@ -113,15 +116,18 @@ _SOCIAL = 1.49445
 _STALL_FTOL = 1e-9
 _STALL_ITERS = 15
 
-# the polish: L-BFGS-B's iteration cap, relative objective tolerance and
-# projected-gradient tolerance (scipy's default)
+# the polish: L-BFGS-B's iteration cap and relative objective tolerance
 _REFINE_MAX_ITERS = 100
 _REFINE_FTOL = 1e-8
-_REFINE_GTOL = 1e-5
-# L-BFGS-B's stored correction pairs and line-search steps per iteration
+# L-BFGS-B's projected-gradient tolerance, stored correction pairs and
+# line-search steps per iteration, for the polish and training alike
 # (scipy's defaults)
-_REFINE_MEMORY = 10
-_REFINE_MAX_LINE_SEARCH = 20
+_LBFGSB_GTOL = 1e-5
+_LBFGSB_MEMORY = 10
+_LBFGSB_MAX_LINE_SEARCH = 20
+# the evaluations after which L-BFGS-B stops at its next iterate (scipy's
+# ``maxfun`` default)
+_LBFGSB_MAX_EVALUATIONS = 15000
 
 
 @dataclass(frozen=True)
@@ -267,10 +273,7 @@ def _cannot_move(positions, velocities, best_pos, g_pos, box: Box) -> bool:
 
 
 def _batch_eval(objective, points: np.ndarray) -> np.ndarray:
-    values = np.asarray(objective(points), dtype=float).ravel()
-    if values.shape != (points.shape[0],):
-        raise ValueError("objective must return one score per point")
-    return np.where(np.isfinite(values), values, np.inf)
+    return _finite_or_inf(_raw_eval(objective, points))
 
 
 def local_refine(objective, start, box: Box):
@@ -283,8 +286,9 @@ def local_refine(objective, start, box: Box):
     L-BFGS-B's projected-gradient test; otherwise L-BFGS-B runs as
     ``scipy.optimize.minimize`` runs it, with ``maxiter=_REFINE_MAX_ITERS``,
     ``ftol=_REFINE_FTOL`` and a non-finite gradient entry read as 0, and
-    gives the same point and value.  The result never scores worse than the
-    start.
+    gives the same point and value.  A probe batch that is bit for bit its
+    point's batch is not scored again.  The result never scores worse than
+    the start.
     """
     start = np.asarray(start, dtype=float).ravel()
     if start.shape != (box.dim,):
@@ -292,30 +296,37 @@ def local_refine(objective, start, box: Box):
     if not box.contains(start[None, :]):
         raise ValueError("start must lie inside the box")
     free, reduced, embed = _freeze_degenerate(box)
-    start_value = float(_batch_eval(objective, start[None, :])[0])
+    start_batch = start[None, :]
+    start_raw = _raw_eval(objective, start_batch)
+    start_value = float(_finite_or_inf(start_raw)[0])
     if reduced is None:
         return start.copy(), start_value
 
     steps = 1e-6 * reduced.width
 
-    def grad(z: np.ndarray) -> np.ndarray:
+    def grad(z: np.ndarray, batch: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """Central differences at ``z``, whose one-row ``batch`` scored
+        ``raw``.  In a one-dimensional search a probe clipped back onto ``z``
+        at a bound is that batch bit for bit; it takes ``raw`` instead of
+        being scored again."""
         probes_hi = np.clip(z + np.diag(steps), reduced.lower, reduced.upper)
         probes_lo = np.clip(z - np.diag(steps), reduced.lower, reduced.upper)
-        hi = _raw_eval(objective, embed(probes_hi))
-        lo = _raw_eval(objective, embed(probes_lo))
+        hi, lo = (
+            raw if probes.tobytes() == batch.tobytes() else _raw_eval(objective, probes)
+            for probes in (embed(probes_hi), embed(probes_lo))
+        )
         span = np.diag(probes_hi - probes_lo).copy()
         span[span == 0] = 1.0
         return (hi - lo) / span
 
-    def fun(z: np.ndarray) -> float:
-        return float(_batch_eval(objective, embed(z[None, :]))[0])
-
-    def jac(z: np.ndarray) -> np.ndarray:
-        g = grad(z)
-        return np.where(np.isfinite(g), g, 0.0)
+    def fg(z: np.ndarray) -> tuple[float, np.ndarray]:
+        batch = embed(z[None, :])
+        raw = _raw_eval(objective, batch)
+        g = grad(z, batch, raw)
+        return float(_finite_or_inf(raw)[0]), np.where(np.isfinite(g), g, 0.0)
 
     z0 = start[free]
-    g0 = grad(z0)
+    g0 = grad(z0, start_batch, start_raw)
     if not np.all(np.isfinite(g0)):
         return start.copy(), start_value
     # L-BFGS-B's first stopping test, its projected gradient at the start
@@ -324,35 +335,42 @@ def local_refine(objective, start, box: Box):
     projected = np.where(
         g0 < 0, np.maximum(z0 - reduced.upper, g0), np.minimum(z0 - reduced.lower, g0)
     )
-    if np.max(np.abs(projected)) <= _REFINE_GTOL:
+    if np.max(np.abs(projected)) <= _LBFGSB_GTOL:
         return start.copy(), start_value
 
-    z, (last_z, last_value) = _lbfgsb(fun, jac, z0, start_value, g0, reduced)
+    z, (last_z, cand_value, _), _ = _lbfgsb(
+        fg, z0, start_value, g0, reduced.lower, reduced.upper, _REFINE_MAX_ITERS, _REFINE_FTOL
+    )
     z = np.clip(z, reduced.lower, reduced.upper)
     candidate = embed(z[None, :])[0]
     # the driver usually stops on the point it evaluated last
-    cand_value = last_value if z.tobytes() == last_z.tobytes() else fun(z)
+    if z.tobytes() != last_z.tobytes():
+        cand_value = float(_batch_eval(objective, candidate[None, :])[0])
     if cand_value <= start_value:
         return candidate, cand_value
     return start.copy(), start_value
 
 
-def _lbfgsb(fun, jac, x0, f0, g0, box: Box):
-    """L-BFGS-B over ``box`` from ``x0``, where ``fun`` and ``jac`` are
-    ``f0`` and ``g0``: the loop over scipy's ``setulb`` that
-    ``scipy.optimize.minimize`` runs, with scipy's defaults and the polish's
-    cap and tolerances.  As scipy does, it reuses the value and gradient of
-    the point evaluated last when ``setulb`` asks for that point again;
-    scipy's ``maxfun`` stop (15 000 evaluations) cannot fire within the cap.
-    Returns the final point, and the last evaluated point with its value.
+def _lbfgsb(fg, x0, f0, g0, lower, upper, max_iters: int, ftol: float):
+    """L-BFGS-B minimization of ``fg(x) -> (f, g)`` over the box ``lower``,
+    ``upper`` from ``x0``, where it gives ``f0`` and ``g0``: the loop over
+    scipy's ``setulb`` that ``scipy.optimize.minimize(method="L-BFGS-B")``
+    runs, with scipy's defaults except the iteration cap and ``ftol``, so it
+    gives scipy's iterates bit for bit.  One driver serves both callers: the
+    acquisition polish and hyperparameter training.  As scipy does, it
+    reuses the value and gradient of the point evaluated last when
+    ``setulb`` asks for that point again, and stops once more than
+    ``maxfun`` = 15 000 evaluations (counting ``x0``'s) were made.  Returns
+    the final point, the last evaluated point with its value and gradient,
+    and the iteration count.
     """
 
     from dynabo.gp import _scipy_extension
 
     setulb = _scipy_extension("optimize", "_lbfgsb").setulb
-    n, m = x0.size, _REFINE_MEMORY
-    factr = _REFINE_FTOL / np.finfo(float).eps
-    x = np.clip(x0, box.lower, box.upper)
+    n, m = x0.size, _LBFGSB_MEMORY
+    factr = ftol / np.finfo(float).eps
+    x = np.clip(x0, lower, upper)
     nbd = np.full(n, 2, dtype=np.int32)  # every variable has both bounds
     f, g = 0.0, np.zeros(n)
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
@@ -363,25 +381,35 @@ def _lbfgsb(fun, jac, x0, f0, g0, box: Box):
     isave = np.zeros(44, dtype=np.int32)
     dsave = np.zeros(29)
     last = (x.copy(), f0, g0)
-    iterations = 0
+    iterations, evaluations = 0, 1
     while True:
-        setulb(m, x, box.lower, box.upper, nbd, f, g, factr, _REFINE_GTOL, wa, iwa,
-               task, lsave, isave, dsave, _REFINE_MAX_LINE_SEARCH, ln_task)
+        setulb(m, x, lower, upper, nbd, f, g, factr, _LBFGSB_GTOL, wa, iwa,
+               task, lsave, isave, dsave, _LBFGSB_MAX_LINE_SEARCH, ln_task)
         if task[0] == 3:  # evaluate f and g at x
             if not np.array_equal(x, last[0]):
                 point = x.copy()
-                last = (point, fun(point), jac(point))
+                last = (point, *fg(point))
+                evaluations += 1
             f, g = last[1], last[2].copy()  # setulb may overwrite g
         elif task[0] == 1:  # a new iterate
             iterations += 1
-            if iterations >= _REFINE_MAX_ITERS:
+            if iterations >= max_iters:
                 task[0], task[1] = 5, 504  # stop: the iteration cap
+            elif evaluations > _LBFGSB_MAX_EVALUATIONS:
+                task[0], task[1] = 5, 502  # stop: scipy's maxfun
         else:
-            return x, last[:2]
+            return x, last, iterations
 
 
 def _raw_eval(objective, points: np.ndarray) -> np.ndarray:
-    return np.asarray(objective(points), dtype=float).ravel()
+    values = np.asarray(objective(points), dtype=float).ravel()
+    if values.shape != (points.shape[0],):
+        raise ValueError("objective must return one score per point")
+    return values
+
+
+def _finite_or_inf(values: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(values), values, np.inf)
 
 
 def optimize_acquisition(

@@ -712,6 +712,32 @@ def test_readme_config_fixed_interval_mode_keeps_tracking():
     assert max(regrets) < 0.05, regrets
 
 
+def test_readme_config_round_trains_within_3000_factorizations(monkeypatch):
+    # a deterministic cost guard for training: one round of the README
+    # config's fixed-interval modes at budget 17 (the benchmark's round) made
+    # 5 533 gram factorizations while training ascended by hand, and makes
+    # 2 338 with L-BFGS-B in trust boxes (51 of them are the posterior fits)
+    from dynabo import gp
+
+    factorizations = 0
+    factorize = gp.chol_with_jitter
+
+    def counted(matrix):
+        nonlocal factorizations
+        factorizations += 1
+        return factorize(matrix)
+
+    monkeypatch.setattr(gp, "chol_with_jitter", counted)
+    cfg = load_config({
+        "schema": 1, "problem": {"kind": "standard", "name": "branin_scaled", "seed": 0},
+        "modes": ["standard_bo", "abo_fixed", "tvb"], "budget": 17, "output_dir": "runs",
+    })
+    problem = cli.build_problem(cfg)
+    for mode in cfg.modes:
+        assert run(problem, cli.engine_config_for(cfg, problem, mode, 0)).n_scored == 17
+    assert factorizations <= 3000
+
+
 # ---- mpb-preview
 
 

@@ -416,17 +416,26 @@ def temporal_lengthscale_entries(spec, d):
 
 
 def reference_train(dataset, spec, init, config, seed):
-    """The screened, prior-weighted projected gradient ascent as ``train``
-    runs it, built on the reference functions: a fresh gram and factorization
-    at every probe and gradient.  The prior on each log temporal length-scale
-    is flat up to a ceiling, the centre of its row in the bounds before tying
-    plus log 0.1, and normal with sd 1 above it; with every length-scale tied
-    there is no prior.
+    """The screened, prior-weighted trust-box L-BFGS-B as ``train`` runs it,
+    over ``scipy.optimize.minimize`` and the reference functions: a fresh
+    gram and factorization at every probe and gradient.  The prior on each
+    log temporal length-scale is flat up to a ceiling, the centre of its row
+    in the bounds before tying plus log 0.1, and normal with sd 1 above it;
+    with every length-scale tied there is no prior.  Each tie block is one
+    variable, with the block's gradients summed.  From each probed start,
+    L-BFGS-B minimizes the negated objective over the start plus and minus 2
+    within the bounds, and reruns from the best point evaluated while that
+    point sits on an inner edge of its box, at most 20 times, with the
+    iterations summed under ``max_iters``.
 
     Returns the best vector, its marginal likelihood (no prior), the
     iteration count and the number of factorizations ``train`` makes: one per
     evaluation at a vector other than the last one evaluated, since the
-    objective keeps the factor of that one only."""
+    objective keeps the factor of that one only.  A rerun starts from a point
+    already evaluated, whose value and gradient ``train`` keeps, so scipy's
+    evaluation of its ``x0`` is answered from them."""
+    from scipy.optimize import minimize
+
     d = dataset.spatial_dim
     bounds = np.array(config.log_bounds, dtype=float)
     temporal = temporal_lengthscale_entries(spec, d)
@@ -437,6 +446,12 @@ def reference_train(dataset, spec, init, config, seed):
     for block in tie_blocks:
         bounds[block, 0] = bounds[block, 0].max()
         bounds[block, 1] = bounds[block, 1].min()
+    # the variables: one per tie block, one per untied entry, in vector order
+    groups = [list(range(b.start, b.stop)) for b in tie_blocks]
+    tied = {i for group in groups for i in group}
+    groups = sorted(groups + [[i] for i in range(len(bounds)) if i not in tied])
+    low = np.array([bounds[group[0], 0] for group in groups])
+    high = np.array([bounds[group[0], 1] for group in groups])
     last = None
     factorizations = 0
 
@@ -450,6 +465,12 @@ def reference_train(dataset, spec, init, config, seed):
         theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
         for block in tie_blocks:
             theta[block] = theta[block].mean()
+        return theta
+
+    def spread(x):
+        theta = np.empty(len(bounds))
+        for value, group in zip(x, groups):
+            theta[group] = value
         return theta
 
     def excess(theta):
@@ -469,52 +490,56 @@ def reference_train(dataset, spec, init, config, seed):
             return -np.inf, -np.inf
         return lml + log_prior(theta), lml
 
-    def gradient(theta):
-        factorized(theta)
-        lml, grad = reference_lml_and_gradient(dataset, spec, hp_from_vector(theta, spec, d))
-        grad[temporal] -= excess(theta)
-        for block in tie_blocks:
-            grad[block] = grad[block].mean()
-        return lml + log_prior(theta), lml, grad
+    def descend(theta, value, lml):
+        best = {"theta": theta, "value": value, "lml": lml, "x": None, "g": None}
+        answered = True  # whether scipy's evaluation of a rerun's x0 is answered
 
-    def ascend(theta, value, lml):
-        theta_prev = grad_prev = None
-        step = 0.1
-        small_gains = 0
+        def negated(x):
+            nonlocal answered, last
+            if not answered:
+                answered = True
+                assert x.tobytes() == best["x"].tobytes()
+                return -best["value"], best["g"]
+            theta = spread(x)
+            factorized(theta)
+            try:
+                lml, grad = reference_lml_and_gradient(
+                    dataset, spec, hp_from_vector(theta, spec, d)
+                )
+            except FactorizationError:
+                last = None
+                return np.inf, np.zeros(len(groups))
+            grad[temporal] -= excess(theta)
+            g = -np.array([grad[group].sum() for group in groups])
+            if not np.all(np.isfinite(g)):
+                return np.inf, np.zeros(len(groups))
+            value = lml + log_prior(theta)
+            if best["g"] is None or value > best["value"]:
+                best.update(theta=theta, value=value, lml=lml, x=x.copy(), g=g)
+            return -value, g
+
+        negated(theta[[group[0] for group in groups]])
         iters = 0
-        for _ in range(config.max_iters):
-            iters += 1
-            value, lml, grad = gradient(theta)
-            if not np.all(np.isfinite(grad)):
+        for _ in range(21):
+            if best["g"] is None or iters == config.max_iters:
                 break
-            if np.max(np.abs(project(theta + grad) - theta)) < 1e-8 * (1 + abs(value)):
+            x = best["x"]
+            box_low, box_high = np.maximum(low, x - 2.0), np.minimum(high, x + 2.0)
+            answered = False
+            result = minimize(
+                negated, x, jac=True, method="L-BFGS-B",
+                bounds=list(zip(box_low, box_high)),
+                options={"maxiter": config.max_iters - iters},
+            )
+            iters += result.nit
+            x = best["x"]
+            inner = [
+                (xi == lo and lo > bl) or (xi == hi and hi < bh)
+                for xi, lo, hi, bl, bh in zip(x, box_low, box_high, low, high)
+            ]
+            if not any(inner):
                 break
-            if grad_prev is not None:
-                ds = theta - theta_prev
-                dg = grad - grad_prev
-                denom = abs(float(ds @ dg))
-                if denom > 1e-300:
-                    step = float(np.clip((ds @ ds) / denom, 1e-8, 1e2))
-            theta_prev, grad_prev = theta.copy(), grad.copy()
-            step = min(step, 2.0 / (np.max(np.abs(grad)) + 1e-300))
-            gained = 0.0
-            while step > 1e-14:
-                candidate = project(theta + step * grad)
-                cand_value, cand_lml = objective(candidate)
-                if cand_value > value:
-                    gained = cand_value - value
-                    theta, value, lml = candidate, cand_value, cand_lml
-                    break
-                step *= 0.5
-            if gained == 0.0:
-                break
-            if gained <= gp._RELATIVE_TOL * (1.0 + abs(value)):
-                small_gains += 1
-                if small_gains >= 3:
-                    break
-            else:
-                small_gains = 0
-        return theta, value, lml, iters
+        return best["theta"], best["value"], best["lml"], iters
 
     best_theta, best_value, best_lml, total_iters = None, -np.inf, -np.inf, 0
 
@@ -522,7 +547,7 @@ def reference_train(dataset, spec, init, config, seed):
         nonlocal best_theta, best_value, best_lml, total_iters
         if not np.isfinite(value):
             return
-        theta, value, lml, iters = ascend(theta, value, lml)
+        theta, value, lml, iters = descend(theta, value, lml)
         total_iters += iters
         if value > best_value:
             best_theta, best_value, best_lml = theta.copy(), value, lml
@@ -530,7 +555,7 @@ def reference_train(dataset, spec, init, config, seed):
     warm = project(hp_to_vector(init, spec))
     run_from(warm, *objective(warm))
     if config.restarts > 1:
-        # eight one-probe draws per extra restart; ascend from the best only
+        # eight one-probe draws per extra restart; descend from the best only
         rng = np.random.default_rng(seed)
         screened = []
         for _ in range(8 * (config.restarts - 1)):
@@ -595,6 +620,77 @@ def test_train_matches_unfused_reference_loop(tie, spec, monkeypatch):
     assert result.lml == lml == log_marginal_likelihood(dataset, spec, result.hp)
 
 
+def recording_runs(monkeypatch):
+    """Patch ``gp._lbfgsb`` to record each L-BFGS-B run ``train`` makes: its
+    start, box, iteration cap and count, and every point it evaluates."""
+    runs = []
+    driver = gp._lbfgsb
+
+    def recorded(fg, x0, f0, g0, lower, upper, max_iters, ftol):
+        points = []
+
+        def tracked(x):
+            points.append(x.copy())
+            return fg(x)
+
+        out = driver(tracked, x0, f0, g0, lower, upper, max_iters, ftol)
+        runs.append({"x0": x0.copy(), "lower": lower.copy(), "upper": upper.copy(),
+                     "cap": max_iters, "iterations": out[2], "points": points})
+        return out
+
+    monkeypatch.setattr(gp, "_lbfgsb", recorded)
+    return runs
+
+
+def far_start_case():
+    """Nearly noiseless data on a short spatial scale, far (in log units)
+    from the default warm start."""
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0, 1, size=(30, 2))
+    spec = KernelSpec(KernelForm.SE, KernelForm.SE)
+    bounds = default_log_bounds(spec, [1.0], 1.0)
+    return Dataset(pts, np.sin(25 * pts[:, 0]) + pts[:, 1]), spec, bounds
+
+
+@pytest.mark.parametrize("max_iters", [200, 30])
+def test_train_runs_stay_within_two_log_units_of_their_start(max_iters, monkeypatch):
+    dataset, spec, bounds = far_start_case()
+    runs = recording_runs(monkeypatch)
+    result = train(
+        dataset, spec, Hyperparameters.default(1, spec),
+        TrainConfig(restarts=1, max_iters=max_iters, log_bounds=bounds),
+    )
+    # one start; far from its optimum, it reruns from an inner edge
+    assert 1 < len(runs) <= 21
+    for run, after in zip(runs, runs[1:] + [None]):
+        x0 = run["x0"]
+        assert np.array_equal(run["lower"], np.maximum(bounds[:, 0], x0 - 2.0))
+        assert np.array_equal(run["upper"], np.minimum(bounds[:, 1], x0 + 2.0))
+        for x in run["points"]:
+            assert np.all((run["lower"] <= x) & (x <= run["upper"]))
+        if after is not None:
+            inner = ((after["x0"] == run["lower"]) & (run["lower"] > bounds[:, 0])) | (
+                (after["x0"] == run["upper"]) & (run["upper"] < bounds[:, 1])
+            )
+            assert inner.any()
+    # the runs share the start's iteration cap
+    assert [run["cap"] for run in runs] == [
+        max_iters - sum(r["iterations"] for r in runs[:i]) for i in range(len(runs))
+    ]
+    assert result.iterations == sum(run["iterations"] for run in runs) <= max_iters
+
+
+def test_train_start_makes_at_most_21_runs(monkeypatch):
+    # a box of 0.05 log units leaves the optimum many edges away: the start
+    # stops after its 21st run
+    dataset, spec, bounds = far_start_case()
+    runs = recording_runs(monkeypatch)
+    monkeypatch.setattr(gp, "_TRUST_RADIUS", 0.05)
+    train(dataset, spec, Hyperparameters.default(1, spec),
+          TrainConfig(restarts=1, log_bounds=bounds))
+    assert len(runs) == 21
+
+
 @pytest.mark.parametrize("restarts", [1, 2, 4])
 def test_train_probes_each_screened_candidate_once(restarts, monkeypatch):
     rng = np.random.default_rng(9)
@@ -629,7 +725,7 @@ def test_train_probes_each_screened_candidate_once(restarts, monkeypatch):
     [(spec, False) for spec in FORMS] + [(KernelSpec(KernelForm.SE, KernelForm.SE), True)],
 )
 def test_training_objective_gradient_matches_central_differences(spec, tied):
-    # what ``train`` ascends: the LML plus, on each log temporal length-scale,
+    # what ``train`` maximizes: the LML plus, on each log temporal length-scale,
     # a prior flat up to log(0.1 * temporal width) and normal with sd 1 above
     # it; none when the temporal length-scale is tied to the spatial ones
     rng = np.random.default_rng(17)

@@ -530,6 +530,102 @@ def test_refine_is_scipy_bit_for_bit_over_random_cases():
     assert any("ABNORMAL" in r.message for r in results)  # a failed line search
 
 
+@pytest.mark.parametrize(
+    ("centre", "start"),
+    [(2.0, 0.4), (2.0, 1.0), (-1.0, 0.6), (-1.0, 0.0)],
+    ids=["to_upper", "on_upper", "to_lower", "on_lower"],
+)
+def test_one_dimensional_polish_at_a_bound_scores_each_batch_once(centre, start):
+    # at a bound, the gradient probe clipped back onto the point is the
+    # point's own one-row batch: the polish takes the point's score for it
+    # instead of scoring that batch again, and still gives scipy's result
+    box = Box([0.0, 0.5], [1.0, 0.5])  # one free dimension, time pinned
+    calls = []
+
+    def parabola(points):
+        calls.append(points.copy())
+        return (points[:, 0] - centre) ** 2 + points[:, 1]
+
+    point, value = local_refine(parabola, np.array([start, 0.5]), box)
+    assert point[0] == np.clip(centre, 0.0, 1.0)
+    assert pairwise_distinct(calls)
+    want_point, want_value = refine_via_scipy(parabola, np.array([start, 0.5]), box)
+    assert np.array_equal(point, want_point)
+    assert np.array_equal(value, want_value)
+
+
+TRAINING_FUZZ_CASES = 300
+
+
+def training_fuzz_case(case):
+    """A box of 1 to 6 variables, a start inside it, an iteration cap from 0
+    to 200 (log-uniform), and an objective with its gradient: a tilted,
+    badly scaled bowl plus a wave; in a third of the cases +inf (with a zero
+    gradient) beyond a wall between the start and the bowl's centre, as a
+    failed factorization reads in training, and in another third with a
+    kink at the centre."""
+    rng = np.random.default_rng(case)
+    dim = 1 + case % 6
+    lower = rng.uniform(-6.0, 2.0, dim)
+    upper = lower + rng.uniform(0.5, 4.0, dim)
+    start = lower + (upper - lower) * rng.uniform(size=dim)
+    centre = lower + (upper - lower) * rng.uniform(-0.5, 1.5, dim)
+    scales = 10.0 ** rng.uniform(-1.0, 1.0, dim)
+    tilt = rng.normal(size=(dim, dim))
+    metric = np.diag(scales**2) + 0.3 * (scales[:, None] * tilt) @ (scales[:, None] * tilt).T
+    wave = rng.uniform(0.0, 2.0)
+    kind = ("wall", "kink", "smooth")[case // 6 % 3]
+    cap = int(np.expm1(rng.uniform(0.0, math.log(201.0))))  # log-uniform
+
+    def fg(x):
+        beyond = (x[0] - start[0]) * np.sign(centre[0] - start[0]) > 0.3 * (upper[0] - lower[0])
+        if kind == "wall" and beyond:
+            return math.inf, np.zeros(dim)
+        u = x - centre
+        f = float(u @ metric @ u + wave * np.sum(np.cos(3.0 * u)))
+        g = 2.0 * metric @ u - 3.0 * wave * np.sin(3.0 * u)
+        if kind == "kink":
+            f += float(np.sum(10.0 * scales * np.abs(u)))
+            g += 10.0 * scales * np.sign(u)
+        return f, g
+
+    return fg, start, lower, upper, cap
+
+
+def test_driver_at_training_settings_is_scipy_bit_for_bit():
+    # training runs the polish's driver with scipy's default tolerance: every
+    # run gives scipy's point, last value, iteration and evaluation counts
+    from scipy.optimize import minimize
+
+    from dynabo import gp
+
+    capped = abnormal = walled = 0
+    for case in range(TRAINING_FUZZ_CASES):
+        fg, start, lower, upper, cap = training_fuzz_case(case)
+        evaluations = []
+
+        def counted(x):
+            evaluations.append(x)
+            return fg(x)
+
+        f0, g0 = fg(start)
+        x, (_, last_f, _), iterations = optimizer._lbfgsb(
+            counted, start, f0, g0, lower, upper, cap, gp._TRAIN_FTOL
+        )
+        want = minimize(fg, start, jac=True, method="L-BFGS-B",
+                        bounds=list(zip(lower, upper)), options={"maxiter": cap})
+        assert np.array_equal(x, want.x), case
+        assert last_f == want.fun, case
+        assert iterations == want.nit, case
+        assert 1 + len(evaluations) == want.nfev, case
+        capped += want.nit == max(cap, 1)
+        abnormal += "ABNORMAL" in want.message
+        walled += any(math.isinf(fg(x)[0]) for x in evaluations)
+    assert capped >= 10  # the iteration cap
+    assert abnormal >= 1  # a failed line search
+    assert walled >= 10  # a line search that reached the wall
+
+
 POLISH_SOURCE = """
 import sys
 {prelude}
