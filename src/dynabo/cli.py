@@ -8,7 +8,8 @@ Verbs:
     mpb-preview <scenario>  print the moving-peaks change schedule
 
 All outputs are plain CSV/JSON with repr-formatted floats, so identical
-configs produce bitwise-identical files.
+configs produce bitwise-identical files at one BLAS thread count; threaded
+BLAS rounds differently once a run holds 128 or more samples.
 """
 
 from __future__ import annotations

@@ -439,7 +439,7 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
             t_lo = t_hi = t_c + config.fixed_interval
         if t_lo > t_end:
             break  # nothing left of the horizon to sample
-        t_hi = max(t_lo, min(t_hi, t_end))
+        t_hi = min(t_hi, t_end)
         box = Box(
             np.append(problem.spatial_bounds.lower, t_lo),
             np.append(problem.spatial_bounds.upper, t_hi),

@@ -11,7 +11,7 @@ Each L-BFGS-B run is bounded by its start plus and minus 2 log units, within
 the bounds, and a start reruns from its best point while that point sits on
 an inner edge of its box: a first step of plain L-BFGS-B over the whole box
 can land in a flat corner that it never leaves, which the box keeps it from.
-The runs go through ``optimizer._lbfgsb``, the driver the acquisition polish
+The runs go through ``_routines._lbfgsb``, the driver the acquisition polish
 uses, with scipy's default tolerances.  The prior is a
 soft ceiling: flat up to a tenth of the temporal width (the centre of the
 entry's bounds before tying, plus log 0.1), and a normal with sd 1 in log
@@ -50,35 +50,18 @@ subtracts the query batch from those arrays and builds the cross-covariance
 with the kernels' ``_cov``, bitwise what ``cross_gram`` gives.  When every
 query in the batch has the same time, as in every step of a fixed-interval
 mode, the temporal factor is one ``(n, 1)`` column broadcast over the batch;
-elementwise arithmetic gives the same bits whatever the array's shape.  The
-solve goes through LAPACK ``dtrtrs`` directly, the routine
-``scipy.linalg.solve_triangular`` runs.
-
-The three LAPACK routines, ``dpotrf``, ``dpotrs`` and ``dtrtrs``, come from
-scipy's own extension module ``scipy.linalg._flapack``, loaded by file from
-the installed scipy without running ``scipy.linalg``'s package import, which
-takes more than half of a fresh ``import dynabo.cli`` (it pulls in
-``numpy.testing``, ``numpy.f2py`` and ``numpy.ma`` through scipy's array-API
-layer).  The module is registered under its own name, so a later
-``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dpotrf is
-gp.dpotrf``: the same function objects, so the same bits.  Where the file is
-not found, as on an install laid out differently, the module is imported
-through ``scipy.linalg``.  The loader, ``_scipy_extension``, also serves the
-L-BFGS-B driver, which loads ``scipy.optimize._lbfgsb`` the same way.
+elementwise arithmetic gives the same bits whatever the array's shape.
+Every factorization and solve calls LAPACK directly, through ``_routines``.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # cheap; on Windows wheels it makes the bundled OpenBLAS findable
 
+from dynabo._routines import _cho_solve, _dpotrf, _lbfgsb, _tri_solve
 from dynabo.kernels import (
     Hyperparameters,
     KernelForm,
@@ -98,7 +81,6 @@ from dynabo.kernels import (
     hp_to_vector,
     n_hyperparameters,
 )
-from dynabo.optimizer import _lbfgsb
 
 __all__ = [
     "Dataset",
@@ -115,41 +97,6 @@ __all__ = [
 ]
 
 
-def _scipy_extension(subpackage: str, name: str):
-    """scipy's extension module ``scipy.<subpackage>.<name>``, loaded by file
-    without running ``scipy.<subpackage>``'s package import.
-
-    The module is registered in ``sys.modules`` under its own name (one
-    already there is reused), so a later ``import scipy.<subpackage>`` and
-    its ``from . import <name>`` find this module object instead of loading
-    the extension a second time.  One thing differs: the package imported
-    later has no ``<name>`` attribute (``scipy.linalg._flapack`` or
-    ``scipy.optimize._lbfgsb`` as an attribute raises ``AttributeError``),
-    because the import system sets a submodule as a package attribute only
-    when it loads the submodule itself.  scipy reaches both modules only by
-    the ``from ... import`` form.  Where the file is not where scipy's wheels
-    put it, the module is imported through its package.
-    """
-    qualified = f"scipy.{subpackage}.{name}"
-    if qualified in sys.modules:
-        return sys.modules[qualified]
-    for base in scipy.__path__:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(base, subpackage, name + suffix)
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(qualified, path)
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_file_location(qualified, path, loader=loader)
-                )
-                sys.modules[qualified] = module
-                loader.exec_module(module)
-                return module
-    return importlib.import_module(qualified)
-
-
-_lapack = _scipy_extension("linalg", "_flapack")
-dpotrf, dpotrs, dtrtrs = _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
-
 # standardization is skipped when the target spread is below this
 _STD_FLOOR = 1e-12
 # training's L-BFGS-B runs: each is bounded by its start plus and minus this
@@ -157,9 +104,6 @@ _STD_FLOOR = 1e-12
 # while that point sits on an inner edge of its box, at most this many times
 _TRUST_RADIUS = 2.0
 _TRUST_RERUNS = 20
-# L-BFGS-B's relative objective tolerance in training: scipy's default,
-# ``factr`` = 1e7 times the machine epsilon
-_TRAIN_FTOL = 2.2204460492503131e-09
 # an exploring fit probes this many random vectors per restart beyond the
 # warm one, and runs L-BFGS-B from the best of them only
 _SCREENS_PER_RESTART = 8
@@ -262,34 +206,6 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     raise FactorizationError(
         f"factorization failed up to jitter {jitters[-1]:.3e}"
     )
-
-
-def _dpotrf(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    """Lower factor and LAPACK ``info``; an illegal argument raises."""
-    el, info = dpotrf(matrix, lower=1, clean=1)
-    if info < 0:
-        raise ValueError(f"dpotrf rejected argument {-info}")
-    return el, info
-
-
-def _cho_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.cho_solve((el, True), b)`` through LAPACK ``dpotrs``
-    directly; ``el`` comes from ``chol_with_jitter``, so it is finite."""
-    x, info = dpotrs(el, b, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs rejected argument {-info}")
-    return x
-
-
-def _tri_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(el, b, lower=True)`` through LAPACK
-    ``dtrtrs`` directly.  ``el`` comes from ``chol_with_jitter``: it is finite
-    and Fortran-ordered, the layout for which ``solve_triangular`` makes this
-    same call."""
-    x, info = dtrtrs(el, b, lower=1)
-    if info != 0:
-        raise ValueError(f"dtrtrs failed with info {info}")
-    return x
 
 
 class _MarginalLikelihood:
@@ -667,7 +583,7 @@ def train(
             box_low = np.maximum(low, x - _TRUST_RADIUS)
             box_high = np.minimum(high, x + _TRUST_RADIUS)
             remaining = config.max_iters - iters
-            iters += _lbfgsb(fg, x, -value, g, box_low, box_high, remaining, _TRAIN_FTOL)[2]
+            iters += _lbfgsb(fg, x, -value, g, box_low, box_high, remaining)[2]
             x = best[2]
             on_inner_edge = ((x == box_low) & (box_low > low)) | ((x == box_high) & (box_high < high))
             if not on_inner_edge.any():

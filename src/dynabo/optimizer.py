@@ -24,24 +24,13 @@ they return ``(M,)`` scores.  Evaluations within one swarm iteration are
 independent and may therefore run concurrently (here: vectorized), with the
 reduction order fixed by particle index so results are reproducible.
 
-Most polishes start where L-BFGS-B would stop at once: the swarm's best
-point sits at a stationary point or against the box with an outward
-gradient.  ``local_refine`` runs L-BFGS-B's first stopping test itself and
-returns the start when the test holds, which is what L-BFGS-B returns there.
-Past that test, ``_lbfgsb`` runs the reverse-communication loop over
-scipy's ``setulb`` (Byrd, Lu, Nocedal & Zhu, 1995) that
+The polish runs ``_routines._lbfgsb``, the package's one L-BFGS-B driver,
+which hyperparameter training (``gp.train``) runs too with its own cap and
+tolerance: the loop over scipy's ``setulb`` that
 ``scipy.optimize.minimize(method="L-BFGS-B")`` runs, so every polish gives
 scipy's point and value bit for bit.  It starts from the value and gradient
-the test already has, and the candidate's value is the driver's last
+the polish already has, and the candidate's value is the driver's last
 evaluation when it stops there, so no batch is scored twice for them.
-
-``_lbfgsb`` is the one L-BFGS-B driver of the package: hyperparameter
-training (``gp.train``) runs it too, with its own cap and tolerance.  The
-routine's extension module, ``scipy.optimize._lbfgsb``, is loaded by file at
-the driver's first run (``gp._scipy_extension``, which also loads LAPACK),
-without ``scipy.optimize``'s package import, which pulls in
-``scipy.linalg``, ``scipy.sparse``, ``scipy.special`` and ``scipy.fft`` and
-took about 0.4 s of every fresh process.
 """
 
 from __future__ import annotations
@@ -50,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dynabo._routines import _lbfgsb
 from dynabo.acquisition import AcquisitionSpec, evaluate_on_model
 
 __all__ = [
@@ -119,15 +109,6 @@ _STALL_ITERS = 15
 # the polish: L-BFGS-B's iteration cap and relative objective tolerance
 _REFINE_MAX_ITERS = 100
 _REFINE_FTOL = 1e-8
-# L-BFGS-B's projected-gradient tolerance, stored correction pairs and
-# line-search steps per iteration, for the polish and training alike
-# (scipy's defaults)
-_LBFGSB_GTOL = 1e-5
-_LBFGSB_MEMORY = 10
-_LBFGSB_MAX_LINE_SEARCH = 20
-# the evaluations after which L-BFGS-B stops at its next iterate (scipy's
-# ``maxfun`` default)
-_LBFGSB_MAX_EVALUATIONS = 15000
 
 
 @dataclass(frozen=True)
@@ -282,8 +263,7 @@ def local_refine(objective, start, box: Box):
     Gradients are central differences with step ``1e-6`` of each dimension
     width; probe points are clipped to the box, so the difference quotient
     degrades to one-sided at a boundary.  A non-finite gradient at the start
-    returns the start unchanged, as does a start that already passes
-    L-BFGS-B's projected-gradient test; otherwise L-BFGS-B runs as
+    returns the start unchanged; otherwise L-BFGS-B runs as
     ``scipy.optimize.minimize`` runs it, with ``maxiter=_REFINE_MAX_ITERS``,
     ``ftol=_REFINE_FTOL`` and a non-finite gradient entry read as 0, and
     gives the same point and value.  A probe batch that is bit for bit its
@@ -329,15 +309,6 @@ def local_refine(objective, start, box: Box):
     g0 = grad(z0, start_batch, start_raw)
     if not np.all(np.isfinite(g0)):
         return start.copy(), start_value
-    # L-BFGS-B's first stopping test, its projected gradient at the start
-    # (``projgr``): when it holds, L-BFGS-B stops at the start after 0
-    # iterations, without loading its routine
-    projected = np.where(
-        g0 < 0, np.maximum(z0 - reduced.upper, g0), np.minimum(z0 - reduced.lower, g0)
-    )
-    if np.max(np.abs(projected)) <= _LBFGSB_GTOL:
-        return start.copy(), start_value
-
     z, (last_z, cand_value, _), _ = _lbfgsb(
         fg, z0, start_value, g0, reduced.lower, reduced.upper, _REFINE_MAX_ITERS, _REFINE_FTOL
     )
@@ -349,56 +320,6 @@ def local_refine(objective, start, box: Box):
     if cand_value <= start_value:
         return candidate, cand_value
     return start.copy(), start_value
-
-
-def _lbfgsb(fg, x0, f0, g0, lower, upper, max_iters: int, ftol: float):
-    """L-BFGS-B minimization of ``fg(x) -> (f, g)`` over the box ``lower``,
-    ``upper`` from ``x0``, where it gives ``f0`` and ``g0``: the loop over
-    scipy's ``setulb`` that ``scipy.optimize.minimize(method="L-BFGS-B")``
-    runs, with scipy's defaults except the iteration cap and ``ftol``, so it
-    gives scipy's iterates bit for bit.  One driver serves both callers: the
-    acquisition polish and hyperparameter training.  As scipy does, it
-    reuses the value and gradient of the point evaluated last when
-    ``setulb`` asks for that point again, and stops once more than
-    ``maxfun`` = 15 000 evaluations (counting ``x0``'s) were made.  Returns
-    the final point, the last evaluated point with its value and gradient,
-    and the iteration count.
-    """
-
-    from dynabo.gp import _scipy_extension
-
-    setulb = _scipy_extension("optimize", "_lbfgsb").setulb
-    n, m = x0.size, _LBFGSB_MEMORY
-    factr = ftol / np.finfo(float).eps
-    x = np.clip(x0, lower, upper)
-    nbd = np.full(n, 2, dtype=np.int32)  # every variable has both bounds
-    f, g = 0.0, np.zeros(n)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, dtype=np.int32)
-    task = np.zeros(2, dtype=np.int32)
-    ln_task = np.zeros(2, dtype=np.int32)
-    lsave = np.zeros(4, dtype=np.int32)
-    isave = np.zeros(44, dtype=np.int32)
-    dsave = np.zeros(29)
-    last = (x.copy(), f0, g0)
-    iterations, evaluations = 0, 1
-    while True:
-        setulb(m, x, lower, upper, nbd, f, g, factr, _LBFGSB_GTOL, wa, iwa,
-               task, lsave, isave, dsave, _LBFGSB_MAX_LINE_SEARCH, ln_task)
-        if task[0] == 3:  # evaluate f and g at x
-            if not np.array_equal(x, last[0]):
-                point = x.copy()
-                last = (point, *fg(point))
-                evaluations += 1
-            f, g = last[1], last[2].copy()  # setulb may overwrite g
-        elif task[0] == 1:  # a new iterate
-            iterations += 1
-            if iterations >= max_iters:
-                task[0], task[1] = 5, 504  # stop: the iteration cap
-            elif evaluations > _LBFGSB_MAX_EVALUATIONS:
-                task[0], task[1] = 5, 502  # stop: scipy's maxfun
-        else:
-            return x, last, iterations
 
 
 def _raw_eval(objective, points: np.ndarray) -> np.ndarray:

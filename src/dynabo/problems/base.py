@@ -39,6 +39,3 @@ class Problem:
     @property
     def spatial_dim(self) -> int:
         return self.spatial_bounds.dim
-
-    def __call__(self, x, t: float) -> float:
-        return self.evaluate(x, t)

@@ -626,14 +626,14 @@ def recording_runs(monkeypatch):
     runs = []
     driver = gp._lbfgsb
 
-    def recorded(fg, x0, f0, g0, lower, upper, max_iters, ftol):
+    def recorded(fg, x0, f0, g0, lower, upper, max_iters):
         points = []
 
         def tracked(x):
             points.append(x.copy())
             return fg(x)
 
-        out = driver(tracked, x0, f0, g0, lower, upper, max_iters, ftol)
+        out = driver(tracked, x0, f0, g0, lower, upper, max_iters)
         runs.append({"x0": x0.copy(), "lower": lower.copy(), "upper": upper.copy(),
                      "cap": max_iters, "iterations": out[2], "points": points})
         return out
@@ -763,12 +763,12 @@ def test_training_objective_gradient_matches_central_differences(spec, tied):
 LAPACK_SOURCE = """
 import sys
 {prelude}
-from dynabo import gp
+from dynabo import _routines
 print("scipy.linalg" in sys.modules)
 import scipy.linalg.lapack, scipy.optimize, scipy.stats
 lapack = scipy.linalg.lapack
-print(gp.dpotrf is lapack.dpotrf, gp.dpotrs is lapack.dpotrs, gp.dtrtrs is lapack.dtrtrs,
-      gp._lapack in (None, lapack._flapack))
+print(_routines.dpotrf is lapack.dpotrf, _routines.dpotrs is lapack.dpotrs,
+      _routines.dtrtrs is lapack.dtrtrs, _routines._lapack is lapack._flapack)
 """
 
 
@@ -776,7 +776,7 @@ print(gp.dpotrf is lapack.dpotrf, gp.dpotrs is lapack.dpotrs, gp.dtrtrs is lapac
     ("prelude", "fallback"),
     [
         ("", False),
-        # no extension file can be found: gp imports the routines from the package
+        # no extension file can be found: the routines come through the package
         ("import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES = []", True),
     ],
     ids=["extension_module", "fallback"],
@@ -784,7 +784,7 @@ print(gp.dpotrf is lapack.dpotrf, gp.dpotrs is lapack.dpotrs, gp.dtrtrs is lapac
 def test_gp_runs_the_routines_scipy_linalg_runs(prelude, fallback):
     # the same function objects, so every factorization and solve is bitwise
     # what scipy.linalg gives; a later import of scipy.linalg reuses the
-    # module gp loaded instead of loading the extension a second time
+    # module dynabo loaded instead of loading the extension a second time
     src = str(Path(gp.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -792,3 +792,34 @@ def test_gp_runs_the_routines_scipy_linalg_runs(prelude, fallback):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == [str(fallback)] + ["True"] * 4
+
+
+IMPORTS_SOURCE = """
+import importlib, importlib.util, sys, types
+# the package's __init__ imports every module: a bare package stands in for
+# it, so only the module's own imports run
+package = types.ModuleType("dynabo")
+package.__path__ = importlib.util.find_spec("dynabo").submodule_search_locations
+sys.modules["dynabo"] = package
+importlib.import_module(sys.argv[1])
+print(*sorted(m for m in sys.modules if m.startswith("dynabo.")))
+"""
+
+
+def imported_with(module: str) -> set[str]:
+    """The dynabo modules a fresh process holds after importing ``module``."""
+    src = str(Path(gp.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", IMPORTS_SOURCE, module], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_gp_imports_no_search_layer_and_routines_no_dynabo_module():
+    # the model layer sits below the search layer: gp and the search share
+    # scipy's routines through _routines, which sits below both
+    loaded = imported_with("dynabo.gp")
+    assert "dynabo.gp" in loaded
+    assert not loaded & {"dynabo.optimizer", "dynabo.acquisition"}
+    assert imported_with("dynabo._routines") == {"dynabo._routines"}

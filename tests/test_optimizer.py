@@ -389,9 +389,9 @@ def test_refine_rejects_out_of_box_start():
 
 
 def refine_via_scipy(objective, start, box, results=None):
-    """``local_refine`` as written before its first stopping test: L-BFGS-B
-    is called from every start whose gradient is finite, through
-    ``scipy.optimize.minimize``; ``results`` collects scipy's result."""
+    """``local_refine`` written over ``scipy.optimize.minimize``: L-BFGS-B
+    is called from every start whose gradient is finite; ``results``
+    collects scipy's result."""
     from scipy.optimize import minimize
 
     start = np.asarray(start, dtype=float).ravel()
@@ -510,8 +510,8 @@ def fuzz_case(case):
 
 def test_refine_is_scipy_bit_for_bit_over_random_cases():
     # the driver runs the same setulb loop as scipy.optimize.minimize, from
-    # the value and gradient the projected-gradient test already has, so every
-    # polish gives the same point and value to the bit
+    # the start's value and gradient the polish already has, so every polish
+    # gives the same point and value to the bit
     results = []
     covered, moved = set(), 0
     for case in range(FUZZ_CASES):
@@ -597,7 +597,7 @@ def test_driver_at_training_settings_is_scipy_bit_for_bit():
     # run gives scipy's point, last value, iteration and evaluation counts
     from scipy.optimize import minimize
 
-    from dynabo import gp
+    from dynabo import _routines
 
     capped = abnormal = walled = 0
     for case in range(TRAINING_FUZZ_CASES):
@@ -609,8 +609,8 @@ def test_driver_at_training_settings_is_scipy_bit_for_bit():
             return fg(x)
 
         f0, g0 = fg(start)
-        x, (_, last_f, _), iterations = optimizer._lbfgsb(
-            counted, start, f0, g0, lower, upper, cap, gp._TRAIN_FTOL
+        x, (_, last_f, _), iterations = _routines._lbfgsb(
+            counted, start, f0, g0, lower, upper, cap
         )
         want = minimize(fg, start, jac=True, method="L-BFGS-B",
                         bounds=list(zip(lower, upper)), options={"maxiter": cap})
