@@ -46,9 +46,7 @@ from dynabo.problems import (
     make_mpb_scenario,
     make_sensor_problem,
     make_standard,
-    mpb_init,
     mpb_step,
-    scenario_presets,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "normalize_config", "main"]
@@ -157,12 +155,13 @@ _TOP_FIELDS = {
 }
 
 _PROBLEM_FIELDS = {
-    "standard": {"name": (None, _REQUIRED), "time_dim": (None, _integer(0, nullable=True)),
+    "standard": {"name": (None, _STRING), "time_dim": (None, _integer(0, nullable=True)),
                  "seed": (0, _integer(0))},
+    # a scenario is named by a number or a string
     "mpb": {"scenario": (None, _REQUIRED), "seed": (0, _integer(0))},
     "sensor": {
-        "readings": (None, _REQUIRED),
-        "coords": (None, _REQUIRED),
+        "readings": (None, _STRING),
+        "coords": (None, _STRING),
         "first_n_epochs": (3000, _integer(1)),
     },
 }
@@ -583,13 +582,10 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_mpb_preview(args) -> int:
-    presets = scenario_presets()["scenarios"]
-    key = str(args.scenario)
-    if key not in presets:
-        raise _Exit(EXIT_CONFIG, f"unknown scenario {key!r}; have {sorted(presets)}")
-    from dynabo.problems.mpb import _config_from_preset
-
-    state = mpb_init(_config_from_preset(presets[key]), args.seed)
+    try:
+        state = make_mpb_scenario(args.scenario, args.seed).metadata["states"][0]
+    except ValueError as err:
+        raise _Exit(EXIT_CONFIG, str(err)) from err
     writer = csv.writer(sys.stdout, lineterminator="\n")
     d = state.config.dims
     writer.writerow(["step", "peak", "height", "width", *(f"loc_{i}" for i in range(d))])

@@ -503,9 +503,9 @@ def train(
     bounds; a start reruns from the best point it evaluated while that point
     sits on an inner edge of its box (one that is not a bound), at most
     ``_TRUST_RERUNS`` times, and its runs share ``max_iters`` iterations.  A
-    failed factorization reads as +inf.  Returns the best point evaluated,
-    with its marginal likelihood alone as ``lml``; raises ``TrainingError``
-    when no start gives a finite value.
+    failed factorization, or a gradient that is not finite, reads as +inf.
+    Returns the best point evaluated, with its marginal likelihood alone as
+    ``lml``; raises ``TrainingError`` when no start gives a finite value.
     """
     d = dataset.spatial_dim
     if init.spatial_dim != d:
@@ -523,43 +523,40 @@ def train(
     # the prior's ceiling comes from the temporal row before tying
     maximized = _TrainingObjective(dataset, spec, bounds, config.tie_lengthscales == "all")
     tie_blocks = _tie_blocks(spec, d, config.tie_lengthscales)
-    for block in tie_blocks:
-        # tied entries share one box so projection cannot split them again
-        bounds[block, 0] = bounds[block, 0].max()
-        bounds[block, 1] = bounds[block, 1].min()
-    lower, upper = bounds[:, 0].copy(), bounds[:, 1].copy()
-
-    def tie(v: np.ndarray) -> np.ndarray:
-        for block in tie_blocks:
-            # bitwise v[block].mean()
-            v[block] = np.add.reduce(v[block]) / (block.stop - block.start)
-        return v
-
-    def project(theta: np.ndarray) -> np.ndarray:
-        return tie(theta.clip(lower, upper))
-
-    def objective(theta: np.ndarray) -> tuple[float, float]:
-        try:
-            return maximized.value(theta)
-        except FactorizationError:
-            return -np.inf, -np.inf
-
     # L-BFGS-B runs over one variable per tie block, the block's first entry:
     # ``x[spread]`` is the full vector
     kept = np.ones(n_hp, dtype=bool)
     for block in tie_blocks:
         kept[block.start + 1 : block.stop] = False
+        # tied entries share one box, so clipping keeps their mean inside it
+        bounds[block, 0] = bounds[block, 0].max()
+        bounds[block, 1] = bounds[block, 1].min()
     first, spread = np.flatnonzero(kept), np.cumsum(kept) - 1
-    low, high = lower[first], upper[first]
+    low, high = bounds[first, 0], bounds[first, 1]
     no_gradient = np.zeros(first.size)
 
-    def descend(theta: np.ndarray, value: float, lml: float):
+    def variables(theta: np.ndarray) -> np.ndarray:
+        """The L-BFGS-B variables of a full vector: clipped to the bounds,
+        each tie block's mean in its first entry."""
+        theta = theta.clip(bounds[:, 0], bounds[:, 1])
+        for block in tie_blocks:
+            # bitwise theta[block].mean()
+            theta[block.start] = np.add.reduce(theta[block]) / (block.stop - block.start)
+        return theta[first]
+
+    def probe(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+        try:
+            return (x, *maximized.value(x[spread]))
+        except FactorizationError:
+            return x, -np.inf, -np.inf
+
+    def descend(x: np.ndarray, value: float, lml: float):
         """L-BFGS-B on the negated objective from a probed start, bounded by
         the start plus and minus ``_TRUST_RADIUS`` within the bounds, and
         rerun from the best point evaluated while that point sits on an inner
         edge of its box: that point, its value and LML, and the iterations
         summed over the runs."""
-        best = [value, lml, None, None]  # and the best point's x and gradient
+        best = [x, value, lml, None]  # and the best point's gradient
 
         def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
             try:
@@ -569,47 +566,46 @@ def train(
             g = np.negative(np.bincount(spread, weights=grad))  # blocks summed
             if not np.logical_and.reduce(np.isfinite(g)):
                 return math.inf, no_gradient
-            if best[3] is None or value > best[0]:
-                best[:] = value, lml, x, g
+            if best[3] is None or value > best[1]:
+                best[:] = x, value, lml, g
             return -value, g
 
         iters = 0
         if config.max_iters:
-            fg(theta[first])
+            fg(x)
         for _ in range(1 + _TRUST_RERUNS):
-            value, _, x, g = best
+            x, value, _, g = best
             if g is None or iters == config.max_iters:
                 break
             box_low = np.maximum(low, x - _TRUST_RADIUS)
             box_high = np.minimum(high, x + _TRUST_RADIUS)
             remaining = config.max_iters - iters
             iters += _lbfgsb(fg, x, -value, g, box_low, box_high, remaining)[2]
-            x = best[2]
+            x = best[0]
             on_inner_edge = ((x == box_low) & (box_low > low)) | ((x == box_high) & (box_high < high))
             if not on_inner_edge.any():
                 break
-        value, lml, x, _ = best
-        return (theta if x is None else x[spread]), value, lml, iters
+        return (*best[:3], iters)
 
     def starts():
         """The warm start, then the best of the screened random draws, each
         with its value and LML; drawn only once the warm start's runs are done."""
-        warm = project(hp_to_vector(init, spec))
-        yield (warm, *objective(warm))
+        yield probe(variables(hp_to_vector(init, spec)))
         if config.restarts > 1:
             rng = np.random.default_rng(seed)
-            draws = rng.uniform(lower, upper, (_SCREENS_PER_RESTART * (config.restarts - 1), n_hp))
-            screened = [(theta, *objective(theta)) for theta in map(project, draws)]
+            draws = rng.uniform(bounds[:, 0], bounds[:, 1],
+                                (_SCREENS_PER_RESTART * (config.restarts - 1), n_hp))
+            screened = [probe(variables(theta)) for theta in draws]
             yield max(screened, key=lambda start: start[1])  # the first of equals
 
-    best_theta, best_value, best_lml, total_iters = None, -np.inf, -np.inf, 0
-    for theta, value, lml in starts():
+    best_x, best_value, best_lml, total_iters = None, -np.inf, -np.inf, 0
+    for x, value, lml in starts():
         if not math.isfinite(value):
             continue
-        theta, value, lml, iters = descend(theta, value, lml)
+        x, value, lml, iters = descend(x, value, lml)
         total_iters += iters
         if value > best_value:
-            best_theta, best_value, best_lml = theta.copy(), value, lml
-    if best_theta is None:
+            best_x, best_value, best_lml = x, value, lml
+    if best_x is None:
         raise TrainingError("all restarts failed to factorize")
-    return TrainResult(hp_from_vector(best_theta, spec, d), best_lml, total_iters)
+    return TrainResult(hp_from_vector(best_x[spread], spec, d), best_lml, total_iters)

@@ -16,7 +16,7 @@ The objective is returned negated (peaks are maxima; the library minimizes).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -166,18 +166,10 @@ def scenario_presets() -> dict:
 
 
 def _config_from_preset(preset: dict) -> MpbConfig:
-    return MpbConfig(
-        peaks=preset["peaks"],
-        dims=preset["dims"],
-        lower=preset["lower"],
-        upper=preset["upper"],
-        height_range=tuple(preset["height_range"]),
-        width_range=tuple(preset["width_range"]),
-        height_severity=preset["height_severity"],
-        width_severity=preset["width_severity"],
-        shift_severity=preset["shift_severity"],
-        alpha=preset["alpha"],
-    )
+    """An ``MpbConfig`` from a preset's entries of the same names; the JSON
+    lists become tuples."""
+    values = (preset[f.name] for f in fields(MpbConfig))
+    return MpbConfig(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
 def make_mpb_scenario(scenario: int | str, seed: int = 0) -> Problem:

@@ -130,8 +130,12 @@ class StaticFunction:
     minimizer: np.ndarray | None = None
 
 
-_STY_MIN_PER_DIM = -39.16616570377142
-_STY_ARGMIN = -2.903534018185960
+# the sized families ``<family><d>``, d >= 2, on [-5, 5]^d: the batch
+# function, the minimum per dimension and the minimizer's coordinate
+_SIZED = {
+    "griewank": (griewank, 0.0, 0.0),
+    "styblinski_tang": (styblinski_tang, -39.16616570377142, -2.903534018185960),
+}
 
 
 def _registry() -> dict:
@@ -199,28 +203,14 @@ def static_function(name: str) -> StaticFunction:
     fns = _registry()
     if name in fns:
         return fns[name]
-    m = re.fullmatch(r"griewank(\d+)", name)
+    m = re.fullmatch(rf"({'|'.join(_SIZED)})(\d+)", name)
     if m:
-        d = int(m.group(1))
+        family, d = m.group(1), int(m.group(2))
         if d < 2:
-            raise ValueError("griewank needs at least 2 dimensions")
-        return StaticFunction(
-            name, d, np.full(d, -5.0), np.full(d, 5.0), griewank, 0.0, np.zeros(d)
-        )
-    m = re.fullmatch(r"styblinski_tang(\d+)", name)
-    if m:
-        d = int(m.group(1))
-        if d < 2:
-            raise ValueError("styblinski_tang needs at least 2 dimensions")
-        return StaticFunction(
-            name,
-            d,
-            np.full(d, -5.0),
-            np.full(d, 5.0),
-            styblinski_tang,
-            _STY_MIN_PER_DIM * d,
-            np.full(d, _STY_ARGMIN),
-        )
+            raise ValueError(f"{family} needs at least 2 dimensions")
+        batch, minimum_per_dim, coordinate = _SIZED[family]
+        return StaticFunction(name, d, np.full(d, -5.0), np.full(d, 5.0), batch,
+                              minimum_per_dim * d, np.full(d, coordinate))
     raise ValueError(f"unknown function name: {name!r}")
 
 

@@ -246,13 +246,25 @@ BAD_PROBLEM_FIELDS = [
      "first_n_epochs", "a positive"),
     ({"kind": "sensor", "readings": "r.csv", "coords": "c.csv", "first_n_epochs": 2.0},
      "first_n_epochs", "a positive"),
+    ({"kind": "standard", "name": 5}, "name", "a string"),
+    ({"kind": "standard", "name": ["branin_scaled"]}, "name", "a string"),
+    ({"kind": "sensor", "readings": "r.csv", "coords": 7}, "coords", "a string"),
+    ({"kind": "sensor", "readings": ["r.csv"], "coords": "c.csv"}, "readings", "a string"),
 ]
 
 
 @pytest.mark.parametrize("problem, key, wording", BAD_PROBLEM_FIELDS)
-def test_problem_field_types_checked(problem, key, wording):
+def test_problem_field_types_checked(problem, key, wording, tmp_path, capsys):
     with pytest.raises(ConfigError, match=rf"problem\.{key}: must be {wording}"):
         load_config(minimal_raw(problem=problem))
+    # both verbs reject it before building the problem, which a field of the
+    # wrong JSON type could crash with a TypeError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal_raw(problem=problem, output_dir=str(tmp_path / "runs"))))
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 2
+        assert f"problem.{key}: must be {wording}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_problem_kind_that_is_not_a_name_rejected():

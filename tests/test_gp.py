@@ -5,6 +5,7 @@ here from the textbook formulas, so the Cholesky path in the package and
 the oracle cannot share a bug.
 """
 
+import itertools
 import math
 import os
 from dataclasses import replace
@@ -25,6 +26,7 @@ from dynabo.gp import (
     FactorizationError,
     GpModel,
     TrainConfig,
+    TrainingError,
     chol_with_jitter,
     default_log_bounds,
     log_marginal_likelihood,
@@ -381,6 +383,91 @@ def test_train_leaves_caller_bounds_untouched():
         TrainConfig(restarts=2, log_bounds=b, tie_lengthscales="spatial"),
     )
     assert np.array_equal(b, before)
+
+
+# -- training when factorizations fail -----------------------------------------
+
+
+def failing_factorizations(monkeypatch, failure):
+    """Patch ``gp.chol_with_jitter`` so that factorization ``k`` (counting
+    from 1) fails as ``failure(k)`` says: "raise" raises
+    ``FactorizationError``, "nan" returns a factor of NaNs, and None
+    factorizes.  Returns the list of the failures made."""
+    failed, calls = [], itertools.count(1)
+
+    def patched(matrix):
+        how = failure(next(calls))
+        if how is None:
+            return chol_with_jitter(matrix)
+        failed.append(how)
+        if how == "raise":
+            raise FactorizationError("patched")
+        el, jitter = chol_with_jitter(matrix)
+        return np.full_like(el, np.nan), jitter
+
+    monkeypatch.setattr(gp, "chol_with_jitter", patched)
+    return failed
+
+
+def test_train_raises_when_no_start_factorizes(monkeypatch):
+    dataset, spec, bounds = far_start_case()
+    failed = failing_factorizations(monkeypatch, lambda k: "raise")
+    with pytest.raises(TrainingError, match="^all restarts failed to factorize$"):
+        train(dataset, spec, Hyperparameters.default(1, spec),
+              TrainConfig(restarts=3, log_bounds=bounds), seed=2)
+    # the warm start and 16 screened draws, each probed once
+    assert len(failed) == 17
+
+
+def test_train_runs_from_the_screened_start_when_the_warm_one_fails(monkeypatch):
+    dataset, spec, bounds = far_start_case()
+    init = Hyperparameters.default(1, spec)
+    failing_factorizations(monkeypatch, lambda k: "raise" if k == 1 else None)
+    with pytest.raises(TrainingError):  # no screened start to fall back on
+        train(dataset, spec, init, TrainConfig(restarts=1, log_bounds=bounds))
+    failed = failing_factorizations(monkeypatch, lambda k: "raise" if k == 1 else None)
+    result = train(dataset, spec, init, TrainConfig(restarts=2, log_bounds=bounds), seed=2)
+    assert failed == ["raise"]
+    assert math.isfinite(result.lml) and result.iterations > 0
+    assert result.lml == log_marginal_likelihood(dataset, spec, result.hp)
+
+
+@pytest.mark.parametrize("how", ["raise", "nan"])
+def test_train_steps_around_failed_factorizations(how, monkeypatch):
+    # a failed factorization, or one whose gradient is not finite, reads as
+    # +inf to L-BFGS-B, which backs off from it
+    dataset, spec, bounds = far_start_case()
+    failed = failing_factorizations(monkeypatch, lambda k: how if k % 5 == 0 else None)
+    result = train(dataset, spec, Hyperparameters.default(1, spec),
+                   TrainConfig(restarts=2, log_bounds=bounds), seed=2)
+    assert len(failed) > 1
+    assert math.isfinite(result.lml) and result.iterations > 0
+    theta = hp_to_vector(result.hp, spec)
+    assert np.all((bounds[:, 0] <= theta) & (theta <= bounds[:, 1]))
+
+
+def test_tie_blocks_follow_the_layout():
+    # checked against the names of ``kernels._layout``, not its order: a
+    # "spatial" block holds the spatial length-scales of one component, the
+    # "all" block every spatial one and the temporal length-scale, and each
+    # spatial length-scale lies in exactly one block
+    d = 3
+    for spec in NINE_FORMS:
+        names = hyperparameter_names(spec, d)
+        spatial = [n for n in names if n.startswith("spatial_") and "lengthscale" in n]
+        assert gp._tie_blocks(spec, d, "none") == []
+        blocks = [names[block] for block in gp._tie_blocks(spec, d, "spatial")]
+        assert len(blocks) == (2 if spec.spatial is KernelForm.SUM else 1)
+        assert sorted(n for block in blocks for n in block) == sorted(spatial)
+        for block in blocks:
+            assert len(block) == d
+            assert len({n.rsplit("_", 1)[0] for n in block}) == 1  # one component
+        if spec.has_sum:
+            with pytest.raises(ValueError, match="plain kernel forms"):
+                gp._tie_blocks(spec, d, "all")
+            continue
+        (block,) = [names[block] for block in gp._tie_blocks(spec, d, "all")]
+        assert sorted(block) == sorted(spatial + ["temporal_lengthscale"])
 
 
 # -- the fused objective against the unfused formulas, bit for bit -----------
