@@ -91,9 +91,10 @@ def _cho_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _tri_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``scipy.linalg.solve_triangular(el, b, lower=True)`` through LAPACK
-    ``dtrtrs`` directly.  ``el`` comes from ``gp.chol_with_jitter``: it is
+    ``dtrtrs`` directly.  ``el`` is a factor from ``gp.chol_with_jitter``,
     finite and Fortran-ordered, the layout for which ``solve_triangular``
-    makes this same call."""
+    makes this same call, or a trailing diagonal block of one, which is not
+    contiguous: f2py copies such a block to Fortran order first."""
     x, info = dtrtrs(el, b, lower=1)
     if info != 0:
         raise ValueError(f"dtrtrs failed with info {info}")

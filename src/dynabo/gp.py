@@ -52,6 +52,28 @@ query in the batch has the same time, as in every step of a fixed-interval
 mode, the temporal factor is one ``(n, 1)`` column broadcast over the batch;
 elementwise arithmetic gives the same bits whatever the array's shape.
 Every factorization and solve calls LAPACK directly, through ``_routines``.
+
+A predict solves only against the samples its batch still correlates with
+in time.  When the sample times are non-decreasing, as ``engine.run`` always
+makes them, the fit keeps a temporal reach: the time gap beyond which the
+unit temporal correlation falls below ``_WINDOW_TOL`` (1e-16), sqrt(2 ln
+1e16) ~ 8.58 length-scales for SE and ln 1e16 ~ 36.8 for Matern 1/2, the
+larger of its two components' reaches for the sum form.  Out of time order
+the reach is infinite.  A batch keeps the samples from the first one whose
+time is at least its earliest query time minus the reach: the trailing
+block of the Cholesky factor, of ``alpha`` and of the training columns.
+The dropped cross-covariances ``k_head`` are below 1e-16 times the signal
+variance sigma^2.  Leading zero rows of ``k_star`` would give leading zero
+rows of ``L^-1 k_star`` (Rasmussen & Williams 2006, Alg. 2.1), and the
+trailing block of ``L^-1`` is the inverse of the trailing block of ``L``,
+so the variance moves by about the solve's rounding.  The mean drops ``k_head^T
+alpha_head``, at most 1e-16 sigma^2 ||alpha_head||_1: about 1e-16 on
+spread samples, but ``alpha`` grows toward 1/noise when samples nearly
+coincide at a small noise, and there the mean moves by up to that bound.
+A window that keeps every sample is the full solve, bit for bit; one that
+keeps none returns the prior (mean 0, the signal variance) without a
+solve.  The window follows the batch's earliest time, which is one more way
+a row's result depends on the other rows of its batch.
 """
 
 from __future__ import annotations
@@ -112,6 +134,14 @@ _SCREENS_PER_RESTART = 8
 # ``default_log_bounds``), and a normal with this sd above it
 _PRIOR_SD = 1.0
 _PRIOR_OFFSET = math.log(0.1)
+# a predict drops the samples whose unit temporal correlation with every
+# query is below this; the time gap at which each plain temporal form's
+# correlation reaches it, in length-scales
+_WINDOW_TOL = 1e-16
+_UNIT_REACH = {
+    KernelForm.SE: math.sqrt(-2.0 * math.log(_WINDOW_TOL)),
+    KernelForm.MATERN12: -math.log(_WINDOW_TOL),
+}
 
 
 class FactorizationError(RuntimeError):
@@ -344,6 +374,9 @@ class GpModel:
     _kernel_params: _Params = field(repr=False)
     _space: np.ndarray = field(repr=False)
     _time: np.ndarray = field(repr=False)
+    # the time gap beyond which a sample drops out of a predict (see the
+    # module docstring); infinite when the sample times are out of order
+    _reach: float = field(repr=False)
 
     @classmethod
     def fit(cls, dataset: Dataset, spec: KernelSpec, hp: Hyperparameters) -> "GpModel":
@@ -354,9 +387,18 @@ class GpModel:
         el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
         alpha = _cho_solve(el, y)
         columns = dataset.points.T.copy()[:, :, None]
+        times = columns[-1, :, 0]
+        reach = math.inf
+        if np.all(times[1:] >= times[:-1]):
+            # the sum form's length-scales are its SE one, then its Matern 1/2 one
+            forms = [spec.temporal]
+            if spec.temporal is KernelForm.SUM:
+                forms = [KernelForm.SE, KernelForm.MATERN12]
+            ells = np.exp(np.atleast_1d(hp.log_temporal_lengthscale))
+            reach = max(float(ell) * _UNIT_REACH[f] for f, ell in zip(forms, ells))
         return cls(
             dataset, spec, hp, el, alpha, mean, std, hp.signal_variance,
-            _params(spec, hp), columns[:-1], columns[-1:],
+            _params(spec, hp), columns[:-1], columns[-1:], reach,
         )
 
     def _query(self, points) -> np.ndarray:
@@ -373,10 +415,19 @@ class GpModel:
         times = queries[-1:]
         if (times == times[..., :1]).all():
             times = times[..., :1]  # one shared time: one temporal column
-        dx, dt = self._space - queries[:-1], self._time - times
+        # the samples from ``first`` on; the older ones are beyond the reach
+        # of every query
+        first = 0
+        if times.size:
+            first = self._time[0, :, 0].searchsorted(times.min() - self._reach)
+        if first == len(self._alpha):  # the prior, without a 0 x 0 solve
+            m = queries.shape[-1]
+            return np.zeros(m), np.full(m, self._signal_variance)
+        dx = self._space[:, first:] - queries[:-1]
+        dt = self._time[:, first:] - times
         k_star = _cov(self.spec, dx, dt, self._kernel_params)
-        mean = k_star.T @ self._alpha
-        v = _tri_solve(self._factor_l, k_star)
+        mean = k_star.T @ self._alpha[first:]
+        v = _tri_solve(self._factor_l[first:, first:], k_star)
         v *= v
         var = self._signal_variance - v.sum(axis=0)
         return mean, np.maximum(var, 0.0, out=var)

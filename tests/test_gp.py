@@ -348,26 +348,183 @@ def test_predict_rejects_bad_queries():
         model.predict(np.array([[np.nan, 0.0]]))
 
 
+def full_solve(dataset, spec, hp, query):
+    """The posterior against every sample, through ``scipy.linalg``: the
+    cross-covariance with all n samples, solved through the whole factor."""
+    el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
+    k_star = cross_gram(dataset.points, query, spec, hp)
+    v = solve_triangular(el, k_star, lower=True)
+    mean = k_star.T @ cho_solve((el, True), dataset.normalized_targets)
+    return mean, np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
+
+
+def window_start(model, query):
+    """The first sample a predict keeps: the others are beyond the reach of
+    every query's time."""
+    return int(np.searchsorted(model.dataset.times, query[:, -1].min() - model._reach))
+
+
+def in_order_case(rng, spec, n, d, temporal_scale, noise=1e-4, horizon=10.0):
+    """A dataset sampled in time order over ``(0, horizon)``, with every
+    temporal length-scale set to ``temporal_scale``."""
+    dataset, hp = random_case(rng, spec, n, d)
+    points = dataset.points.copy()
+    points[:, -1] = np.sort(rng.uniform(0.0, horizon, size=n))
+    hp = replace(hp, log_noise_variance=math.log(noise),
+                 log_temporal_lengthscale=np.full_like(
+                     np.asarray(hp.log_temporal_lengthscale), math.log(temporal_scale)))
+    return Dataset(points, dataset.targets), hp
+
+
 @pytest.mark.parametrize("spec", NINE_FORMS)
 def test_predict_is_bit_identical_to_solve_triangular_formula(spec):
     rng = np.random.default_rng(31)
-    for n, d in ((1, 1), (7, 2), (30, 6), (12, 8), (19, 12)):
-        dataset, hp = random_case(rng, spec, n, d)
+    # samples at random times (an infinite reach), then samples in time order
+    # whose window keeps every one of them
+    cases = [(n, d, False) for n, d in ((1, 1), (7, 2), (30, 6), (12, 8), (19, 12))]
+    cases += [(n, d, True) for n, d in ((1, 1), (7, 2), (30, 6))]
+    for n, d, in_order in cases:
+        if in_order:
+            dataset, hp = in_order_case(rng, spec, n, d, 0.5, horizon=2.0)
+        else:
+            dataset, hp = random_case(rng, spec, n, d)
         model = GpModel.fit(dataset, spec, hp)
+        assert math.isfinite(model._reach) == in_order or n == 1
         mixed = rng.uniform(-2, 2, size=(9, d + 1))
         shared = mixed.copy()
         shared[:, -1] = mixed[0, -1]  # one time for the batch, as in a time slice
-        el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
         for query in (mixed, shared, shared[:1]):
-            k_star = cross_gram(dataset.points, query, spec, hp)
-            v = solve_triangular(el, k_star, lower=True)
-            mean = k_star.T @ cho_solve((el, True), dataset.normalized_targets)
-            var = np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
+            assert window_start(model, query) == 0
+            mean, var = full_solve(dataset, spec, hp, query)
             got_mean, got_var = model.predict_normalized(query)
             assert np.array_equal(got_mean, mean)
             assert np.array_equal(got_var, var)
         with pytest.raises(ValueError, match="finite"):
             model.predict_normalized(np.where(np.eye(9, d + 1) > 0, np.nan, mixed))
+
+
+# -- the posterior's temporal window -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "form, reach",
+    [(KernelForm.SE, math.sqrt(2 * math.log(1e16))), (KernelForm.MATERN12, math.log(1e16))],
+)
+def test_window_reach_is_where_the_unit_correlation_reaches_the_tolerance(form, reach):
+    rng = np.random.default_rng(3)
+    dataset, hp = in_order_case(rng, KernelSpec(KernelForm.SE, form), 10, 2, 0.3)
+    model = GpModel.fit(dataset, KernelSpec(KernelForm.SE, form), hp)
+    assert model._reach == pytest.approx(0.3 * reach, rel=1e-15)
+    unit = cross_gram(np.array([[0.0, 0.0]]), np.array([[0.0, model._reach]]),
+                      KernelSpec(KernelForm.SE, form), Hyperparameters.default(
+                          1, KernelSpec(KernelForm.SE, form), temporal_scale=0.3))
+    assert unit[0, 0] == pytest.approx(1e-16, rel=1e-12)
+    # the sum form reaches as far as its slower component
+    spec = KernelSpec(KernelForm.SE, KernelForm.SUM)
+    dataset, hp = in_order_case(rng, spec, 10, 2, 0.3)
+    hp = replace(hp, log_temporal_lengthscale=np.log([0.3, 0.05]))
+    se_reach = 0.3 * math.sqrt(2 * math.log(1e16))
+    assert GpModel.fit(dataset, spec, hp)._reach == pytest.approx(se_reach, rel=1e-15)
+    hp = replace(hp, log_temporal_lengthscale=np.log([0.05, 0.3]))
+    assert GpModel.fit(dataset, spec, hp)._reach == pytest.approx(0.3 * math.log(1e16), rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", NINE_FORMS)
+def test_batch_past_every_sample_reach_gets_the_prior_without_a_solve(spec, monkeypatch):
+    rng = np.random.default_rng(5)
+    dataset, hp = in_order_case(rng, spec, 12, 2, 0.05, horizon=1.0)
+    model = GpModel.fit(dataset, spec, hp)
+
+    def no_solve(el, b):
+        raise AssertionError("a batch beyond every sample's reach must not solve")
+
+    monkeypatch.setattr(gp, "_tri_solve", no_solve)
+    for m in (1, 5):
+        query = rng.uniform(-2, 2, size=(m, 3))
+        query[:, -1] = rng.uniform(3.0, 4.0, size=m)
+        assert window_start(model, query) == dataset.n
+        mean, var = model.predict_normalized(query)
+        assert np.array_equal(mean, np.zeros(m))
+        assert np.array_equal(var, np.full(m, hp.signal_variance))
+        mean, var = model.predict(query)
+        assert np.array_equal(mean, np.full(m, dataset.target_mean))
+        assert np.array_equal(var, np.full(m, dataset.target_std**2 * hp.signal_variance))
+
+
+def test_empty_batch_gets_two_empty_arrays():
+    rng = np.random.default_rng(6)
+    spec = KernelSpec()
+    dataset, hp = in_order_case(rng, spec, 12, 2, 0.05, horizon=1.0)
+    model = GpModel.fit(dataset, spec, hp)
+    assert math.isfinite(model._reach)
+    mean, var = model.predict_normalized(np.empty((0, 3)))
+    assert mean.shape == var.shape == (0,)
+
+
+@pytest.mark.parametrize("spec", NINE_FORMS)
+def test_samples_out_of_time_order_keep_the_full_solve(spec):
+    rng = np.random.default_rng(7)
+    dataset, hp = in_order_case(rng, spec, 20, 2, 0.05)
+    swapped = dataset.points[[1, 0, *range(2, dataset.n)]]
+    model = GpModel.fit(Dataset(swapped, dataset.targets), spec, hp)
+    assert model._reach == math.inf
+    query = rng.uniform(-2, 2, size=(6, 3))
+    query[:, -1] = 9.5  # in time order, most rows would be dropped
+    got_mean, got_var = model.predict_normalized(query)
+    mean, var = full_solve(model.dataset, spec, hp, query)
+    assert np.array_equal(got_mean, mean)
+    assert np.array_equal(got_var, var)
+
+
+def near_pairs_case(rng, spec, n, d, noise, smooth):
+    """``in_order_case``'s n samples, each with a twin 1e-5 away in space
+    at the same time, the targets a smooth function of the point or, when
+    not ``smooth``, independent normals."""
+    dataset, hp = in_order_case(rng, spec, n, d, 0.1, noise=noise)
+    points = np.repeat(dataset.points, 2, axis=0)
+    points[1::2, :-1] += rng.normal(scale=1e-5, size=(n, d))
+    if smooth:
+        y = np.sin(points[:, :-1].sum(axis=1)) + np.cos(3.0 * points[:, -1])
+    else:
+        y = rng.normal(size=len(points))
+    return Dataset(points, y), hp
+
+
+@pytest.mark.parametrize("noise", [1e-4, 1e-8])
+@pytest.mark.parametrize("spec", NINE_FORMS)
+def test_window_agrees_with_the_full_solve(spec, noise):
+    # 1e-8 is the noise bounds' floor, where the factor's inverse amplifies
+    # the dropped terms most.  There the samples also come in near pairs,
+    # which make alpha large (toward 1/noise for independent targets): the
+    # mean drops k_head^T alpha_head, at most 1e-16 sigma^2 ||alpha_head||_1,
+    # and its kept terms round differently from the full sum by about as much
+    # again; the variance moves by the rounding of forward substitution
+    # through a factor whose condition number nears sqrt(sigma^2 / noise) ~
+    # 1e4, about 1e4 eps ~ 1e-12
+    rng = np.random.default_rng(9)
+    kinds = ["spread"] + (["smooth pairs", "pairs"] if noise == 1e-8 else [])
+    for kind in kinds:
+        for n, d in ((40, 1), (60, 2), (50, 4)):
+            if kind == "spread":
+                dataset, hp = in_order_case(rng, spec, n, d, 0.1, noise=noise)
+            else:
+                dataset, hp = near_pairs_case(rng, spec, n, d, noise, kind == "smooth pairs")
+            model = GpModel.fit(dataset, spec, hp)
+            mean_tol = var_tol = 1e-12
+            if kind != "spread":
+                mean_tol += 1e-16 * hp.signal_variance * np.abs(model._alpha).sum()
+                var_tol = 1e-11
+            mixed = rng.uniform(-2, 2, size=(8, d + 1))
+            mixed[:, -1] = rng.uniform(6.0, 10.5, size=8)
+            shared = mixed.copy()
+            shared[:, -1] = 9.0
+            for query in (mixed, shared, shared[:1]):
+                first = window_start(model, query)
+                assert 0 < first < dataset.n
+                got_mean, got_var = model.predict_normalized(query)
+                mean, var = full_solve(dataset, spec, hp, query)
+                assert np.max(np.abs(got_mean - mean)) <= mean_tol
+                assert np.max(np.abs(got_var - var)) <= var_tol
 
 
 def test_train_leaves_caller_bounds_untouched():
