@@ -23,17 +23,17 @@ maximizes, and the reported LML is the marginal likelihood alone.  When every
 length-scale is tied (time treated as one more input, as the time-blind
 ``standard_bo`` mode trains), there is no prior.
 
-Training evaluates the likelihood through one objective per dataset: it
-keeps the standardized targets, the raw pairwise space and time differences
-and the constant term, takes the log-hyperparameter vector directly, and
-reuses the Cholesky factor and the covariance's factors (the unit spatial
-and temporal parts, the spatial part times the signal variance) of the last
-vector it evaluated, so a gradient at that vector costs no second
-factorization and no second exponential.  It fills one
-``(P, n, n)`` stack with the derivatives and reduces them all at once, each
-reduction bitwise the per-matrix one.  ``log_marginal_likelihood`` and
-``lml_and_gradient`` are thin wrappers over the same objective, without
-the prior.
+Training, the temporal prior and the public likelihood functions share one
+objective per dataset: it keeps the standardized targets, the raw pairwise
+space and time differences and the constant term, takes the
+log-hyperparameter vector directly, and reuses the Cholesky factor and the
+covariance's factors (the unit spatial and temporal parts, the spatial part
+times the signal variance) of the last vector it evaluated, so a gradient at
+that vector costs no second factorization and no second exponential.  It
+fills one ``(P, n, n)`` stack with the derivatives and reduces them all at
+once, each reduction bitwise the per-matrix one.
+``log_marginal_likelihood`` and ``lml_and_gradient`` build it without
+bounds, so without the prior, and return its LML (and gradient).
 
 Training probes and gradients avoid numpy's per-call wrappers, which at
 n ~ 18 cost more than the factorization itself.  The vector's layout in the
@@ -85,6 +85,7 @@ import numpy as np
 
 from dynabo._routines import _cho_solve, _dpotrf, _lbfgsb, _tri_solve
 from dynabo.kernels import (
+    _SUM_FORMS,
     Hyperparameters,
     KernelForm,
     KernelSpec,
@@ -239,22 +240,36 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class _MarginalLikelihood:
-    """Log marginal likelihood of one dataset as a function of the
-    log-hyperparameter vector, in ``hp_to_vector`` order.
+    """What ``train`` maximizes, as a function of the log-hyperparameter
+    vector in ``hp_to_vector`` order: the log marginal likelihood of one
+    dataset plus a one-sided log-normal prior on each temporal length-scale.
+    The prior's log density is flat up to the ceiling, the centre of that
+    entry's row in ``bounds`` plus ``_PRIOR_OFFSET``, and falls as a normal
+    with sd ``_PRIOR_SD`` in log units above it; the normal's constant is
+    left out.  Without ``bounds``, or with ``tied`` (the temporal entry
+    shares its value with the spatial length-scales), the objective is the
+    marginal likelihood exactly.  Both methods also return the marginal
+    likelihood alone.  The temporal entries are found through
+    ``kernels._layout``; they are contiguous.
 
     Remembers the factorization of the last vector it evaluated; a gradient
     requested at that vector reuses it.  Every factorization goes through
-    ``chol_with_jitter``, which rejects a non-finite gram matrix.
-
-    The vector is laid out once: a buffer that each new vector is copied
-    into, with views of it in the covariance shapes (0-d views for the
-    free scalars).  The gram matrix is built in one buffer too, the noise
-    added through a view of its diagonal.
+    ``chol_with_jitter``, which rejects a non-finite gram matrix.  The vector
+    is laid out once: a buffer that each new vector is copied into, with
+    views of it in the covariance shapes (0-d views for the free scalars).
+    The gram matrix is built in one buffer too, the noise added through a
+    view of its diagonal.
     """
 
-    def __init__(self, dataset: Dataset, spec: KernelSpec):
+    def __init__(self, dataset: Dataset, spec: KernelSpec, bounds=None, tied: bool = False):
         d, n = dataset.spatial_dim, dataset.n
         x, t = dataset.points[:, :d], dataset.points[:, d:]
+        fields = [f for f, _, names in _layout(spec, d) for _ in names]
+        first = fields.index("log_temporal_lengthscale")
+        count = 0 if tied or bounds is None else fields.count("log_temporal_lengthscale")
+        self._temporal = slice(first, first + count)
+        rows = np.empty((0, 2)) if bounds is None else bounds[self._temporal]
+        self._ceiling = 0.5 * (rows[:, 0] + rows[:, 1]) + _PRIOR_OFFSET
         self._spec = spec
         self._y = dataset.normalized_targets
         self._neg_half_y = -0.5 * self._y
@@ -266,7 +281,7 @@ class _MarginalLikelihood:
         self._theta = np.zeros(n_hyperparameters(spec, d))
         self._params = _params_from_vector(self._theta, spec, d)
         self._grads = np.empty((len(self._theta), n, n))
-        self._last = None  # (theta bytes, params, parts, factor, alpha, value)
+        self._last = None  # (theta bytes, params, parts, factor, alpha, lml)
 
     def _evaluate(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -285,17 +300,25 @@ class _MarginalLikelihood:
         self._gram_diagonal += float(np.exp(p.log_noise_variance))
         el, _ = chol_with_jitter(k)
         alpha = _cho_solve(el, self._y)
-        value = float(
+        lml = float(
             self._neg_half_y @ alpha - np.add.reduce(np.log(el.diagonal())) - self._log_norm
         )
-        self._last = (key, p, parts, el, alpha, value)
+        self._last = (key, p, parts, el, alpha, lml)
         return self._last
 
-    def value(self, theta) -> float:
-        return self._evaluate(theta)[5]
+    def _scaled_offset(self) -> np.ndarray:
+        """The prior's z of the vector last evaluated: how far each temporal
+        entry lies above its ceiling, in sds."""
+        excess = self._theta[self._temporal] - self._ceiling
+        return np.maximum(excess, 0.0, out=excess) / _PRIOR_SD
 
-    def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
-        _, p, parts, el, alpha, value = self._evaluate(theta)
+    def value(self, theta) -> tuple[float, float]:
+        lml = self._evaluate(theta)[5]
+        z = self._scaled_offset()
+        return lml - 0.5 * float(z @ z), lml
+
+    def value_and_gradient(self, theta) -> tuple[float, float, np.ndarray]:
+        _, p, parts, el, alpha, lml = self._evaluate(theta)
         k_inv = _cho_solve(el, self._eye)
         g = _cov_grads(self._spec, self._dx, self._dt, p, parts, self._grads)
         # 0.5 * tr((alpha alpha^T - K^-1) dK) for every dK at once, each
@@ -304,42 +327,8 @@ class _MarginalLikelihood:
         a = alpha @ g
         quad = np.matmul(a[:, None, :], alpha)[:, 0]
         trace = np.add.reduce((k_inv * g).reshape(len(g), -1), axis=1)
-        return value, 0.5 * (quad - trace)
-
-
-class _TrainingObjective:
-    """What ``train`` maximizes: the log marginal likelihood plus a one-sided
-    log-normal prior on each temporal length-scale.  The prior's log density
-    is flat up to the ceiling, the centre of that entry's row in ``bounds``
-    plus ``_PRIOR_OFFSET``, and falls as a normal with sd ``_PRIOR_SD`` in log
-    units above it; the normal's constant is left out.  With ``tied`` the
-    temporal entry shares its value with the spatial length-scales, and the
-    objective is the marginal likelihood alone.  Both methods also return the
-    marginal likelihood alone.  The temporal entries are found through
-    ``kernels._layout``; they are contiguous.
-    """
-
-    def __init__(self, dataset: Dataset, spec: KernelSpec, bounds: np.ndarray, tied: bool):
-        fields = [f for f, _, names in _layout(spec, dataset.spatial_dim) for _ in names]
-        first = fields.index("log_temporal_lengthscale")
-        count = 0 if tied else fields.count("log_temporal_lengthscale")
-        self._temporal = slice(first, first + count)
-        rows = bounds[self._temporal]
-        self._ceiling = 0.5 * (rows[:, 0] + rows[:, 1]) + _PRIOR_OFFSET
-        self._likelihood = _MarginalLikelihood(dataset, spec)
-
-    def _scaled_offset(self, theta: np.ndarray) -> np.ndarray:
-        excess = theta[self._temporal] - self._ceiling
-        return np.maximum(excess, 0.0, out=excess) / _PRIOR_SD
-
-    def value(self, theta) -> tuple[float, float]:
-        lml = self._likelihood.value(theta)
-        z = self._scaled_offset(theta)
-        return lml - 0.5 * float(z @ z), lml
-
-    def value_and_gradient(self, theta) -> tuple[float, float, np.ndarray]:
-        lml, grad = self._likelihood.value_and_gradient(theta)
-        z = self._scaled_offset(theta)
+        grad = 0.5 * (quad - trace)
+        z = self._scaled_offset()
         grad[self._temporal] -= z / _PRIOR_SD
         return lml - 0.5 * float(z @ z), lml, grad
 
@@ -348,14 +337,14 @@ def log_marginal_likelihood(
     dataset: Dataset, spec: KernelSpec, hp: Hyperparameters
 ) -> float:
     """Log marginal likelihood of the standardized targets under ``hp``."""
-    return _MarginalLikelihood(dataset, spec).value(hp_to_vector(hp, spec))
+    return _MarginalLikelihood(dataset, spec).value(hp_to_vector(hp, spec))[1]
 
 
 def lml_and_gradient(
     dataset: Dataset, spec: KernelSpec, hp: Hyperparameters
 ) -> tuple[float, np.ndarray]:
     """Marginal likelihood and its gradient in the log-hyperparameter vector order."""
-    return _MarginalLikelihood(dataset, spec).value_and_gradient(hp_to_vector(hp, spec))
+    return _MarginalLikelihood(dataset, spec).value_and_gradient(hp_to_vector(hp, spec))[1:]
 
 
 @dataclass(frozen=True)
@@ -390,10 +379,7 @@ class GpModel:
         times = columns[-1, :, 0]
         reach = math.inf
         if np.all(times[1:] >= times[:-1]):
-            # the sum form's length-scales are its SE one, then its Matern 1/2 one
-            forms = [spec.temporal]
-            if spec.temporal is KernelForm.SUM:
-                forms = [KernelForm.SE, KernelForm.MATERN12]
+            forms = _SUM_FORMS if spec.temporal is KernelForm.SUM else (spec.temporal,)
             ells = np.exp(np.atleast_1d(hp.log_temporal_lengthscale))
             reach = max(float(ell) * _UNIT_REACH[f] for f, ell in zip(forms, ells))
         return cls(
@@ -544,10 +530,11 @@ def train(
     length-scale (none under ``tie_lengthscales="all"``), over the
     log-hyperparameters.
 
-    L-BFGS-B on the negated objective ``_TrainingObjective`` defines, with
-    one variable per tie block (the block's gradients summed), run from the
-    supplied warm start and, when ``restarts > 1``, from one screened random
-    start: the fit draws ``_SCREENS_PER_RESTART * (restarts - 1)`` vectors
+    L-BFGS-B on the negated objective, one ``_MarginalLikelihood`` that
+    carries the prior and hands back the LML alongside, with one variable
+    per tie block (the block's gradients summed), run from the supplied warm
+    start and, when ``restarts > 1``, from one screened random start: the
+    fit draws ``_SCREENS_PER_RESTART * (restarts - 1)`` vectors
     log-uniformly within the bounds, probes each once and runs only from the
     best (the first drawn among equals); ``seed`` seeds those draws.  Each
     run is bounded by its start plus and minus ``_TRUST_RADIUS`` within the
@@ -572,7 +559,7 @@ def train(
     if bounds.shape != (n_hp, 2):
         raise ValueError(f"bounds must have shape ({n_hp}, 2)")
     # the prior's ceiling comes from the temporal row before tying
-    maximized = _TrainingObjective(dataset, spec, bounds, config.tie_lengthscales == "all")
+    maximized = _MarginalLikelihood(dataset, spec, bounds, config.tie_lengthscales == "all")
     tie_blocks = _tie_blocks(spec, d, config.tie_lengthscales)
     # L-BFGS-B runs over one variable per tie block, the block's first entry:
     # ``x[spread]`` is the full vector

@@ -161,9 +161,15 @@ _PINNED = {
 }
 
 
+# the sum form's plain components, in the order of its length-scale rows and
+# variances
+_SUM_FORMS = (KernelForm.SE, KernelForm.MATERN12)
+
+
 def _part_layout(part: str, field: str, shape: tuple, suffixes: list[str], form: KernelForm):
-    """Entries of one separable part: its length-scales (an SE row, then a
-    Matern 1/2 row, for the sum form), then the sum form's two variances."""
+    """Entries of one separable part: its length-scales (one row per
+    ``_SUM_FORMS`` component, for the sum form), then the sum form's two
+    variances."""
     if form is not KernelForm.SUM:
         return ((field, shape, tuple(f"{part}_lengthscale{s}" for s in suffixes)),)
     components = ("se", "m12")
@@ -244,13 +250,10 @@ def _plain_cov(form: KernelForm, s: np.ndarray) -> np.ndarray:
 
 def _part_units(form: KernelForm, diffs: np.ndarray, log_ells: np.ndarray) -> tuple:
     """Unit-variance covariance of each plain component of one part: the
-    form's own, or the sum form's SE then Matern 1/2 one."""
+    form's own, or the sum form's, in ``_SUM_FORMS`` order."""
     ells = np.exp(log_ells)
     if form is KernelForm.SUM:
-        return (
-            _plain_cov(KernelForm.SE, _sum_squares(diffs, ells[0])),
-            _plain_cov(KernelForm.MATERN12, _sum_squares(diffs, ells[1])),
-        )
+        return tuple(_plain_cov(f, _sum_squares(diffs, e)) for f, e in zip(_SUM_FORMS, ells))
     return (_plain_cov(form, _sum_squares(diffs, ells)),)
 
 
@@ -292,9 +295,7 @@ def _part_grads(
     if form is not KernelForm.SUM:
         _lengthscale_grads(form, diffs, ells, units[0], out[:p])
         return p
-    for c, (f, k, v) in enumerate(
-        zip((KernelForm.SE, KernelForm.MATERN12), units, np.exp(log_vars))
-    ):
+    for c, (f, k, v) in enumerate(zip(_SUM_FORMS, units, np.exp(log_vars))):
         block = out[c * p : (c + 1) * p]
         _lengthscale_grads(f, diffs, ells[c], k, block)
         block *= v

@@ -20,14 +20,12 @@ from dynabo.problems.standard import (
     StaticFunction,
     make_standard,
     static_function,
-    static_function_names,
 )
 
 __all__ = [
     "Problem",
     "make_standard",
     "static_function",
-    "static_function_names",
     "StaticFunction",
     "MpbConfig",
     "MpbState",

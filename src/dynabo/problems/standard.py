@@ -20,7 +20,7 @@ import numpy as np
 from dynabo.optimizer import Box
 from dynabo.problems.base import Problem
 
-__all__ = ["StaticFunction", "static_function", "static_function_names", "make_standard"]
+__all__ = ["StaticFunction", "static_function", "make_standard"]
 
 
 def camel6(u: np.ndarray) -> np.ndarray:
@@ -212,11 +212,6 @@ def static_function(name: str) -> StaticFunction:
         return StaticFunction(name, d, np.full(d, -5.0), np.full(d, 5.0), batch,
                               minimum_per_dim * d, np.full(d, coordinate))
     raise ValueError(f"unknown function name: {name!r}")
-
-
-def static_function_names() -> list[str]:
-    """Fixed-size names plus the conventional parameterized sizes."""
-    return sorted(_registry()) + ["griewank2", "styblinski_tang2", "styblinski_tang7"]
 
 
 def make_standard(name: str, time_dim: int | None = None, seed: int = 0) -> Problem:

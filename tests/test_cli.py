@@ -5,6 +5,7 @@ check plumbing contracts (files, formats, exit codes), not optimization
 quality.
 """
 
+import csv
 import json
 import math
 import os
@@ -20,13 +21,14 @@ import dynabo.cli as cli
 from dynabo.cli import (
     ConfigError,
     ExperimentConfig,
+    build_problem,
     load_config,
     main,
     normalize_config,
 )
 from dynabo.engine import RunTrace, StepRecord, run
 from dynabo.metrics import ScoredSeries, offline_performance, windowed_best
-from dynabo.problems import static_function
+from dynabo.problems import static_function, write_synthetic_fixture
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -59,6 +61,12 @@ def write_cfg(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+def sensor_problem(tmp_path):
+    readings, coords = tmp_path / "readings.csv", tmp_path / "coords.csv"
+    write_synthetic_fixture(readings, coords)
+    return {"kind": "sensor", "readings": str(readings), "coords": str(coords)}
 
 
 # ---- config loading
@@ -507,6 +515,31 @@ def test_plot_data_verb_on_existing_trace(completed_run, tmp_path, capsys):
     assert produced.read_text().splitlines()[0] == "step,t,y,best_so_far,b_t,phase"
 
 
+@pytest.mark.parametrize("kind", ["mpb", "sensor"])
+def test_run_on_mpb_and_sensor_problems(kind, tmp_path):
+    problem = {"kind": "mpb", "scenario": 1} if kind == "mpb" else sensor_problem(tmp_path)
+    out = tmp_path / "out"
+    raw = minimal_raw(problem=problem, modes=["abo_fixed", "abo_adaptive_time"],
+                      repetitions=1, budget=5, pso_particles=6, pso_iterations=5,
+                      output_dir=str(out))
+    path = write_cfg(tmp_path, raw)
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    assert (out / "summary.csv").exists()
+    built = build_problem(load_config(path))
+    (t0, t1), box = built.horizon, built.spatial_bounds
+    for mode in raw["modes"]:
+        trace = out / cli.trace_filename(mode, 0)
+        assert trace.with_suffix(".meta.json").exists()
+        with open(trace, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            x = np.array([float(row[f"x_{i}"]) for i in range(built.spatial_dim)])
+            assert np.all((box.lower <= x) & (x <= box.upper))
+            assert t0 <= float(row["t"]) <= t1
+
+
 # ---- failure paths
 
 
@@ -569,16 +602,26 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, message",
     [
-        {"problem": {"kind": "standard", "name": "nosuch", "seed": 0}},
-        {"mode_overrides": {"abo_fixed": {"warmup_span": 5.0}}},
-        {"modes": ["abo_fixed", "standard_bo"], "kernel_temporal": "matern12"},
-        {"kernel_spatial": "sum", "tie_lengthscales": "all"},
+        ({"problem": {"kind": "standard", "name": "nosuch", "seed": 0}},
+         "problem construction failed: unknown function name: 'nosuch'"),
+        ({"mode_overrides": {"abo_fixed": {"warmup_span": 5.0}}},
+         "config rejected for mode abo_fixed: warmup span"),
+        ({"modes": ["abo_fixed", "standard_bo"], "kernel_temporal": "matern12"},
+         "config rejected for mode standard_bo:"),
+        ({"kernel_spatial": "sum", "tie_lengthscales": "all"},
+         "config rejected for mode abo_fixed:"),
+        ({"problem": ["mpb"]}, "problem: must be a mapping with a 'kind'"),
+        ({"mode_overrides": [1]}, "mode_overrides: must be a mapping of mode to overrides"),
+        ({"mode_overrides": {"nosuch": {}}}, "mode_overrides.nosuch: not a known mode"),
+        ({"mode_overrides": {"abo_fixed": 3}}, "mode_overrides.abo_fixed: must be a mapping"),
     ],
-    ids=["unknown_function", "warmup_past_horizon", "standard_bo_mixed_forms", "tied_sum"],
+    ids=["unknown_function", "warmup_past_horizon", "standard_bo_mixed_forms", "tied_sum",
+         "problem_not_a_mapping", "overrides_not_a_mapping", "override_of_unknown_mode",
+         "override_not_a_mapping"],
 )
-def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, change):
+def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, change, message):
     # every check run makes before it starts, validate makes too
     out = tmp_path / "out"
     path = write_cfg(tmp_path, fast_raw(output_dir=str(out), **change))
@@ -587,7 +630,25 @@ def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, change):
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == validate_err
     assert validate_err.count("\n") == 1
+    assert message in validate_err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing_readings", "output_below_a_file"])
+def test_unreadable_input_and_unwritable_output_exit_3(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    problem = sensor_problem(tmp_path)
+    if case == "missing_readings":
+        Path(problem["readings"]).unlink()
+        message = "cannot read problem data: "
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        message = "cannot create output directory: "
+    raw = fast_raw(problem=problem, budget=5, output_dir=str(out))
+    assert main(["run", str(write_cfg(tmp_path, raw))]) == 3
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("trace_*"))
 
 
 def test_bad_problem_field_types_exit_2_without_output(tmp_path, capsys):

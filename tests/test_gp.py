@@ -978,7 +978,7 @@ def test_training_objective_gradient_matches_central_differences(spec, tied):
         d = int(rng.integers(1, 3))
         dataset, hp = random_case(rng, spec, 8, d)
         bounds = default_log_bounds(spec, [4.0] * d, 40.0)
-        objective = gp._TrainingObjective(dataset, spec, bounds, tied)
+        objective = gp._MarginalLikelihood(dataset, spec, bounds, tied)
         temporal = temporal_lengthscale_entries(spec, d)
         theta = hp_to_vector(hp, spec)
         # the temporal scales below the ceiling in half the cases, above it in
@@ -987,7 +987,9 @@ def test_training_objective_gradient_matches_central_differences(spec, tied):
         theta[temporal] = math.log(4.0) + side * rng.uniform(0.3, 1.5, temporal.sum())
         value, lml, grad = objective.value_and_gradient(theta)
         z = 0.0 if tied else np.maximum(theta[temporal] - math.log(4.0), 0.0)
-        want_lml, want_grad = gp._MarginalLikelihood(dataset, spec).value_and_gradient(theta)
+        want_value, want_lml, want_grad = gp._MarginalLikelihood(
+            dataset, spec).value_and_gradient(theta)
+        assert want_value == want_lml  # without bounds there is no prior
         assert lml == want_lml
         assert value == pytest.approx(lml - 0.5 * float(np.sum(z * z)), abs=1e-12)
         prior_grad = np.zeros_like(theta)
