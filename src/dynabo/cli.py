@@ -359,9 +359,7 @@ def engine_config_for(
         detector=DetectorConfig(params["detector_window"], params["detector_rate"]),
         flexible_heuristics=params["flexible_heuristics"],
         acquisition=_acquisition_from(params),
-        kernel=KernelSpec(
-            KernelForm(params["kernel_spatial"]), KernelForm(params["kernel_temporal"])
-        ),
+        kernel=KernelSpec(params["kernel_spatial"], params["kernel_temporal"]),
         seed=config.base_seed + repetition,
         train=TrainConfig(
             restarts=params["train_restarts"],

@@ -36,21 +36,22 @@ once, each reduction bitwise the per-matrix one.
 bounds, so without the prior, and return its LML (and gradient).
 
 Training probes and gradients avoid numpy's per-call wrappers, which at
-n ~ 18 cost more than the factorization itself.  The vector's layout in the
-covariance shapes, the gram buffer and its diagonal view are made once per
-dataset; reductions call ``np.add.reduce`` (bitwise what ``sum`` and
-``mean`` return).  The factorization tries the plain matrix first and
-builds the jitter ladder only when that fails.
+n ~ 18 cost more than the factorization itself.  The views of the vector
+buffer in the ``Hyperparameters`` shapes, the gram buffer and its diagonal
+view are made once per dataset; reductions call ``np.add.reduce`` (bitwise
+what ``sum`` and ``mean`` return).  The factorization tries the plain
+matrix first and builds the jitter ladder only when that fails.
 
-``GpModel.fit`` keeps what every posterior predict on that fit shares: the
-target mean and std, the kernel's signal variance, the hyperparameters
-checked once and laid out in the covariance shapes, and the training points
-dimension-major, ``(d, n, 1)`` spatial and ``(1, n, 1)`` temporal.  A predict
-subtracts the query batch from those arrays and builds the cross-covariance
-with the kernels' ``_cov``, bitwise what ``cross_gram`` gives.  When every
-query in the batch has the same time, as in every step of a fixed-interval
-mode, the temporal factor is one ``(n, 1)`` column broadcast over the batch;
-elementwise arithmetic gives the same bits whatever the array's shape.
+``GpModel.fit`` checks the hyperparameters once, through ``gram``, and keeps
+what every posterior predict on that fit shares: the target mean and std,
+the kernel's signal variance, and the training points dimension-major,
+``(d, n, 1)`` spatial and ``(1, n, 1)`` temporal.  A predict subtracts the
+query batch from those arrays and builds the cross-covariance with the
+kernels' ``_cov`` on ``hp`` itself, bitwise what ``cross_gram`` gives.  When
+every query in the batch has the same time, as in every step of a
+fixed-interval mode, the temporal factor is one ``(n, 1)`` column broadcast
+over the batch; elementwise arithmetic gives the same bits whatever the
+array's shape.
 Every factorization and solve calls LAPACK directly, through ``_routines``.
 
 A predict solves only against the samples its batch still correlates with
@@ -80,23 +81,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from dynabo._routines import _cho_solve, _dpotrf, _lbfgsb, _tri_solve
 from dynabo.kernels import (
-    _SUM_FORMS,
     Hyperparameters,
     KernelForm,
     KernelSpec,
+    _components,
     _cov,
     _cov_grads,
     _cov_parts,
     _diffs,
     _layout,
-    _params,
-    _Params,
-    _params_from_vector,
+    _split,
     cross_gram,  # noqa: F401  bench/tracing.py wraps it in this namespace
     grad_gram_log_hp,  # noqa: F401  bench/tracing.py wraps it in this namespace
     gram,
@@ -256,9 +256,9 @@ class _MarginalLikelihood:
     requested at that vector reuses it.  Every factorization goes through
     ``chol_with_jitter``, which rejects a non-finite gram matrix.  The vector
     is laid out once: a buffer that each new vector is copied into, with
-    views of it in the covariance shapes (0-d views for the free scalars).
-    The gram matrix is built in one buffer too, the noise added through a
-    view of its diagonal.
+    views of it in the ``Hyperparameters`` shapes (0-d views for the free
+    scalars).  The gram matrix is built in one buffer too, the noise added
+    through a view of its diagonal.
     """
 
     def __init__(self, dataset: Dataset, spec: KernelSpec, bounds=None, tied: bool = False):
@@ -279,7 +279,7 @@ class _MarginalLikelihood:
         self._gram = np.empty((n, n))
         self._gram_diagonal = self._gram.reshape(-1)[:: n + 1]
         self._theta = np.zeros(n_hyperparameters(spec, d))
-        self._params = _params_from_vector(self._theta, spec, d)
+        self._params = SimpleNamespace(**_split(self._theta, spec, d))
         self._grads = np.empty((len(self._theta), n, n))
         self._last = None  # (theta bytes, params, parts, factor, alpha, lml)
 
@@ -360,7 +360,6 @@ class GpModel:
     _target_mean: float = field(repr=False)
     _target_std: float = field(repr=False)
     _signal_variance: float = field(repr=False)
-    _kernel_params: _Params = field(repr=False)
     _space: np.ndarray = field(repr=False)
     _time: np.ndarray = field(repr=False)
     # the time gap beyond which a sample drops out of a predict (see the
@@ -379,12 +378,12 @@ class GpModel:
         times = columns[-1, :, 0]
         reach = math.inf
         if np.all(times[1:] >= times[:-1]):
-            forms = _SUM_FORMS if spec.temporal is KernelForm.SUM else (spec.temporal,)
             ells = np.exp(np.atleast_1d(hp.log_temporal_lengthscale))
-            reach = max(float(ell) * _UNIT_REACH[f] for f, ell in zip(forms, ells))
+            reach = max(float(ell) * _UNIT_REACH[f]
+                        for f, ell in zip(_components(spec.temporal), ells))
         return cls(
             dataset, spec, hp, el, alpha, mean, std, hp.signal_variance,
-            _params(spec, hp), columns[:-1], columns[-1:], reach,
+            columns[:-1], columns[-1:], reach,
         )
 
     def _query(self, points) -> np.ndarray:
@@ -411,7 +410,7 @@ class GpModel:
             return np.zeros(m), np.full(m, self._signal_variance)
         dx = self._space[:, first:] - queries[:-1]
         dt = self._time[:, first:] - times
-        k_star = _cov(self.spec, dx, dt, self._kernel_params)
+        k_star = _cov(self.spec, dx, dt, self.hp)
         mean = k_star.T @ self._alpha[first:]
         v = _tri_solve(self._factor_l[first:, first:], k_star)
         v *= v
@@ -509,10 +508,8 @@ def default_log_bounds(
 def _tie_blocks(spec: KernelSpec, d: int, mode: str) -> list[slice]:
     if mode == "none":
         return []
-    if mode == "spatial":
-        if spec.spatial is KernelForm.SUM:
-            return [slice(0, d), slice(d, 2 * d)]
-        return [slice(0, d)]
+    if mode == "spatial":  # one block per spatial component
+        return [slice(c * d, (c + 1) * d) for c in range(len(_components(spec.spatial)))]
     # "all": spatial and temporal length-scales share one value
     if spec.has_sum:
         raise ValueError("tie_lengthscales='all' requires plain kernel forms")

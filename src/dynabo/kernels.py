@@ -25,6 +25,12 @@ the signal variance, and the temporal part.  The derivatives take those
 factors instead of recomputing them, so a training gradient reuses what the
 probe at the same vector built; ``grad_gram_log_hp`` builds them itself and
 runs the same derivative routine.
+
+The covariance code reads the hyperparameters by attribute, in their
+``Hyperparameters`` shapes: a ``Hyperparameters`` itself, or views of a log
+vector laid out by ``_split``.  A part's covariance takes its length-scales
+one row per plain component (``_components``: the form itself, or the sum
+form's two).
 """
 
 from __future__ import annotations
@@ -64,6 +70,11 @@ class KernelSpec:
 
     spatial: KernelForm = KernelForm.SE
     temporal: KernelForm = KernelForm.SE
+
+    def __post_init__(self):
+        # the covariance code tests forms by identity, so a name becomes its member
+        object.__setattr__(self, "spatial", KernelForm(self.spatial))
+        object.__setattr__(self, "temporal", KernelForm(self.temporal))
 
     @property
     def has_sum(self) -> bool:
@@ -206,7 +217,7 @@ def _layout(spec: KernelSpec, d: int) -> tuple[tuple[str, tuple, tuple[str, ...]
 def _check_shapes(spec: KernelSpec, hp: Hyperparameters) -> None:
     free = {f: shape for f, shape, _ in _layout(spec, hp.spatial_dim)}
     forms = f"{spec.spatial.value} x {spec.temporal.value} kernel"
-    for f in _Params._fields:
+    for f in (field.name for field in fields(hp)):
         value, pinned = getattr(hp, f), _PINNED.get(f)
         if f in free:
             if value is None or np.shape(value) != free[f]:
@@ -230,8 +241,8 @@ def _sum_squares(diffs: np.ndarray, ells: np.ndarray) -> np.ndarray:
     s = np.divide(diffs[0], ells[0])
     s *= s
     z = None  # one scratch array for every later dimension
-    for diff, ell in zip(diffs[1:], ells[1:]):
-        z = np.divide(diff, ell, out=z)
+    for j in range(1, len(ells)):
+        z = np.divide(diffs[j], ells[j], out=z)
         z *= z
         s += z
     return s
@@ -248,16 +259,20 @@ def _plain_cov(form: KernelForm, s: np.ndarray) -> np.ndarray:
     return np.exp(s, out=s)
 
 
-def _part_units(form: KernelForm, diffs: np.ndarray, log_ells: np.ndarray) -> tuple:
-    """Unit-variance covariance of each plain component of one part: the
-    form's own, or the sum form's, in ``_SUM_FORMS`` order."""
-    ells = np.exp(log_ells)
-    if form is KernelForm.SUM:
-        return tuple(_plain_cov(f, _sum_squares(diffs, e)) for f, e in zip(_SUM_FORMS, ells))
-    return (_plain_cov(form, _sum_squares(diffs, ells)),)
+def _components(form: KernelForm) -> tuple:
+    """The plain forms of one part, in the order of its length-scale rows:
+    the form itself, or the sum form's ``_SUM_FORMS``."""
+    return _SUM_FORMS if form is KernelForm.SUM else (form,)
 
 
-def _part_cov(units: tuple, log_vars: np.ndarray | None) -> np.ndarray:
+def _part_units(form: KernelForm, diffs: np.ndarray, log_ells) -> list:
+    """Unit-variance covariance of each plain component of one part."""
+    forms = _components(form)
+    ells = np.exp(log_ells).reshape(len(forms), -1)  # one row per component
+    return [_plain_cov(f, _sum_squares(diffs, ells[c])) for c, f in enumerate(forms)]
+
+
+def _part_cov(units: list, log_vars: np.ndarray | None) -> np.ndarray:
     """One part's covariance from its unit components: the plain form's one
     component itself, or the sum form's two weighted by their variances."""
     if len(units) == 1:
@@ -271,8 +286,9 @@ def _part_cov(units: tuple, log_vars: np.ndarray | None) -> np.ndarray:
 def _lengthscale_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray, k, out):
     """Derivatives of a unit-variance plain component ``k`` by each log(l_j),
     written into ``out[j]``: ``z_j^2`` times ``k`` (SE) or ``k / r``
-    (Matern 1/2, 0 at zero distance)."""
-    np.divide(diffs, ells[:, None, None], out=out)
+    (Matern 1/2, 0 at zero distance).  ``ells`` broadcasts against
+    ``diffs``, one length-scale per slab."""
+    np.divide(diffs, ells, out=out)
     out *= out
     if form is KernelForm.SE:
         out *= k
@@ -284,13 +300,11 @@ def _lengthscale_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray, k,
     out *= np.divide(k, r, out=np.zeros(r.shape), where=r > 0)
 
 
-def _part_grads(
-    form: KernelForm, diffs: np.ndarray, log_ells: np.ndarray, log_vars, units: tuple, out
-) -> int:
+def _part_grads(form: KernelForm, diffs: np.ndarray, log_ells, log_vars, units: list, out) -> int:
     """One part's unit-variance derivatives, written into the leading slots
     of ``out``: its length-scales (one row per sum component, each times its
     variance), then the sum form's two variances.  Returns the slot count."""
-    ells = np.exp(log_ells)
+    ells = np.exp(log_ells)[..., None, None]  # each entry against its (n, m) slab
     p = len(diffs)
     if form is not KernelForm.SUM:
         _lengthscale_grads(form, diffs, ells, units[0], out[:p])
@@ -301,31 +315,6 @@ def _part_grads(
         block *= v
         np.multiply(k, v, out=out[2 * p + c])
     return 2 * p + 2
-
-
-class _Params(NamedTuple):
-    """The ``Hyperparameters`` fields in vector order, in the shapes the
-    covariance code consumes."""
-
-    log_spatial_lengthscales: np.ndarray  # (D,), or (2, D) for the sum form
-    log_spatial_variances: np.ndarray | None
-    log_temporal_lengthscale: np.ndarray  # (1,), or (2, 1) for the sum form
-    log_temporal_variances: np.ndarray | None
-    log_signal_variance: float
-    log_noise_variance: float
-
-
-def _cov_params(values) -> _Params:
-    """``_Params`` from a field-name mapping; the temporal length-scales
-    gain a trailing axis."""
-    sls, svar, tls, tvar, sig, noise = (values[f] for f in _Params._fields)
-    return _Params(sls, svar, np.asarray(tls)[..., None], tvar, sig, noise)
-
-
-def _params(spec: KernelSpec, hp: Hyperparameters) -> _Params:
-    """``hp`` in the covariance shapes, after checking it against ``spec``."""
-    _check_shapes(spec, hp)
-    return _cov_params(vars(hp))
 
 
 def _split(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> dict:
@@ -341,62 +330,56 @@ def _split(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> dict:
     return values
 
 
-def _params_from_vector(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> _Params:
-    """Views into a log-hyperparameter vector, in the covariance shapes; the
-    scalars are 0-d views, or the pinned value."""
-    return _cov_params(_split(theta, spec, spatial_dim))
-
-
 class _Parts(NamedTuple):
     """The factors a covariance is built from, kept by a training probe for
     the gradient at the same vector."""
 
-    spatial: tuple  # unit-variance covariance of each spatial component
-    temporal: tuple  # the same for the temporal part
+    spatial: list  # unit-variance covariance of each spatial component
+    temporal: list  # the same for the temporal part
     scaled_spatial: np.ndarray  # the spatial part times the signal variance
     temporal_part: np.ndarray  # the temporal part
 
 
-def _cov_parts(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params) -> _Parts:
+def _cov_parts(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, hp: Hyperparameters) -> _Parts:
     """The factors of the noise-free covariance (see ``_cov``)."""
-    spatial = _part_units(spec.spatial, dx, p.log_spatial_lengthscales)
-    temporal = _part_units(spec.temporal, dt, p.log_temporal_lengthscale)
-    scaled = _part_cov(spatial, p.log_spatial_variances) * np.exp(p.log_signal_variance)
-    return _Parts(spatial, temporal, scaled, _part_cov(temporal, p.log_temporal_variances))
+    spatial = _part_units(spec.spatial, dx, hp.log_spatial_lengthscales)
+    temporal = _part_units(spec.temporal, dt, hp.log_temporal_lengthscale)
+    scaled = _part_cov(spatial, hp.log_spatial_variances) * np.exp(hp.log_signal_variance)
+    return _Parts(spatial, temporal, scaled, _part_cov(temporal, hp.log_temporal_variances))
 
 
-def _cov(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params) -> np.ndarray:
+def _cov(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, hp: Hyperparameters) -> np.ndarray:
     """Noise-free covariance from raw spatial and temporal differences: the
     spatial part times the signal variance, times the temporal part, built in
     place: ``_cov_parts`` keeps the factors, and the array that costs raised
     the peak memory of long runs when predict went through it."""
-    k = _part_cov(_part_units(spec.spatial, dx, p.log_spatial_lengthscales),
-                  p.log_spatial_variances)
-    k *= np.exp(p.log_signal_variance)
-    k *= _part_cov(_part_units(spec.temporal, dt, p.log_temporal_lengthscale),
-                   p.log_temporal_variances)
+    k = _part_cov(_part_units(spec.spatial, dx, hp.log_spatial_lengthscales),
+                  hp.log_spatial_variances)
+    k *= np.exp(hp.log_signal_variance)
+    k *= _part_cov(_part_units(spec.temporal, dt, hp.log_temporal_lengthscale),
+                   hp.log_temporal_variances)
     return k
 
 
 def _cov_grads(
-    spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, p: _Params, parts: _Parts, out
+    spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, hp: Hyperparameters, parts: _Parts, out
 ) -> np.ndarray:
     """Noisy-gram derivatives in ``_layout`` order (see ``grad_gram_log_hp``),
     built from the covariance's ``parts`` into the ``(P, n, n)`` stack
     ``out``: a spatial derivative is the part's own times the signal
     variance times the temporal part, a temporal one the part's own times
     the scaled spatial part."""
-    i = _part_grads(spec.spatial, dx, p.log_spatial_lengthscales, p.log_spatial_variances,
+    i = _part_grads(spec.spatial, dx, hp.log_spatial_lengthscales, hp.log_spatial_variances,
                     parts.spatial, out)
-    out[:i] *= np.exp(p.log_signal_variance)
+    out[:i] *= np.exp(hp.log_signal_variance)
     out[:i] *= parts.temporal_part
-    j = i + _part_grads(spec.temporal, dt, p.log_temporal_lengthscale,
-                        p.log_temporal_variances, parts.temporal, out[i:])
+    j = i + _part_grads(spec.temporal, dt, hp.log_temporal_lengthscale,
+                        hp.log_temporal_variances, parts.temporal, out[i:])
     out[i:j] *= parts.scaled_spatial
     if spec.signal_variance_free:
         np.multiply(parts.scaled_spatial, parts.temporal_part, out=out[j])
     out[-1] = 0.0
-    np.fill_diagonal(out[-1], np.exp(p.log_noise_variance))
+    np.fill_diagonal(out[-1], np.exp(hp.log_noise_variance))
     return out
 
 
@@ -413,11 +396,11 @@ def cross_gram(
     points_a: np.ndarray, points_b: np.ndarray, spec: KernelSpec, hp: Hyperparameters
 ) -> np.ndarray:
     """Covariance matrix between two point sets, without observation noise."""
-    p = _params(spec, hp)
+    _check_shapes(spec, hp)
     d = hp.spatial_dim
     xa, ta = _split_points(points_a, d)
     xb, tb = _split_points(points_b, d)
-    return _cov(spec, _diffs(xa, xb), _diffs(ta, tb), p)
+    return _cov(spec, _diffs(xa, xb), _diffs(ta, tb), hp)
 
 
 def gram(
@@ -448,11 +431,11 @@ def grad_gram_log_hp(
     Matrices follow the vector order ``_layout`` declares, the one
     ``hp_to_vector`` uses.  The noise derivative is ``noise_variance * I``.
     """
-    p = _params(spec, hp)
+    _check_shapes(spec, hp)
     x, t = _split_points(points, hp.spatial_dim)
     dx, dt = _diffs(x, x), _diffs(t, t)
     out = np.empty((n_hyperparameters(spec, hp.spatial_dim), len(x), len(x)))
-    return list(_cov_grads(spec, dx, dt, p, _cov_parts(spec, dx, dt, p), out))
+    return list(_cov_grads(spec, dx, dt, hp, _cov_parts(spec, dx, dt, hp), out))
 
 
 def n_hyperparameters(spec: KernelSpec, spatial_dim: int) -> int:

@@ -651,6 +651,44 @@ def test_unreadable_input_and_unwritable_output_exit_3(tmp_path, capsys, case):
     assert not list(tmp_path.rglob("trace_*"))
 
 
+@pytest.mark.parametrize(
+    "blocked, extra, message",
+    [("trace_abo_fixed_rep0.csv", {}, "cannot write outputs: [Errno 21] Is a directory"),
+     ("summary.csv", {"emit_traces": False}, "cannot write summary: [Errno 21] Is a directory")],
+    ids=["trace", "summary"],
+)
+def test_output_file_taken_by_a_directory_exits_3(tmp_path, capsys, blocked, extra, message):
+    # a directory where a file goes blocks the write for any user, root too
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    raw = fast_raw(repetitions=1, output_dir=str(out), **extra)
+    assert main(["run", str(write_cfg(tmp_path, raw))]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("a,b\n1,2\n", "not a trace file (missing ['phase', 'step', 't', 'y'])"),
+     ("step,phase,t,y\n", "empty trace")],
+    ids=["not_a_trace", "header_only"],
+)
+def test_plot_data_rejects_what_is_not_a_trace(tmp_path, capsys, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert main(["plot-data", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot process {path}: ") and err.endswith(f"{message}\n")
+    assert not path.with_suffix(".plot.csv").exists()
+
+
+def test_config_that_is_not_a_mapping_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 2
+        assert "config must be a mapping" in capsys.readouterr().err
+
+
 def test_bad_problem_field_types_exit_2_without_output(tmp_path, capsys):
     out = tmp_path / "out"
     raw = fast_raw(output_dir=str(out),

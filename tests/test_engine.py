@@ -349,6 +349,24 @@ def test_trained_run_records_lengthscales():
     assert all(np.isfinite(s.lt_hat) and s.lt_hat > 0 for s in scored)
 
 
+@pytest.mark.parametrize(
+    "spatial, temporal",
+    [(KernelForm.SUM, KernelForm.SUM), (KernelForm.SE, KernelForm.SUM),
+     (KernelForm.SUM, KernelForm.MATERN12)],
+)
+def test_trained_sum_form_run_scores_its_budget(spatial, temporal):
+    prob = drifting_bowl()
+    cfg = small_cfg(
+        budget=4, fixed_hp=None, kernel=KernelSpec(spatial, temporal),
+        pso=PsoConfig(particles=6, iterations=5), train=TrainConfig(restarts=2, max_iters=30),
+    )
+    trace = run(prob, cfg)
+    assert not trace.aborted and trace.n_scored == 4
+    assert_loop_invariants(trace, prob)
+    scored = [s for s in trace.steps if s.phase == "scored"]
+    assert all(np.isfinite(s.lt_hat) and s.lt_hat > 0 for s in scored)
+
+
 def test_freeze_after_warmup_trains_once(monkeypatch):
     calls = []
     real_train = engine_mod.train

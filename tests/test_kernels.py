@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynabo.gp import default_log_bounds
+from dynabo.gp import Dataset, default_log_bounds, log_marginal_likelihood
 from dynabo.kernels import (
     Hyperparameters,
     KernelForm,
@@ -410,6 +410,20 @@ def test_shape_mismatch_rejected():
             bad = dataclasses.replace(hp, log_spatial_lengthscales=sum_shaped)
             with pytest.raises(ValueError, match="log_spatial_lengthscales"):
                 hp_to_vector(bad, spec)
+
+
+def test_spec_forms_become_members():
+    # the covariance code tests forms by identity: a name given for a form
+    # must score as that form, not fall through to another branch
+    named = KernelSpec("se", "matern12")
+    assert named.spatial is KernelForm.SE and named.temporal is KernelForm.MATERN12
+    members = KernelSpec(KernelForm.SE, KernelForm.MATERN12)
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.uniform(size=(6, 2)), rng.normal(size=6))
+    hp = Hyperparameters.default(1, members, spatial_scale=0.3, temporal_scale=0.5)
+    assert log_marginal_likelihood(data, named, hp) == log_marginal_likelihood(data, members, hp)
+    with pytest.raises(ValueError):
+        KernelSpec("cubic")
 
 
 @pytest.mark.parametrize("name", ["log_spatial_variances", "log_temporal_variances"])

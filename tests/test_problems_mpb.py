@@ -151,6 +151,13 @@ def test_long_run_stays_in_ranges():
         assert np.allclose(np.linalg.norm(state.shifts, axis=1), 1.0)
 
 
+def test_zero_width_ranges_hold_heights_and_widths():
+    state = mpb_init(MpbConfig(height_range=(50.0, 50.0), width_range=(2.0, 2.0)), seed=0)
+    for _ in range(6):  # the initial state, then five steps
+        assert np.all(state.heights == 50.0) and np.all(state.widths == 2.0)
+        state = mpb_step(state)
+
+
 def test_reflect_interval():
     vals = np.array([75.0, 20.0, 50.0, 30.0, 70.0])
     out = _reflect_interval(vals, 30.0, 70.0)

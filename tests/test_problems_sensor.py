@@ -66,6 +66,21 @@ def test_ingest_drops_malformed_rows(tmp_path):
     assert table.dropped_rows == 6
 
 
+def test_ingest_skips_blank_lines_and_counts_bad_coordinate_rows(tmp_path):
+    rp, cp = tmp_path / "r.csv", tmp_path / "c.csv"
+    write_synthetic_fixture(rp, cp, n_sensors=4, n_epochs=20, seed=1)
+    clean = ingest_sensor_csv(rp, cp)
+    messy = ingest_sensor_csv(*write(
+        tmp_path,
+        "date,time,epoch,sensor,temperature\n\n" + rp.read_text(),
+        "sensor,x,y\n\n" + cp.read_text() + "7,1.0\n8,a,b\n",
+    ))
+    assert messy.dropped_coord_rows == 2  # a short row and a non-numeric one
+    assert messy.coords == clean.coords
+    assert messy.readings == clean.readings
+    assert messy.dropped_rows == clean.dropped_rows == 0
+
+
 def test_ingest_duplicate_last_wins(tmp_path):
     rp, cp = write(
         tmp_path,
@@ -180,6 +195,14 @@ def test_problem_needs_two_epochs(tmp_path):
     table = ingest_sensor_csv(*write(tmp_path, rows, COORDS_3))
     with pytest.raises(ValueError):
         make_sensor_problem(table)
+
+
+def test_problem_rejects_a_query_of_the_wrong_dimension(tmp_path):
+    rp, cp = tmp_path / "r.csv", tmp_path / "c.csv"
+    write_synthetic_fixture(rp, cp, n_sensors=4, n_epochs=20, seed=1)
+    problem = make_sensor_problem(ingest_sensor_csv(rp, cp))
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        problem.evaluate(np.zeros(3), 1.0)
 
 
 def test_synthetic_fixture_round_trip(tmp_path):
