@@ -60,7 +60,7 @@ def score(acq: AcquisitionSpec, mean, variance) -> np.ndarray:
     """
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    if np.any(variance < 0):
+    if (variance < 0).any():
         raise ValueError("variance must be nonnegative")
     if isinstance(acq, LowerConfidenceBound):
         return mean - acq.kappa * np.sqrt(variance)

@@ -404,7 +404,7 @@ def read_trace_csv(path):
         reader = csv.DictReader(fh)
         required = {"step", "phase", "t", "y"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: not a trace file (missing {sorted(required)})")
+            raise ValueError(f"not a trace file (missing {sorted(required)})")
         rows = []
         for row in reader:
             rows.append(
@@ -439,7 +439,7 @@ def write_plot_data(trace_path, out_path, window: int):
     """
     rows = read_trace_csv(trace_path)
     if not rows:
-        raise ValueError(f"{trace_path}: empty trace")
+        raise ValueError("empty trace")
     running = best_so_far([r["y"] for r in rows])
     scored_y = [r["y"] for r in rows if r["phase"] == "scored"]
     wb = iter(windowed_best(ScoredSeries(scored_y, window)) if scored_y else [])

@@ -44,14 +44,15 @@ matrix first and builds the jitter ladder only when that fails.
 
 ``GpModel.fit`` checks the hyperparameters once, through ``gram``, and keeps
 what every posterior predict on that fit shares: the target mean and std,
-the kernel's signal variance, and the training points dimension-major,
-``(d, n, 1)`` spatial and ``(1, n, 1)`` temporal.  A predict subtracts the
-query batch from those arrays and builds the cross-covariance with the
-kernels' ``_cov`` on ``hp`` itself, bitwise what ``cross_gram`` gives.  When
-every query in the batch has the same time, as in every step of a
-fixed-interval mode, the temporal factor is one ``(n, 1)`` column broadcast
-over the batch; elementwise arithmetic gives the same bits whatever the
-array's shape.
+the kernel's signal variance, the kernels' per-fit constants
+(``kernels._Kernel``: the exponentiated variances and length-scales), and
+the training points dimension-major, ``(d, n, 1)`` spatial and ``(1, n, 1)``
+temporal.  A predict subtracts the query batch from those arrays and builds
+the cross-covariance with the kernels' ``_cov`` on those constants, bitwise
+what ``cross_gram`` gives.  When every query in the batch has the same time,
+as in every step of a fixed-interval mode, the temporal factor is one
+``(n, 1)`` column broadcast over the batch; elementwise arithmetic gives the
+same bits whatever the array's shape.
 Every factorization and solve calls LAPACK directly, through ``_routines``.
 
 A predict solves only against the samples its batch still correlates with
@@ -91,10 +92,12 @@ from dynabo.kernels import (
     KernelForm,
     KernelSpec,
     _components,
+    _constants,
     _cov,
     _cov_grads,
     _cov_parts,
     _diffs,
+    _Kernel,
     _layout,
     _split,
     cross_gram,  # noqa: F401  bench/tracing.py wraps it in this namespace
@@ -360,6 +363,7 @@ class GpModel:
     _target_mean: float = field(repr=False)
     _target_std: float = field(repr=False)
     _signal_variance: float = field(repr=False)
+    _kernel: _Kernel = field(repr=False)
     _space: np.ndarray = field(repr=False)
     _time: np.ndarray = field(repr=False)
     # the time gap beyond which a sample drops out of a predict (see the
@@ -374,15 +378,15 @@ class GpModel:
         y = (dataset.targets - mean) / std
         el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
         alpha = _cho_solve(el, y)
+        kernel = _constants(spec, hp)
         columns = dataset.points.T.copy()[:, :, None]
         times = columns[-1, :, 0]
         reach = math.inf
-        if np.all(times[1:] >= times[:-1]):
-            ells = np.exp(np.atleast_1d(hp.log_temporal_lengthscale))
+        if (times[1:] >= times[:-1]).all():
             reach = max(float(ell) * _UNIT_REACH[f]
-                        for f, ell in zip(_components(spec.temporal), ells))
+                        for f, ell in zip(kernel.temporal, kernel.temporal_ells[:, 0, 0, 0]))
         return cls(
-            dataset, spec, hp, el, alpha, mean, std, hp.signal_variance,
+            dataset, spec, hp, el, alpha, mean, std, hp.signal_variance, kernel,
             columns[:-1], columns[-1:], reach,
         )
 
@@ -390,7 +394,7 @@ class GpModel:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.dataset.spatial_dim + 1:
             raise ValueError("query points have the wrong number of columns")
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise ValueError("query points must be finite")
         return points
 
@@ -398,19 +402,20 @@ class GpModel:
         """Posterior mean and variance on the standardized-target scale."""
         queries = self._query(points).T.copy()[:, None, :]
         times = queries[-1:]
-        if (times == times[..., :1]).all():
-            times = times[..., :1]  # one shared time: one temporal column
         # the samples from ``first`` on; the older ones are beyond the reach
         # of every query
         first = 0
         if times.size:
-            first = self._time[0, :, 0].searchsorted(times.min() - self._reach)
+            earliest = times.min()
+            if earliest == times.max():
+                times = times[..., :1]  # one shared time: one temporal column
+            first = self._time[0, :, 0].searchsorted(earliest - self._reach)
         if first == len(self._alpha):  # the prior, without a 0 x 0 solve
             m = queries.shape[-1]
             return np.zeros(m), np.full(m, self._signal_variance)
         dx = self._space[:, first:] - queries[:-1]
         dt = self._time[:, first:] - times
-        k_star = _cov(self.spec, dx, dt, self.hp)
+        k_star = _cov(self._kernel, dx, dt)
         mean = k_star.T @ self._alpha[first:]
         v = _tri_solve(self._factor_l[first:, first:], k_star)
         v *= v

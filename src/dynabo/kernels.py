@@ -16,21 +16,26 @@ derivatives with respect to each free log-hyperparameter in that order.
 
 The arithmetic is dimension-major: pairwise differences are laid out
 ``(p, n, m)``, one ``(n, m)`` slab per input dimension.  The scaled squared
-distance is summed in place into one ``(n, m)`` array, one dimension at a
-time in index order, and the exponentials run on it in place.
+distance divides and squares all slabs in one call each, then adds them
+into the first in index order, and the exponentials run on it in place.
+Differences the caller owns (a posterior predict's, or ``cross_gram``'s)
+are overwritten; training's cached ones are divided into a new array.
 
-A covariance is built from its factors (``_cov_parts``): the unit-variance
-covariance of each plain component of either part, the spatial part times
-the signal variance, and the temporal part.  The derivatives take those
-factors instead of recomputing them, so a training gradient reuses what the
-probe at the same vector built; ``grad_gram_log_hp`` builds them itself and
-runs the same derivative routine.
+A covariance is built from per-fit constants (``_Kernel``): each part's
+plain forms (``_components``: the form itself, or the sum form's two), its
+length-scales exponentiated with one row per form, the sum form's component
+variances, and the signal variance.  ``cross_gram`` builds them once per
+call, and ``dynabo.gp`` once per fit for all of its predicts.  Training
+builds the factors (``_cov_parts``): the unit-variance covariance of each
+plain component of either part, the spatial part times the signal variance,
+and the temporal part.  The derivatives take those factors instead of
+recomputing them, so a training gradient reuses what the probe at the same
+vector built; ``grad_gram_log_hp`` builds them itself and runs the same
+derivative routine.
 
 The covariance code reads the hyperparameters by attribute, in their
 ``Hyperparameters`` shapes: a ``Hyperparameters`` itself, or views of a log
-vector laid out by ``_split``.  A part's covariance takes its length-scales
-one row per plain component (``_components``: the form itself, or the sum
-form's two).
+vector laid out by ``_split``.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ class KernelSpec:
 
     @property
     def has_sum(self) -> bool:
-        return KernelForm.SUM in (self.spatial, self.temporal)
+        return _SUM in (self.spatial, self.temporal)
 
     @property
     def signal_variance_free(self) -> bool:
@@ -172,16 +177,20 @@ _PINNED = {
 }
 
 
+# the forms, bound once: the covariance code tests them on every training
+# probe and every posterior batch
+_SE, _M12, _SUM = KernelForm.SE, KernelForm.MATERN12, KernelForm.SUM
+
 # the sum form's plain components, in the order of its length-scale rows and
 # variances
-_SUM_FORMS = (KernelForm.SE, KernelForm.MATERN12)
+_SUM_FORMS = (_SE, _M12)
 
 
 def _part_layout(part: str, field: str, shape: tuple, suffixes: list[str], form: KernelForm):
     """Entries of one separable part: its length-scales (one row per
     ``_SUM_FORMS`` component, for the sum form), then the sum form's two
     variances."""
-    if form is not KernelForm.SUM:
+    if form is not _SUM:
         return ((field, shape, tuple(f"{part}_lengthscale{s}" for s in suffixes)),)
     components = ("se", "m12")
     return (
@@ -235,23 +244,24 @@ def _diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return xa.T.copy()[:, :, None] - xb.T.copy()[:, None, :]
 
 
-def _sum_squares(diffs: np.ndarray, ells: np.ndarray) -> np.ndarray:
+def _sum_squares(diffs: np.ndarray, ells: np.ndarray, out=None) -> np.ndarray:
     """``(diffs[j] / ells[j]) ** 2`` summed over the dimensions ``j`` in
-    index order, in place into one ``(n, m)`` array."""
-    s = np.divide(diffs[0], ells[0])
-    s *= s
-    z = None  # one scratch array for every later dimension
-    for j in range(1, len(ells)):
-        z = np.divide(diffs[j], ells[j], out=z)
-        z *= z
-        s += z
+    index order into one ``(n, m)`` array; ``ells`` is ``(p, 1, 1)``, one
+    per slab.  The squares go to ``out`` (``diffs`` itself) or a new array,
+    and the sum of two or more to an array of its own, so that the caller
+    can drop the ``(p, n, m)`` one."""
+    z = np.divide(diffs, ells, out=out)
+    z *= z
+    s = z[0] if len(z) == 1 else z[0] + z[1]
+    for j in range(2, len(z)):
+        s += z[j]
     return s
 
 
 def _plain_cov(form: KernelForm, s: np.ndarray) -> np.ndarray:
     """Unit-variance plain covariance from the scaled squared distance ``s``,
     computed in place."""
-    if form is KernelForm.SE:
+    if form is _SE:
         s *= -0.5
     else:
         np.sqrt(s, out=s)
@@ -262,22 +272,51 @@ def _plain_cov(form: KernelForm, s: np.ndarray) -> np.ndarray:
 def _components(form: KernelForm) -> tuple:
     """The plain forms of one part, in the order of its length-scale rows:
     the form itself, or the sum form's ``_SUM_FORMS``."""
-    return _SUM_FORMS if form is KernelForm.SUM else (form,)
+    return _SUM_FORMS if form is _SUM else (form,)
 
 
-def _part_units(form: KernelForm, diffs: np.ndarray, log_ells) -> list:
-    """Unit-variance covariance of each plain component of one part."""
+class _Kernel(NamedTuple):
+    """A covariance's per-fit constants: what the covariance code would
+    otherwise recompute from the log-hyperparameters on every batch."""
+
+    spatial: tuple  # the spatial part's plain forms (``_components``)
+    spatial_ells: np.ndarray  # its length-scales, (forms, D, 1, 1): one per slab
+    spatial_vars: np.ndarray | None  # the sum form's component variances
+    temporal: tuple  # the same three for the temporal part
+    temporal_ells: np.ndarray  # (forms, 1, 1, 1)
+    temporal_vars: np.ndarray | None
+    signal: float  # exp(log_signal_variance)
+
+
+def _part_constants(form: KernelForm, log_ells, log_vars) -> tuple:
     forms = _components(form)
-    ells = np.exp(log_ells).reshape(len(forms), -1)  # one row per component
-    return [_plain_cov(f, _sum_squares(diffs, ells[c])) for c, f in enumerate(forms)]
+    ells = np.exp(log_ells).reshape(len(forms), -1, 1, 1)  # one row per component
+    return forms, ells, None if log_vars is None else np.exp(log_vars)
 
 
-def _part_cov(units: list, log_vars: np.ndarray | None) -> np.ndarray:
+def _constants(spec: KernelSpec, hp: Hyperparameters) -> _Kernel:
+    return _Kernel(
+        *_part_constants(spec.spatial, hp.log_spatial_lengthscales, hp.log_spatial_variances),
+        *_part_constants(spec.temporal, hp.log_temporal_lengthscale, hp.log_temporal_variances),
+        np.exp(hp.log_signal_variance),
+    )
+
+
+def _part_units(forms: tuple, diffs: np.ndarray, ells: np.ndarray, owned: bool = False) -> list:
+    """Unit-variance covariance of each plain component of one part.
+    Differences the caller ``owned`` are overwritten by the last component
+    (the sum form's first works on a copy)."""
+    last = len(forms) - 1
+    return [_plain_cov(f, _sum_squares(diffs, ells[c], diffs if owned and c == last else None))
+            for c, f in enumerate(forms)]
+
+
+def _part_cov(units: list, variances: np.ndarray | None) -> np.ndarray:
     """One part's covariance from its unit components: the plain form's one
     component itself, or the sum form's two weighted by their variances."""
     if len(units) == 1:
         return units[0]
-    va, vb = np.exp(log_vars)
+    va, vb = variances
     k = units[0] * va
     k += units[1] * vb
     return k
@@ -290,7 +329,7 @@ def _lengthscale_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray, k,
     ``diffs``, one length-scale per slab."""
     np.divide(diffs, ells, out=out)
     out *= out
-    if form is KernelForm.SE:
+    if form is _SE:
         out *= k
         return
     # index order, as in _sum_squares: numpy adds the slabs of a leading axis
@@ -300,16 +339,15 @@ def _lengthscale_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray, k,
     out *= np.divide(k, r, out=np.zeros(r.shape), where=r > 0)
 
 
-def _part_grads(form: KernelForm, diffs: np.ndarray, log_ells, log_vars, units: list, out) -> int:
+def _part_grads(forms: tuple, diffs: np.ndarray, ells, variances, units: list, out) -> int:
     """One part's unit-variance derivatives, written into the leading slots
     of ``out``: its length-scales (one row per sum component, each times its
     variance), then the sum form's two variances.  Returns the slot count."""
-    ells = np.exp(log_ells)[..., None, None]  # each entry against its (n, m) slab
     p = len(diffs)
-    if form is not KernelForm.SUM:
-        _lengthscale_grads(form, diffs, ells, units[0], out[:p])
+    if len(forms) == 1:
+        _lengthscale_grads(forms[0], diffs, ells[0], units[0], out[:p])
         return p
-    for c, (f, k, v) in enumerate(zip(_SUM_FORMS, units, np.exp(log_vars))):
+    for c, (f, k, v) in enumerate(zip(forms, units, variances)):
         block = out[c * p : (c + 1) * p]
         _lengthscale_grads(f, diffs, ells[c], k, block)
         block *= v
@@ -334,6 +372,7 @@ class _Parts(NamedTuple):
     """The factors a covariance is built from, kept by a training probe for
     the gradient at the same vector."""
 
+    kernel: _Kernel  # the constants they were built with
     spatial: list  # unit-variance covariance of each spatial component
     temporal: list  # the same for the temporal part
     scaled_spatial: np.ndarray  # the spatial part times the signal variance
@@ -341,23 +380,26 @@ class _Parts(NamedTuple):
 
 
 def _cov_parts(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, hp: Hyperparameters) -> _Parts:
-    """The factors of the noise-free covariance (see ``_cov``)."""
-    spatial = _part_units(spec.spatial, dx, hp.log_spatial_lengthscales)
-    temporal = _part_units(spec.temporal, dt, hp.log_temporal_lengthscale)
-    scaled = _part_cov(spatial, hp.log_spatial_variances) * np.exp(hp.log_signal_variance)
-    return _Parts(spatial, temporal, scaled, _part_cov(temporal, hp.log_temporal_variances))
+    """The factors of the noise-free covariance (see ``_cov``), leaving the
+    differences as they are."""
+    c = _constants(spec, hp)
+    spatial = _part_units(c.spatial, dx, c.spatial_ells)
+    temporal = _part_units(c.temporal, dt, c.temporal_ells)
+    scaled = _part_cov(spatial, c.spatial_vars) * c.signal
+    return _Parts(c, spatial, temporal, scaled, _part_cov(temporal, c.temporal_vars))
 
 
-def _cov(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, hp: Hyperparameters) -> np.ndarray:
-    """Noise-free covariance from raw spatial and temporal differences: the
-    spatial part times the signal variance, times the temporal part, built in
-    place: ``_cov_parts`` keeps the factors, and the array that costs raised
-    the peak memory of long runs when predict went through it."""
-    k = _part_cov(_part_units(spec.spatial, dx, hp.log_spatial_lengthscales),
-                  hp.log_spatial_variances)
-    k *= np.exp(hp.log_signal_variance)
-    k *= _part_cov(_part_units(spec.temporal, dt, hp.log_temporal_lengthscale),
-                   hp.log_temporal_variances)
+def _cov(kernel: _Kernel, dx: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Noise-free covariance from raw spatial and temporal differences, which
+    it overwrites: the spatial part times the signal variance, times the
+    temporal part, built in place: ``_cov_parts`` keeps the factors, and the
+    array that costs raised the peak memory of long runs when predict went
+    through it."""
+    k = _part_cov(_part_units(kernel.spatial, dx, kernel.spatial_ells, owned=True),
+                  kernel.spatial_vars)
+    k *= kernel.signal
+    k *= _part_cov(_part_units(kernel.temporal, dt, kernel.temporal_ells, owned=True),
+                   kernel.temporal_vars)
     return k
 
 
@@ -369,12 +411,12 @@ def _cov_grads(
     ``out``: a spatial derivative is the part's own times the signal
     variance times the temporal part, a temporal one the part's own times
     the scaled spatial part."""
-    i = _part_grads(spec.spatial, dx, hp.log_spatial_lengthscales, hp.log_spatial_variances,
-                    parts.spatial, out)
-    out[:i] *= np.exp(hp.log_signal_variance)
+    c = parts.kernel
+    i = _part_grads(c.spatial, dx, c.spatial_ells, c.spatial_vars, parts.spatial, out)
+    out[:i] *= c.signal
     out[:i] *= parts.temporal_part
-    j = i + _part_grads(spec.temporal, dt, hp.log_temporal_lengthscale,
-                        hp.log_temporal_variances, parts.temporal, out[i:])
+    j = i + _part_grads(c.temporal, dt, c.temporal_ells, c.temporal_vars, parts.temporal,
+                        out[i:])
     out[i:j] *= parts.scaled_spatial
     if spec.signal_variance_free:
         np.multiply(parts.scaled_spatial, parts.temporal_part, out=out[j])
@@ -400,7 +442,7 @@ def cross_gram(
     d = hp.spatial_dim
     xa, ta = _split_points(points_a, d)
     xb, tb = _split_points(points_b, d)
-    return _cov(spec, _diffs(xa, xb), _diffs(ta, tb), hp)
+    return _cov(_constants(spec, hp), _diffs(xa, xb), _diffs(ta, tb))
 
 
 def gram(

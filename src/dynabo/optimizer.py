@@ -140,11 +140,15 @@ def latin_hypercube(n: int, box: Box, seed) -> np.ndarray:
 
 
 def _freeze_degenerate(box: Box):
-    """Split a box into free dimensions and pinned values."""
+    """Split a box into free dimensions and pinned values.  ``embed`` puts a
+    batch of free coordinates back among the pinned ones; with none pinned,
+    a batch is its own embedding, not a copy."""
     free = ~box.degenerate
     reduced = None
     if free.any():
         reduced = Box(box.lower[free], box.upper[free])
+    if free.all():
+        return free, reduced, np.atleast_2d
 
     blocks = {}  # row count -> rows of the pinned values, copied per call
 
@@ -200,13 +204,12 @@ def pso_minimize(
     values = _batch_eval(objective, embed(positions))
     best_pos = positions.copy()
     best_val = values.copy()
-    g_idx = int(np.argmin(best_val))
+    g_idx = int(best_val.argmin())
     g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
 
     stalled = 0
     for _ in range(config.iterations):
-        r_cog = rng.uniform(size=(p, dim))
-        r_soc = rng.uniform(size=(p, dim))
+        r_cog, r_soc = rng.uniform(size=(2, p, dim))  # the stream of two (p, dim) draws
         velocities = (
             _INERTIA * velocities
             + _COGNITIVE * r_cog * (best_pos - positions)
@@ -224,7 +227,7 @@ def pso_minimize(
         if improved.any():
             best_pos[improved] = positions[improved]
             best_val[improved] = values[improved]
-            g_idx = int(np.argmin(best_val))
+            g_idx = int(best_val.argmin())
             if best_val[g_idx] < g_val:
                 g_pos, g_val = best_pos[g_idx].copy(), float(best_val[g_idx])
         # inf - inf is nan, so a best still at +inf never counts as stalled
@@ -282,15 +285,15 @@ def local_refine(objective, start, box: Box):
     if reduced is None:
         return start.copy(), start_value
 
-    steps = 1e-6 * reduced.width
+    steps = np.diag(1e-6 * reduced.width)
 
     def grad(z: np.ndarray, batch: np.ndarray, raw: np.ndarray) -> np.ndarray:
         """Central differences at ``z``, whose one-row ``batch`` scored
         ``raw``.  In a one-dimensional search a probe clipped back onto ``z``
         at a bound is that batch bit for bit; it takes ``raw`` instead of
         being scored again."""
-        probes_hi = np.clip(z + np.diag(steps), reduced.lower, reduced.upper)
-        probes_lo = np.clip(z - np.diag(steps), reduced.lower, reduced.upper)
+        probes_hi = np.clip(z + steps, reduced.lower, reduced.upper)
+        probes_lo = np.clip(z - steps, reduced.lower, reduced.upper)
         hi, lo = (
             raw if probes.tobytes() == batch.tobytes() else _raw_eval(objective, probes)
             for probes in (embed(probes_hi), embed(probes_lo))

@@ -677,7 +677,7 @@ def test_plot_data_rejects_what_is_not_a_trace(tmp_path, capsys, text, message):
     path.write_text(text)
     assert main(["plot-data", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"cannot process {path}: ") and err.endswith(f"{message}\n")
+    assert err == f"cannot process {path}: {message}\n"
     assert not path.with_suffix(".plot.csv").exists()
 
 

@@ -348,13 +348,16 @@ def test_predict_rejects_bad_queries():
         model.predict(np.array([[np.nan, 0.0]]))
 
 
-def full_solve(dataset, spec, hp, query):
-    """The posterior against every sample, through ``scipy.linalg``: the
-    cross-covariance with all n samples, solved through the whole factor."""
+def full_solve(dataset, spec, hp, query, first=0):
+    """The posterior against the samples from ``first`` on (by default every
+    sample), through ``scipy.linalg``: their cross-covariances, solved
+    through the trailing block of the whole factor, which ``dtrtrs`` gets in
+    Fortran order."""
     el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
-    k_star = cross_gram(dataset.points, query, spec, hp)
-    v = solve_triangular(el, k_star, lower=True)
-    mean = k_star.T @ cho_solve((el, True), dataset.normalized_targets)
+    k_star = cross_gram(dataset.points[first:], query, spec, hp)
+    v = solve_triangular(np.asfortranarray(el[first:, first:]), k_star, lower=True)
+    alpha = cho_solve((el, True), dataset.normalized_targets)
+    mean = k_star.T @ alpha[first:]
     return mean, np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
 
 
@@ -401,6 +404,21 @@ def test_predict_is_bit_identical_to_solve_triangular_formula(spec):
             assert np.array_equal(got_var, var)
         with pytest.raises(ValueError, match="finite"):
             model.predict_normalized(np.where(np.eye(9, d + 1) > 0, np.nan, mixed))
+    # windowed batches: the solve on the samples within the reach
+    for n, d in ((30, 1), (40, 6), (25, 12)):
+        dataset, hp = in_order_case(rng, spec, n, d, 0.02, horizon=2.0)
+        model = GpModel.fit(dataset, spec, hp)
+        mixed = rng.uniform(-2, 2, size=(9, d + 1))
+        mixed[:, -1] = rng.uniform(1.6, 2.0, size=9)
+        shared = mixed.copy()
+        shared[:, -1] = 1.9
+        for query in (mixed, shared, shared[:1]):
+            first = window_start(model, query)
+            assert 0 < first < n
+            mean, var = full_solve(dataset, spec, hp, query, first)
+            got_mean, got_var = model.predict_normalized(query)
+            assert np.array_equal(got_mean, mean)
+            assert np.array_equal(got_var, var)
 
 
 # -- the posterior's temporal window -------------------------------------------

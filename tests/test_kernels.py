@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynabo import kernels
 from dynabo.gp import Dataset, default_log_bounds, log_marginal_likelihood
 from dynabo.kernels import (
     Hyperparameters,
@@ -448,3 +449,46 @@ def test_gram_psd_property(seed, n):
     k = gram(pts, spec, hp, with_noise=True)
     # observation noise keeps the smallest eigenvalue strictly positive
     assert np.linalg.eigvalsh(k).min() > 0
+
+
+# -- the posterior's covariance from per-fit constants ---------------------------
+
+
+def test_squared_distance_sums_in_index_order():
+    # a part divides and squares all slabs in one call each, in place on
+    # differences it owns, then adds them one by one; numpy's own reduction
+    # over the slabs sums a lone column pairwise from 8 terms on, so the
+    # 1 x 1 draws at p = 8 to 12 would tell the two orders apart
+    rng = np.random.default_rng(41)
+    shapes = [(p, 1, 1) for p in range(1, 13) for _ in range(300)]
+    shapes += [tuple(int(v) for v in rng.integers(1, (14, 40, 40))) for _ in range(300)]
+    shapes += [(7, 300, 80), (12, 1, 40), (9, 40, 1), (1, 1, 1), (3, 0, 4)]
+    for p, n, m in shapes:
+        diffs = rng.uniform(-3.0, 3.0, size=(p, n, m))
+        kept = diffs.copy()
+        for form in KernelForm:
+            forms = kernels._components(form)
+            ells = np.exp(rng.uniform(-2.0, 2.0, size=(len(forms), p, 1, 1)))
+            want = [kernels._plain_cov(f, index_order_squares(np.moveaxis(diffs / ells[c], 0, -1)))
+                    for c, f in enumerate(forms)]
+            for owned in (False, True):
+                got = kernels._part_units(forms, diffs.copy() if owned else diffs, ells, owned)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), (form, p, n, m, owned)
+            assert np.array_equal(diffs, kept)
+
+
+@pytest.mark.parametrize("spec", NINE_SPECS)
+def test_cov_from_constants_is_the_product_of_the_training_parts(spec):
+    rng = np.random.default_rng(43)
+    for d, n, m in ((1, 7, 5), (3, 11, 1), (8, 1, 1), (12, 1, 1), (12, 9, 13)):
+        hp = random_hp(rng, spec, d)
+        xa, xb = rng.uniform(-2, 2, size=(n, d + 1)), rng.uniform(-2, 2, size=(m, d + 1))
+        dx = kernels._diffs(xa[:, :d], xb[:, :d])
+        dt = kernels._diffs(xa[:, d:], xb[:, d:])
+        parts = kernels._cov_parts(spec, dx, dt, hp)
+        want = parts.scaled_spatial * parts.temporal_part
+        got = kernels._cov(kernels._constants(spec, hp), dx.copy(), dt.copy())
+        assert np.array_equal(got, want)
+        assert np.array_equal(cross_gram(xa, xb, spec, hp), want)
