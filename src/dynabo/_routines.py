@@ -1,14 +1,16 @@
-"""scipy's LAPACK and L-BFGS-B routines: the one place dynabo calls them.
+"""scipy's LAPACK, BLAS and L-BFGS-B routines: the one place dynabo calls them.
 
-The GP factorizes and solves through LAPACK's ``dpotrf``, ``dpotrs`` and
-``dtrtrs`` (what ``scipy.linalg``'s ``cholesky``, ``cho_solve`` and
-``solve_triangular`` run), each called directly with its ``info`` checked.
-The acquisition polish and hyperparameter training minimize through
-``_lbfgsb``, the loop over L-BFGS-B's ``setulb`` (Byrd, Lu, Nocedal & Zhu,
-1995) that ``scipy.optimize.minimize(method="L-BFGS-B")`` runs.
+The GP factorizes, inverts and solves through LAPACK's ``dpotrf``,
+``dtrtri``, ``dpotrs`` and ``dtrtrs`` (what ``scipy.linalg``'s ``cholesky``,
+``lapack.dtrtri``, ``cho_solve`` and ``solve_triangular`` run), each called
+directly with its ``info`` checked, and multiplies by a triangular matrix
+through BLAS ``dtrmm``.  Hyperparameter training and
+``optimizer.local_refine`` minimize through ``_lbfgsb``, the loop over
+L-BFGS-B's ``setulb`` (Byrd, Lu, Nocedal & Zhu, 1995) that
+``scipy.optimize.minimize(method="L-BFGS-B")`` runs.
 
-Both extension modules, ``scipy.linalg._flapack`` and
-``scipy.optimize._lbfgsb``, are loaded by file from the installed scipy,
+The extension modules, ``scipy.linalg._flapack``, ``scipy.linalg._fblas``
+and ``scipy.optimize._lbfgsb``, are loaded by file from the installed scipy,
 without ``scipy.linalg``'s or ``scipy.optimize``'s package import: those pull
 in ``numpy.testing``, ``scipy.sparse``, ``scipy.special`` and more, and took
 more than half of a fresh ``import dynabo.cli`` and about 0.4 s of every
@@ -16,7 +18,8 @@ fresh process.  Each module is registered under its own name, so a later
 scipy import reuses it (``scipy.linalg.lapack.dpotrf is _routines.dpotrf``):
 the same function objects, so the same bits.  Where the file is not found,
 as on an install laid out differently, the module is imported through its
-package.  LAPACK loads with this module, L-BFGS-B at the driver's first run.
+package.  LAPACK and BLAS load with this module, L-BFGS-B at the driver's
+first run.
 This module imports no other dynabo module.
 """
 
@@ -70,6 +73,8 @@ def _scipy_extension(subpackage: str, name: str):
 
 _lapack = _scipy_extension("linalg", "_flapack")
 dpotrf, dpotrs, dtrtrs = _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
+dtrtri = _lapack.dtrtri
+dtrmm = _scipy_extension("linalg", "_fblas").dtrmm
 
 
 def _dpotrf(matrix: np.ndarray) -> tuple[np.ndarray, int]:
@@ -89,16 +94,35 @@ def _cho_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _tri_solve(el: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(el, b, lower=True)`` through LAPACK
-    ``dtrtrs`` directly.  ``el`` is a factor from ``gp.chol_with_jitter``,
-    finite and Fortran-ordered, the layout for which ``solve_triangular``
-    makes this same call, or a trailing diagonal block of one, which is not
+def _tri_solve(el: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(el, b, trans, lower=True)`` through
+    LAPACK ``dtrtrs`` directly: ``el x = b``, or ``el^T x = b`` with
+    ``trans=1``.  ``el`` is a factor from ``gp.chol_with_jitter``, finite
+    and Fortran-ordered, the layout for which ``solve_triangular`` makes
+    this same call, or a trailing diagonal block of one, which is not
     contiguous: f2py copies such a block to Fortran order first."""
-    x, info = dtrtrs(el, b, lower=1)
+    x, info = dtrtrs(el, b, lower=1, trans=trans)
     if info != 0:
         raise ValueError(f"dtrtrs failed with info {info}")
     return x
+
+
+def _tri_inv(el: np.ndarray) -> np.ndarray:
+    """The inverse of the lower triangular ``el`` through LAPACK ``dtrtri``,
+    lower triangular too and in ``el``'s storage order (the strict upper
+    triangle is ``el``'s, zeros for a factor from ``gp.chol_with_jitter``)."""
+    inv, info = dtrtri(el, lower=1)
+    if info != 0:
+        raise ValueError(f"dtrtri failed with info {info}")
+    return inv
+
+
+def _tri_mul(el: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``el @ b`` for a lower triangular ``el`` through BLAS ``dtrmm``, which
+    reads only the lower triangle, into a new array.  ``el`` may be a
+    trailing diagonal block of a Fortran-ordered factor, which f2py copies to
+    Fortran order first, as for ``_tri_solve``."""
+    return dtrmm(1.0, el, b, lower=1)
 
 
 def _lbfgsb(fg, x0, f0, g0, lower, upper, max_iters: int, ftol: float = _LBFGSB_FTOL):

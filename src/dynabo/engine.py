@@ -386,6 +386,7 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
     dataset = Dataset(pts, np.array(targets))
 
     hp: Hyperparameters | None = None
+    model: GpModel | None = None
     lt_history: list[float] = []
     scored = 0
     bo_warmup_left = config.warmup.bo_steps
@@ -419,7 +420,8 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
                 aborted = True
                 break
             hp = result.hp
-        model = GpModel.fit(dataset, kernel, hp)
+        # under unchanged hyperparameters the fit appends to the last one
+        model = GpModel.fit(dataset, kernel, hp, previous=model)
         lt = model.time_lengthscale
         lt_history.append(lt)
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynabo.engine as engine_mod
+from dynabo import gp
 from dynabo.acquisition import ExpectedImprovement, LowerConfidenceBound, PosteriorMean
 from dynabo.engine import (
     DetectorConfig,
@@ -466,6 +467,65 @@ def test_frozen_run_trains_only_exploring(monkeypatch):
     trace = run(drifting_bowl(), cfg)
     assert trace.n_scored == 3
     assert restarts == [3, 3]
+
+
+# ---- fits under unchanged hyperparameters append to the last one
+
+
+def recording_fits(monkeypatch):
+    """Patch ``engine.train`` and ``gp`` to record, in order, each training
+    (``train``) and each fit by its path: ``append`` for a factor bordered
+    by one row, ``fresh`` for one factorized afresh (only a fresh fit
+    inverts a factor)."""
+    events = []
+    real_train, appended, tri_inv = engine_mod.train, gp._appended, gp._tri_inv
+
+    def recorded_train(*args, **kwargs):
+        events.append("train")
+        return real_train(*args, **kwargs)
+
+    def recorded_append(*args):
+        out = appended(*args)
+        if out is not None:
+            events.append("append")
+        return out
+
+    def recorded_inverse(el):
+        events.append("fresh")
+        return tri_inv(el)
+
+    monkeypatch.setattr(engine_mod, "train", recorded_train)
+    monkeypatch.setattr(gp, "_appended", recorded_append)
+    monkeypatch.setattr(gp, "_tri_inv", recorded_inverse)
+    return events
+
+
+def test_fixed_hyperparameter_run_appends_on_every_fit_but_its_first(monkeypatch):
+    events = recording_fits(monkeypatch)
+    cfg = small_cfg(mode=Mode.ABO_ADAPTIVE_TIME, budget=20, fixed_hp=frozen_hp(0.05))
+    trace = run(drifting_bowl(), cfg)
+    assert trace.n_scored == 20
+    assert events == ["fresh"] + ["append"] * 19
+
+
+def test_frozen_run_appends_on_every_fit_after_its_last_training(monkeypatch):
+    events = recording_fits(monkeypatch)
+    cfg = small_cfg(
+        budget=6, fixed_hp=None, freeze_after_warmup=True,
+        train=TrainConfig(restarts=2, max_iters=30),
+        warmup=WarmupConfig(lhd=2, span=0.1, bo_steps=2),
+    )
+    trace = run(drifting_bowl(), cfg)
+    assert trace.n_scored == 6
+    assert events == ["train", "fresh"] * 2 + ["append"] * 6
+
+
+def test_trained_run_never_appends(monkeypatch):
+    events = recording_fits(monkeypatch)
+    cfg = small_cfg(budget=4, fixed_hp=None, train=TrainConfig(restarts=2, max_iters=30))
+    trace = run(drifting_bowl(), cfg)
+    assert trace.n_scored == 4
+    assert events == ["train", "fresh"] * 4
 
 
 def test_scored_values_property():

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from dynabo import gp
 from dynabo.gp import (
@@ -350,12 +351,15 @@ def test_predict_rejects_bad_queries():
 
 def full_solve(dataset, spec, hp, query, first=0):
     """The posterior against the samples from ``first`` on (by default every
-    sample), through ``scipy.linalg``: their cross-covariances, solved
-    through the trailing block of the whole factor, which ``dtrtrs`` gets in
-    Fortran order."""
+    sample), through ``scipy.linalg``'s LAPACK and BLAS: their
+    cross-covariances, multiplied by the trailing block of the inverse
+    (``dtrtri``) of the whole factor, which ``dtrmm`` gets in Fortran
+    order."""
     el, _ = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
+    el_inv, info = dtrtri(el, lower=1)
+    assert info == 0
     k_star = cross_gram(dataset.points[first:], query, spec, hp)
-    v = solve_triangular(np.asfortranarray(el[first:, first:]), k_star, lower=True)
+    v = dtrmm(1.0, np.asfortranarray(el_inv[first:, first:]), k_star, lower=1)
     alpha = cho_solve((el, True), dataset.normalized_targets)
     mean = k_star.T @ alpha[first:]
     return mean, np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
@@ -453,10 +457,10 @@ def test_batch_past_every_sample_reach_gets_the_prior_without_a_solve(spec, monk
     dataset, hp = in_order_case(rng, spec, 12, 2, 0.05, horizon=1.0)
     model = GpModel.fit(dataset, spec, hp)
 
-    def no_solve(el, b):
-        raise AssertionError("a batch beyond every sample's reach must not solve")
+    def no_multiply(el_inv, b):
+        raise AssertionError("a batch beyond every sample's reach must not multiply")
 
-    monkeypatch.setattr(gp, "_tri_solve", no_solve)
+    monkeypatch.setattr(gp, "_tri_mul", no_multiply)
     for m in (1, 5):
         query = rng.uniform(-2, 2, size=(m, 3))
         query[:, -1] = rng.uniform(3.0, 4.0, size=m)
@@ -1022,6 +1026,169 @@ def test_training_objective_gradient_matches_central_differences(spec, tied):
             assert abs(grad[j] - fd) <= 1e-4 * max(1.0, abs(grad[j]))
 
 
+# -- appending to the last fit -------------------------------------------------
+
+
+def refined_solve(k, b, rounds=3):
+    """``k^-1 b`` by a dense solve and rounds of iterative refinement whose
+    residuals are formed in extended precision: the reference for predicts
+    at a noise near its floor, where every factor-based solve rounds."""
+    x = np.linalg.solve(k, b)
+    wide = k.astype(np.longdouble)
+    for _ in range(rounds):
+        residual = b.astype(np.longdouble) - wide @ x.astype(np.longdouble)
+        x = x + np.linalg.solve(k, residual.astype(float))
+    return x
+
+
+def refined_posterior(dataset, spec, hp, query):
+    k = gram(dataset.points, spec, hp, with_noise=True)
+    k_star = cross_gram(dataset.points, query, spec, hp)
+    mean = k_star.T @ refined_solve(k, dataset.normalized_targets)
+    var = hp.signal_variance - np.sum(k_star * refined_solve(k, k_star), axis=0)
+    return mean, var
+
+
+def fit_paths(monkeypatch):
+    """Patch ``gp`` to count fits by path: ``append`` for a factor bordered
+    by one row, ``fresh`` for one factorized afresh (only a fresh fit
+    inverts a factor)."""
+    counts = {}
+    appended, tri_inv = gp._appended, gp._tri_inv
+
+    def counted_append(*args):
+        out = appended(*args)
+        if out is not None:
+            counts["append"] = counts.get("append", 0) + 1
+        return out
+
+    def counted_inverse(el):
+        counts["fresh"] = counts.get("fresh", 0) + 1
+        return tri_inv(el)
+
+    monkeypatch.setattr(gp, "_appended", counted_append)
+    monkeypatch.setattr(gp, "_tri_inv", counted_inverse)
+    return counts
+
+
+def assert_fresh(model, dataset, spec, hp):
+    """``model`` is bit for bit a fit of ``dataset`` without a previous one."""
+    fresh = GpModel.fit(dataset, spec, hp)
+    for name in ("_factor_l", "_factor_inv", "_alpha"):
+        assert np.array_equal(getattr(model, name), getattr(fresh, name)), name
+    assert model.jitter == fresh.jitter
+
+
+@pytest.mark.parametrize(
+    "spec", [KernelSpec(KernelForm.SE, KernelForm.SE), KernelSpec(KernelForm.SUM, KernelForm.SUM)]
+)
+def test_appended_model_predicts_as_accurately_as_a_fresh_fit(spec, monkeypatch):
+    # 300 appends at the noise bounds' floor; with these scales the plain
+    # form's gram nears a condition number of 1e10, as a long frozen run's
+    # does.  Forming the new row as el^-1 k instead of solving for it fails
+    # the predicts by 70x to 400x; forming the inverse's row as a product
+    # with el^-1 fails its left-inverse residual by about 1e4x
+    rng = np.random.default_rng(12)
+    hp = Hyperparameters.default(2, spec, spatial_scale=0.6, temporal_scale=0.3,
+                                 noise_variance=1e-8)
+    steps = 300
+
+    def f(p):
+        return np.sin(3 * p[:, 0]) + np.cos(2 * p[:, 1] + 4 * p[:, 2])
+
+    points = np.column_stack([rng.uniform(0, 1, (2, 2)), [0.0, 1.0 / steps]])
+    dataset = Dataset(points, f(points))
+    model = GpModel.fit(dataset, spec, hp)
+    paths = fit_paths(monkeypatch)
+    for i in range(2, steps + 2):
+        point = np.append(rng.uniform(0, 1, 2), i / steps)
+        dataset = dataset.append(point, f(point[None])[0])
+        model = GpModel.fit(dataset, spec, hp, previous=model)
+    assert paths == {"append": steps}
+    query = np.column_stack([rng.uniform(0, 1, (200, 2)), np.full(200, (steps + 2) / steps)])
+    want = refined_posterior(dataset, spec, hp, query)
+    refit = GpModel.fit(dataset, spec, hp)
+    fresh = refit.predict_normalized(query)
+    got = model.predict_normalized(query)
+    for g, fr, w in zip(got, fresh, want):  # the mean, then the variance
+        assert np.max(np.abs(g - w)) <= 10 * np.max(np.abs(fr - w))
+    eye = np.eye(dataset.n)
+    residual = np.max(np.abs(model._factor_inv @ model._factor_l - eye))
+    assert residual <= 10 * np.max(np.abs(refit._factor_inv @ refit._factor_l - eye))
+
+
+def test_fit_appends_only_to_the_same_hyperparameters_spec_and_points(monkeypatch):
+    rng = np.random.default_rng(14)
+    spec = KernelSpec(KernelForm.SE, KernelForm.SE)
+    dataset, hp = in_order_case(rng, spec, 12, 2, 0.5)
+    n = dataset.n - 1
+    head = Dataset(dataset.points[:n], dataset.targets[:n])
+    previous = GpModel.fit(head, spec, hp)
+    paths = fit_paths(monkeypatch)
+    model = GpModel.fit(dataset, spec, hp, previous=previous)
+    assert paths == {"append": 1}
+    assert model.jitter == 0.0
+    # previous's factors, bordered by one row, and still each other's inverse
+    assert np.array_equal(model._factor_l[:n, :n], previous._factor_l)
+    assert np.array_equal(model._factor_inv[:n, :n], previous._factor_inv)
+    assert not np.triu(model._factor_l, 1).any() and not np.triu(model._factor_inv, 1).any()
+    k = gram(dataset.points, spec, hp, with_noise=True)
+    assert np.allclose(model._factor_l @ model._factor_l.T, k, rtol=0, atol=1e-12)
+    assert np.allclose(model._factor_inv @ model._factor_l, np.eye(n + 1), rtol=0, atol=1e-9)
+    # anything else refits afresh, bit for bit
+    changed = dataset.points.copy()
+    changed[3, 0] += 1e-9
+    older = GpModel.fit(Dataset(dataset.points[: n - 1], dataset.targets[: n - 1]), spec, hp)
+    fallbacks = {
+        "another hp object": (previous, dataset, spec, replace(hp)),
+        "another spec": (previous, dataset, KernelSpec(KernelForm.SE, KernelForm.MATERN12), hp),
+        "a changed earlier point": (previous, Dataset(changed, dataset.targets), spec, hp),
+        "two appended rows": (older, dataset, spec, hp),
+        "no new row": (previous, head, spec, hp),
+    }
+    for why, (prev, data, form, params) in fallbacks.items():
+        paths.clear()
+        model = GpModel.fit(data, form, params, previous=prev)
+        assert paths == {"fresh": 1}, why
+        assert_fresh(model, data, form, params)
+
+
+def test_fit_records_its_jitter_and_a_jittered_fit_is_not_appended_to(monkeypatch):
+    spec = KernelSpec(KernelForm.SE, KernelForm.SE)
+    hp = Hyperparameters.default(1, spec, noise_variance=1e-30)
+    # two copies of one point: the plain gram is singular to rounding
+    points = np.array([[0.2, 0.0], [0.2, 0.0]])
+    jittered = GpModel.fit(Dataset(points, [0.0, 1.0]), spec, hp)
+    _, jitter = chol_with_jitter(gram(points, spec, hp, with_noise=True))
+    assert jitter > 0.0
+    assert jittered.jitter == jitter
+    assert GpModel.fit(Dataset(points[:1], [0.0]), spec, hp).jitter == 0.0
+    paths = fit_paths(monkeypatch)
+    grown = Dataset(np.vstack([points, [[0.7, 0.5]]]), [0.0, 1.0, 0.5])
+    model = GpModel.fit(grown, spec, hp, previous=jittered)
+    assert paths == {"fresh": 1}
+    assert_fresh(model, grown, spec, hp)
+
+
+def test_new_point_without_a_positive_pivot_takes_the_fresh_path(monkeypatch):
+    spec = KernelSpec(KernelForm.SE, KernelForm.SE)
+    hp = Hyperparameters.default(1, spec, spatial_scale=0.1, temporal_scale=0.1,
+                                 noise_variance=1e-30)
+    points = np.array([[0.1, 0.0], [0.5, 0.3], [0.9, 0.6]])
+    previous = GpModel.fit(Dataset(points, [0.0, 1.0, 2.0]), spec, hp)
+    assert previous.jitter == 0.0
+    # the new point repeats the last one, at a noise far below rounding
+    grown = Dataset(np.vstack([points, points[-1:]]), [0.0, 1.0, 2.0, 2.5])
+    row = solve_triangular(previous._factor_l, cross_gram(points, points[-1:], spec, hp),
+                           lower=True)[:, 0]
+    kappa = cross_gram(points[-1:], points[-1:], spec, hp)[0, 0] + hp.noise_variance
+    assert kappa - row @ row <= 0.0
+    paths = fit_paths(monkeypatch)
+    model = GpModel.fit(grown, spec, hp, previous=previous)
+    assert paths == {"fresh": 1}
+    assert_fresh(model, grown, spec, hp)
+
+
 # -- where the LAPACK routines come from ---------------------------------------
 
 LAPACK_SOURCE = """
@@ -1032,7 +1199,8 @@ print("scipy.linalg" in sys.modules)
 import scipy.linalg.lapack, scipy.optimize, scipy.stats
 lapack = scipy.linalg.lapack
 print(_routines.dpotrf is lapack.dpotrf, _routines.dpotrs is lapack.dpotrs,
-      _routines.dtrtrs is lapack.dtrtrs, _routines._lapack is lapack._flapack)
+      _routines.dtrtrs is lapack.dtrtrs, _routines.dtrtri is lapack.dtrtri,
+      _routines.dtrmm is scipy.linalg.blas.dtrmm, _routines._lapack is lapack._flapack)
 """
 
 
@@ -1055,7 +1223,7 @@ def test_gp_runs_the_routines_scipy_linalg_runs(prelude, fallback):
     code = LAPACK_SOURCE.format(prelude=prelude)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == [str(fallback)] + ["True"] * 4
+    assert out.stdout.split() == [str(fallback)] + ["True"] * 6
 
 
 IMPORTS_SOURCE = """

@@ -747,7 +747,6 @@ def full_search(model, acq, box, pso, seed):
 
     probes = latin_hypercube(pso.particles, box, seed)
     point, _ = full_swarm(objective, box, pso, seed, init=probes)
-    point, _ = local_refine(objective, point, box)
     return box.clip(point)
 
 
