@@ -1,13 +1,13 @@
 """scipy's LAPACK, BLAS and L-BFGS-B routines: the one place dynabo calls them.
 
 The GP factorizes, inverts and solves through LAPACK's ``dpotrf``,
-``dtrtri``, ``dpotrs`` and ``dtrtrs`` (what ``scipy.linalg``'s ``cholesky``,
-``lapack.dtrtri``, ``cho_solve`` and ``solve_triangular`` run), each called
-directly with its ``info`` checked, and multiplies by a triangular matrix
-through BLAS ``dtrmm``.  Hyperparameter training and
-``optimizer.local_refine`` minimize through ``_lbfgsb``, the loop over
-L-BFGS-B's ``setulb`` (Byrd, Lu, Nocedal & Zhu, 1995) that
-``scipy.optimize.minimize(method="L-BFGS-B")`` runs.
+``dtrtri``, ``dpotri``, ``dpotrs`` and ``dtrtrs`` (what ``scipy.linalg``'s
+``cholesky``, ``lapack.dtrtri``, ``lapack.dpotri``, ``cho_solve`` and
+``solve_triangular`` run), each called directly with its ``info`` checked,
+and multiplies by a triangular matrix through BLAS ``dtrmm``.
+Hyperparameter training and ``optimizer.local_refine`` minimize through
+``_lbfgsb``, the loop over L-BFGS-B's ``setulb`` (Byrd, Lu, Nocedal & Zhu,
+1995) that ``scipy.optimize.minimize(method="L-BFGS-B")`` runs.
 
 The extension modules, ``scipy.linalg._flapack``, ``scipy.linalg._fblas``
 and ``scipy.optimize._lbfgsb``, are loaded by file from the installed scipy,
@@ -73,7 +73,7 @@ def _scipy_extension(subpackage: str, name: str):
 
 _lapack = _scipy_extension("linalg", "_flapack")
 dpotrf, dpotrs, dtrtrs = _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
-dtrtri = _lapack.dtrtri
+dpotri, dtrtri = _lapack.dpotri, _lapack.dtrtri
 dtrmm = _scipy_extension("linalg", "_fblas").dtrmm
 
 
@@ -117,6 +117,17 @@ def _tri_inv(el: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _cho_inv(el: np.ndarray) -> np.ndarray:
+    """The inverse of ``el el^T`` from its lower Cholesky factor ``el``
+    through LAPACK ``dpotri``: in the lower triangle of a Fortran-ordered
+    array, whose strict upper triangle is ``el``'s (zeros for a factor from
+    ``gp.chol_with_jitter``)."""
+    inv, info = dpotri(el, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotri failed with info {info}")
+    return inv
+
+
 def _tri_mul(el: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``el @ b`` for a lower triangular ``el`` through BLAS ``dtrmm``, which
     reads only the lower triangle, into a new array.  ``el`` may be a
@@ -157,7 +168,7 @@ def _lbfgsb(fg, x0, f0, g0, lower, upper, max_iters: int, ftol: float = _LBFGSB_
         setulb(m, x, lower, upper, nbd, f, g, factr, _LBFGSB_GTOL, wa, iwa,
                task, lsave, isave, dsave, _LBFGSB_MAX_LINE_SEARCH, ln_task)
         if task[0] == 3:  # evaluate f and g at x
-            if not np.array_equal(x, last[0]):
+            if not np.logical_and.reduce(x == last[0]):  # bitwise np.array_equal
                 point = x.copy()
                 last = (point, *fg(point))
                 evaluations += 1

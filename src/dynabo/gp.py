@@ -25,22 +25,44 @@ length-scale is tied (time treated as one more input, as the time-blind
 
 Training, the temporal prior and the public likelihood functions share one
 objective per dataset: it keeps the standardized targets, the raw pairwise
-space and time differences and the constant term, takes the
-log-hyperparameter vector directly, and reuses the Cholesky factor and the
-covariance's factors (the unit spatial and temporal parts, the spatial part
-times the signal variance) of the last vector it evaluated, so a gradient at
-that vector costs no second factorization and no second exponential.  It
-fills one ``(P, n, n)`` stack with the derivatives and reduces them all at
-once, each reduction bitwise the per-matrix one.
-``log_marginal_likelihood`` and ``lml_and_gradient`` build it without
-bounds, so without the prior, and return its LML (and gradient).
+space and time differences laid out once as ``[dx; dt]`` in the order of
+the vector's length-scale entries (``kernels._lagged``) and the constant
+term, and takes the log-hyperparameter vector directly.  A probe
+exponentiates the vector once, divides and squares every slab in one
+stacked pass, and builds each component's unit covariance, the parts and
+the noise-free gram ``K_nf`` from those squares into buffers made once per
+dataset, bitwise what the public ``gram`` gives, and turns the squares into
+slopes (each unit covariance's derivative by a log length-scale over the
+covariance: the square, divided by the distance for Matern 1/2).  It keeps
+the slopes, the unit covariances, the parts, ``K_nf``, the Cholesky factor
+of the noisy gram and ``alpha`` of the last vector it evaluated, so a
+gradient at that vector costs no second factorization and no second
+exponential.
+
+The gradient is 0.5 sum(W * dK) with W = alpha alpha^T - K^-1 (Rasmussen &
+Williams 2006, eq. 5.9), contracted without a derivative stack.  K^-1 comes
+from LAPACK ``dpotri`` on the factor, in one triangle only; every dK is
+symmetric, so the sum runs over that triangle with a per-dataset mask that
+counts the diagonal once and the rest twice.  The length-scale entries of
+every plain component come from one product of their kept slopes with
+W * K_nf; a sum component's from its slopes times W, the other part and its
+unit covariance, scaled by its variance.  The signal variance's entry is
+sum(W * K_nf), a sum component variance's the sum of that matrix times the
+variance, and the noise's sigma_n^2 tr W.  No identity is solved.
+``log_marginal_likelihood`` and ``lml_and_gradient`` build the objective
+without bounds, so without the prior, and return its LML (and gradient).
+
+Training's screened random draws are probed as one stack, chunked so that
+no stack holds more than ``_SCREEN_BYTES`` of gram factors; each row is
+factorized on its own and reads bitwise what a probe of that vector alone
+reads.  The best row's factorization, the start the descent evaluates
+first, is kept as the last one evaluated.
 
 Training probes and gradients avoid numpy's per-call wrappers, which at
-n ~ 18 cost more than the factorization itself.  The views of the vector
-buffer in the ``Hyperparameters`` shapes, the gram buffer and its diagonal
-view are made once per dataset; reductions call ``np.add.reduce`` (bitwise
-what ``sum`` and ``mean`` return).  The factorization tries the plain
-matrix first and builds the jitter ladder only when that fails.
+n ~ 18 cost more than the factorization itself.  Reductions call
+``np.add.reduce`` (bitwise what ``sum`` and ``mean`` return).  The
+factorization tries the plain matrix first and builds the jitter ladder
+only when that fails.
 
 ``GpModel.fit`` checks the hyperparameters once, through ``gram``, and keeps
 what every posterior predict on that fit shares: the Cholesky factor ``L``
@@ -112,11 +134,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from dynabo._routines import (
+    _cho_inv,
     _cho_solve,
     _dpotrf,
     _lbfgsb,
@@ -131,12 +154,13 @@ from dynabo.kernels import (
     _components,
     _constants,
     _cov,
-    _cov_grads,
-    _cov_parts,
     _diffs,
     _Kernel,
+    _lagged,
     _layout,
-    _split,
+    _Stack,
+    _stack_layout,
+    _stacked_cov,
     cross_gram,  # bench/tracing.py wraps it in this namespace
     grad_gram_log_hp,  # noqa: F401  bench/tracing.py wraps it in this namespace
     gram,
@@ -170,6 +194,10 @@ _TRUST_RERUNS = 20
 # an exploring fit probes this many random vectors per restart beyond the
 # warm one, and runs L-BFGS-B from the best of them only
 _SCREENS_PER_RESTART = 8
+# the bytes of gram factors the screened vectors are built in at once: about
+# 1 MB holds the 32 default draws at n ~ 20 in one stack, and a long run's
+# peak memory does not grow with the draws
+_SCREEN_BYTES = 1 << 21
 # the prior on each log temporal length-scale: flat up to this far above the
 # centre of the entry's untied bounds (a tenth of the temporal width under
 # ``default_log_bounds``), and a normal with this sd above it
@@ -279,6 +307,17 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+class _Probe(NamedTuple):
+    """What ``_MarginalLikelihood`` keeps of the last vector it evaluated."""
+
+    key: bytes  # the vector's bytes
+    exps: np.ndarray  # its entries exponentiated
+    stack: _Stack  # its gram and the gram's factors, without the leading axis
+    factor: np.ndarray
+    alpha: np.ndarray
+    lml: float
+
+
 class _MarginalLikelihood:
     """What ``train`` maximizes, as a function of the log-hyperparameter
     vector in ``hp_to_vector`` order: the log marginal likelihood of one
@@ -288,17 +327,15 @@ class _MarginalLikelihood:
     with sd ``_PRIOR_SD`` in log units above it; the normal's constant is
     left out.  Without ``bounds``, or with ``tied`` (the temporal entry
     shares its value with the spatial length-scales), the objective is the
-    marginal likelihood exactly.  Both methods also return the marginal
+    marginal likelihood exactly.  Every method also returns the marginal
     likelihood alone.  The temporal entries are found through
     ``kernels._layout``; they are contiguous.
 
-    Remembers the factorization of the last vector it evaluated; a gradient
-    requested at that vector reuses it.  Every factorization goes through
-    ``chol_with_jitter``, which rejects a non-finite gram matrix.  The vector
-    is laid out once: a buffer that each new vector is copied into, with
-    views of it in the ``Hyperparameters`` shapes (0-d views for the free
-    scalars).  The gram matrix is built in one buffer too, the noise added
-    through a view of its diagonal.
+    Remembers the factorization and the gram's factors of the last vector it
+    evaluated, or of the best row of the last ``screen``; a gradient
+    requested at that vector reuses them.  Every factorization goes through
+    ``chol_with_jitter``, which rejects a non-finite gram matrix.  A probe
+    of one vector builds its gram in buffers made once per dataset.
     """
 
     def __init__(self, dataset: Dataset, spec: KernelSpec, bounds=None, tied: bool = False):
@@ -310,65 +347,131 @@ class _MarginalLikelihood:
         self._temporal = slice(first, first + count)
         rows = np.empty((0, 2)) if bounds is None else bounds[self._temporal]
         self._ceiling = 0.5 * (rows[:, 0] + rows[:, 1]) + _PRIOR_OFFSET
-        self._spec = spec
+        self._n_hp = len(fields)
+        self._stack_layout = _stack_layout(spec, d)
+        self._lagged = _lagged(self._stack_layout, _diffs(x, x), _diffs(t, t))
         self._y = dataset.normalized_targets
         self._neg_half_y = -0.5 * self._y
-        self._dx, self._dt = _diffs(x, x), _diffs(t, t)
-        self._eye = np.eye(n)
         self._log_norm = 0.5 * n * math.log(2 * math.pi)
         self._gram = np.empty((n, n))
         self._gram_diagonal = self._gram.reshape(-1)[:: n + 1]
-        self._theta = np.zeros(n_hyperparameters(spec, d))
-        self._params = SimpleNamespace(**_split(self._theta, spec, d))
-        self._grads = np.empty((len(self._theta), n, n))
-        self._last = None  # (theta bytes, params, parts, factor, alpha, lml)
+        # a probe's grams, reused by every probe
+        self._buffers = _Stack.empty(self._stack_layout, n)
+        # one triangle of W = alpha alpha^T - K^-1 (see the module docstring):
+        # the diagonal once, the strict upper triangle twice
+        self._mask = np.triu(np.full((n, n), 2.0))
+        self._mask.reshape(-1)[:: n + 1] = 1.0
+        self._row_bytes = self._buffers.nbytes + self._gram.nbytes  # a screened row's
+        self._last = None
 
-    def _evaluate(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        key = theta.tobytes()  # bit-equal vectors give bit-equal results
-        if self._last is not None and self._last[0] == key:
-            return self._last
-        if theta.shape != self._theta.shape:
-            raise ValueError(f"theta has shape {theta.shape}, expected {self._theta.shape}")
-        if not np.logical_and.reduce(np.isfinite(theta)):
+    def _exps(self, thetas: np.ndarray, stacked: bool = False) -> np.ndarray:
+        """A vector, or a stack of vectors ``(B, P)``, exponentiated once
+        checked."""
+        want = (*thetas.shape[:1], self._n_hp) if stacked else (self._n_hp,)
+        if thetas.shape != want:
+            raise ValueError(f"theta has shape {thetas.shape}, expected {want}")
+        if not np.logical_and.reduce(np.isfinite(thetas).ravel()):
             raise ValueError("hyperparameters must be finite")
-        self._last = None  # its params view the buffer overwritten here
-        self._theta[:] = theta
-        p = self._params
-        parts = _cov_parts(self._spec, self._dx, self._dt, p)
-        k = np.multiply(parts.scaled_spatial, parts.temporal_part, out=self._gram)
-        self._gram_diagonal += float(np.exp(p.log_noise_variance))
-        el, _ = chol_with_jitter(k)
+        return np.exp(thetas)
+
+    def _factorize(self, noisy: np.ndarray):
+        """The factor of the noisy gram, ``alpha`` and the LML."""
+        el, _ = chol_with_jitter(noisy)
         alpha = _cho_solve(el, self._y)
         lml = float(
             self._neg_half_y @ alpha - np.add.reduce(np.log(el.diagonal())) - self._log_norm
         )
-        self._last = (key, p, parts, el, alpha, lml)
+        return el, alpha, lml
+
+    def _evaluate(self, theta: np.ndarray) -> _Probe:
+        key = theta.tobytes()  # bit-equal vectors give bit-equal results
+        if self._last is not None and self._last.key == key:
+            return self._last
+        self._last = None
+        exps = self._exps(theta)
+        stack = _stacked_cov(self._stack_layout, self._lagged, exps, self._buffers)
+        np.copyto(self._gram, stack.gram)
+        self._gram_diagonal += float(exps[-1])
+        self._last = _Probe(key, exps, stack, *self._factorize(self._gram))
         return self._last
 
-    def _scaled_offset(self) -> np.ndarray:
-        """The prior's z of the vector last evaluated: how far each temporal
-        entry lies above its ceiling, in sds."""
-        excess = self._theta[self._temporal] - self._ceiling
+    def _scaled_offset(self, theta: np.ndarray) -> np.ndarray:
+        """The prior's z of ``theta``, or of each row of a stack of vectors:
+        how far each temporal entry lies above its ceiling, in sds."""
+        excess = theta[..., self._temporal] - self._ceiling
         return np.maximum(excess, 0.0, out=excess) / _PRIOR_SD
 
     def value(self, theta) -> tuple[float, float]:
-        lml = self._evaluate(theta)[5]
-        z = self._scaled_offset()
+        theta = np.asarray(theta, dtype=float)
+        lml = self._evaluate(theta).lml
+        z = self._scaled_offset(theta)
         return lml - 0.5 * float(z @ z), lml
 
+    def screen(self, thetas) -> tuple[int, np.ndarray, np.ndarray]:
+        """``value`` of each row of ``thetas``, each bitwise its own probe,
+        with a failed factorization read as -inf: the best row (the first of
+        equals), the values and the LMLs.  The grams are built as stacks of
+        at most ``_SCREEN_BYTES``, and the best row's factorization is kept
+        as the last evaluated."""
+        thetas = np.asarray(thetas, dtype=float)
+        values, lmls = np.full(len(thetas), -np.inf), np.full(len(thetas), -np.inf)
+        n = len(self._y)
+        chunk = max(1, _SCREEN_BYTES // self._row_bytes)
+        best, self._last = 0, None
+        for start in range(0, len(thetas), chunk):
+            rows = thetas[start : start + chunk]
+            exps = self._exps(rows, stacked=True)
+            stack = _stacked_cov(self._stack_layout, self._lagged, exps,
+                                 _Stack.empty(self._stack_layout, n, len(rows)))
+            noisy = stack.gram.copy()
+            noisy.reshape(len(rows), -1)[:, :: n + 1] += exps[:, -1:]
+            zs = self._scaled_offset(rows)
+            kept = None
+            for b, (theta, z) in enumerate(zip(rows, zs)):
+                try:
+                    el, alpha, lml = self._factorize(noisy[b])
+                except FactorizationError:
+                    continue
+                i = start + b
+                values[i], lmls[i] = lml - 0.5 * float(z @ z), lml
+                if i == 0 or values[i] > values[best]:
+                    best, kept = i, (theta.tobytes(), exps[b], b, el, alpha, lml)
+            if kept is not None:  # into the probe buffers, so the stack can go
+                key, e, b, el, alpha, lml = kept
+                self._last = _Probe(key, e.copy(), stack.copy_row(b, self._buffers),
+                                    el, alpha, lml)
+        return best, values, lmls
+
     def value_and_gradient(self, theta) -> tuple[float, float, np.ndarray]:
-        _, p, parts, el, alpha, lml = self._evaluate(theta)
-        k_inv = _cho_solve(el, self._eye)
-        g = _cov_grads(self._spec, self._dx, self._dt, p, parts, self._grads)
-        # 0.5 * tr((alpha alpha^T - K^-1) dK) for every dK at once, each
-        # reduction bitwise the per-matrix one; ``a @ alpha`` would run gemv
-        # and round differently from ``alpha @ dk @ alpha``
-        a = alpha @ g
-        quad = np.matmul(a[:, None, :], alpha)[:, 0]
-        trace = np.add.reduce((k_inv * g).reshape(len(g), -1), axis=1)
-        grad = 0.5 * (quad - trace)
-        z = self._scaled_offset()
+        theta = np.asarray(theta, dtype=float)
+        exps, stack, el, alpha, lml = self._evaluate(theta)[1:]
+        # 0.5 * sum(W * dK) for every dK at once over one triangle (the
+        # module docstring): dpotri's K^-1 fills the lower triangle in
+        # Fortran order, the upper one of its transpose
+        w = alpha[:, None] * alpha
+        w -= _cho_inv(el).T
+        w *= self._mask
+        grad = np.empty(self._n_hp)
+        slopes = stack.slopes
+        wk = w * stack.gram
+        if self._stack_layout.signal:
+            grad[-2] = np.add.reduce(wk.ravel())
+        if self._stack_layout.plain:  # every plain component in one product
+            rows, lengthscales = self._stack_layout.plain
+            grad[lengthscales] = slopes[rows].reshape(-1, wk.size) @ wk.ravel()
+        for c, unit in zip(self._stack_layout.components, stack.units):
+            if c.variance is None:
+                continue
+            # a sum component: W times the other part times its unit covariance
+            m = w * (stack.temporal_part if c.spatial else stack.scaled_spatial)
+            m *= unit
+            variance = exps[c.variance]
+            grad[c.variance] = np.add.reduce(m.ravel()) * variance
+            grad[c.lengthscales] = slopes[c.rows].reshape(-1, m.size) @ m.ravel()
+            grad[c.lengthscales] *= variance
+        grad[-1] = exps[-1] * np.add.reduce(w.diagonal())
+        grad *= 0.5
+        z = self._scaled_offset(theta)
         grad[self._temporal] -= z / _PRIOR_SD
         return lml - 0.5 * float(z @ z), lml, grad
 
@@ -672,13 +775,15 @@ def train(
     no_gradient = np.zeros(first.size)
 
     def variables(theta: np.ndarray) -> np.ndarray:
-        """The L-BFGS-B variables of a full vector: clipped to the bounds,
-        each tie block's mean in its first entry."""
+        """The L-BFGS-B variables of a full vector, or of each row of a
+        stack of them: clipped to the bounds, each tie block's mean in its
+        first entry."""
         theta = theta.clip(bounds[:, 0], bounds[:, 1])
         for block in tie_blocks:
-            # bitwise theta[block].mean()
-            theta[block.start] = np.add.reduce(theta[block]) / (block.stop - block.start)
-        return theta[first]
+            # bitwise theta[block].mean(), row by row
+            theta[..., block.start] = (np.add.reduce(theta[..., block], axis=-1)
+                                       / (block.stop - block.start))
+        return theta[..., first]
 
     def probe(x: np.ndarray) -> tuple[np.ndarray, float, float]:
         try:
@@ -731,8 +836,9 @@ def train(
             rng = np.random.default_rng(seed)
             draws = rng.uniform(bounds[:, 0], bounds[:, 1],
                                 (_SCREENS_PER_RESTART * (config.restarts - 1), n_hp))
-            screened = [probe(variables(theta)) for theta in draws]
-            yield max(screened, key=lambda start: start[1])  # the first of equals
+            xs = variables(draws)
+            best, values, lmls = maximized.screen(xs[:, spread])
+            yield xs[best], values[best], lmls[best]
 
     best_x, best_value, best_lml, total_iters = None, -np.inf, -np.inf, 0
     for x, value, lml in starts():

@@ -19,23 +19,31 @@ The arithmetic is dimension-major: pairwise differences are laid out
 distance divides and squares all slabs in one call each, then adds them
 into the first in index order, and the exponentials run on it in place.
 Differences the caller owns (a posterior predict's, or ``cross_gram``'s)
-are overwritten; training's cached ones are divided into a new array.
+are overwritten; training's per-dataset ones are divided into its stack's
+buffers.
 
 A covariance is built from per-fit constants (``_Kernel``): each part's
 plain forms (``_components``: the form itself, or the sum form's two), its
 length-scales exponentiated with one row per form, the sum form's component
 variances, and the signal variance.  ``cross_gram`` builds them once per
-call, and ``dynabo.gp`` once per fit for all of its predicts.  Training
-builds the factors (``_cov_parts``): the unit-variance covariance of each
-plain component of either part, the spatial part times the signal variance,
-and the temporal part.  The derivatives take those factors instead of
-recomputing them, so a training gradient reuses what the probe at the same
-vector built; ``grad_gram_log_hp`` builds them itself and runs the same
-derivative routine.
+call, and ``dynabo.gp`` once per fit for all of its predicts.
 
-The covariance code reads the hyperparameters by attribute, in their
-``Hyperparameters`` shapes: a ``Hyperparameters`` itself, or views of a log
-vector laid out by ``_split``.
+Training builds its grams as a stack, one row per log vector
+(``_stacked_cov``): ``_stack_layout`` says where each plain component's
+length-scales, slabs and variance sit, ``_lagged`` lays the dataset's
+differences out once in that slab order, and one divide and one square give
+every length-scale entry's scaled squares for every row.  Each component's
+unit covariance, the spatial part times the signal variance, the temporal
+part and the gram follow, row by row bitwise what ``_cov_parts`` builds.
+The stack keeps the squares as slopes, each unit covariance's derivative by
+a log length-scale over the covariance itself (the square, divided by the
+distance for Matern 1/2), and the training gradient contracts against them
+and the parts (``dynabo.gp``).  ``grad_gram_log_hp`` still fills the derivative
+stack (``_cov_grads``), for the tests and the benchmark's tracer only.
+
+The covariance code reads the hyperparameters by attribute, from a
+``Hyperparameters``; training's stack reads the exponentiated log vector by
+index, through ``_stack_layout``.
 """
 
 from __future__ import annotations
@@ -311,13 +319,14 @@ def _part_units(forms: tuple, diffs: np.ndarray, ells: np.ndarray, owned: bool =
             for c, f in enumerate(forms)]
 
 
-def _part_cov(units: list, variances: np.ndarray | None) -> np.ndarray:
+def _part_cov(units: list, variances, out=None) -> np.ndarray:
     """One part's covariance from its unit components: the plain form's one
-    component itself, or the sum form's two weighted by their variances."""
+    component itself, or the sum form's two weighted by their variances,
+    into ``out`` or a new array."""
     if len(units) == 1:
         return units[0]
     va, vb = variances
-    k = units[0] * va
+    k = np.multiply(units[0], va, out=out)
     k += units[1] * vb
     return k
 
@@ -326,7 +335,7 @@ def _lengthscale_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray, k,
     """Derivatives of a unit-variance plain component ``k`` by each log(l_j),
     written into ``out[j]``: ``z_j^2`` times ``k`` (SE) or ``k / r``
     (Matern 1/2, 0 at zero distance).  ``ells`` broadcasts against
-    ``diffs``, one length-scale per slab."""
+    ``diffs``, one length-scale per slab.  For ``grad_gram_log_hp`` only."""
     np.divide(diffs, ells, out=out)
     out *= out
     if form is _SE:
@@ -342,7 +351,8 @@ def _lengthscale_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray, k,
 def _part_grads(forms: tuple, diffs: np.ndarray, ells, variances, units: list, out) -> int:
     """One part's unit-variance derivatives, written into the leading slots
     of ``out``: its length-scales (one row per sum component, each times its
-    variance), then the sum form's two variances.  Returns the slot count."""
+    variance), then the sum form's two variances.  Returns the slot count.
+    For ``grad_gram_log_hp`` only."""
     p = len(diffs)
     if len(forms) == 1:
         _lengthscale_grads(forms[0], diffs, ells[0], units[0], out[:p])
@@ -369,8 +379,7 @@ def _split(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> dict:
 
 
 class _Parts(NamedTuple):
-    """The factors a covariance is built from, kept by a training probe for
-    the gradient at the same vector."""
+    """The factors a covariance is built from, for ``_cov_grads``."""
 
     kernel: _Kernel  # the constants they were built with
     spatial: list  # unit-variance covariance of each spatial component
@@ -381,7 +390,8 @@ class _Parts(NamedTuple):
 
 def _cov_parts(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, hp: Hyperparameters) -> _Parts:
     """The factors of the noise-free covariance (see ``_cov``), leaving the
-    differences as they are."""
+    differences as they are: for ``grad_gram_log_hp``, and the reference
+    that training's stacked rows are bitwise."""
     c = _constants(spec, hp)
     spatial = _part_units(c.spatial, dx, c.spatial_ells)
     temporal = _part_units(c.temporal, dt, c.temporal_ells)
@@ -403,6 +413,160 @@ def _cov(kernel: _Kernel, dx: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return k
 
 
+class _Component(NamedTuple):
+    """One plain component of a part, where training's stack keeps it."""
+
+    form: KernelForm
+    spatial: bool  # a component of the spatial part, or of the temporal one
+    rows: slice  # its slabs of the stack's slopes
+    lengthscales: slice  # its length-scale entries of the log vector
+    variance: int | None  # its variance entry (the sum form's), else None
+
+
+class _StackLayout(NamedTuple):
+    """Where training's stack finds each plain component, spatial then
+    temporal, and the log vector's entries it reads."""
+
+    components: tuple
+    spatial_count: int  # the spatial part's components, the leading ones
+    lengthscales: slice | np.ndarray  # the length-scale entries, in slab order
+    spatial_variances: tuple  # the sum form's variance entries, else empty
+    temporal_variances: tuple
+    # the plain components' slabs and length-scale entries, contiguous in
+    # both (no variance entry lies between them), or None
+    plain: tuple[slice, slice] | None
+    signal: bool  # the signal variance is free: the entry before the noise's
+
+
+@functools.cache
+def _stack_layout(spec: KernelSpec, d: int) -> _StackLayout:
+    starts, i = {}, 0
+    for f, _, names in _layout(spec, d):
+        starts[f], i = i, i + len(names)
+    components, row = [], 0
+    for spatial, part, field, width in ((True, spec.spatial, "log_spatial_lengthscales", d),
+                                        (False, spec.temporal, "log_temporal_lengthscale", 1)):
+        variances = starts.get(f"log_{'spatial' if spatial else 'temporal'}_variances")
+        for c, form in enumerate(_components(part)):
+            first = starts[field] + c * width
+            components.append(_Component(
+                form, spatial, slice(row, row + width), slice(first, first + width),
+                None if variances is None else variances + c,
+            ))
+            row += width
+    slots = np.concatenate([np.arange(c.lengthscales.start, c.lengthscales.stop)
+                            for c in components])
+    if (slots == np.arange(len(slots))).all():  # plain forms: a view, not a gather
+        slots = slice(0, len(slots))
+    spatial_count = len(_components(spec.spatial))
+    plain = [c for c in components if c.variance is None]
+    if plain:
+        plain = (slice(plain[0].rows.start, plain[-1].rows.stop),
+                 slice(plain[0].lengthscales.start, plain[-1].lengthscales.stop))
+    return _StackLayout(
+        tuple(components), spatial_count, slots,
+        *(tuple(c.variance for c in part if c.variance is not None)
+          for part in (components[:spatial_count], components[spatial_count:])),
+        plain or None, spec.signal_variance_free,
+    )
+
+
+def _lagged(layout: _StackLayout, dx: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Training's per-dataset ``[dx; dt]``: the raw differences each
+    length-scale entry divides, in slab order: the spatial slabs once per
+    spatial component, then the temporal slab once per temporal one."""
+    return np.concatenate([dx if c.spatial else dt for c in layout.components])
+
+
+class _Stack(NamedTuple):
+    """Noise-free grams of a stack of log vectors, one row each, or of one
+    vector without the leading axis, and the factors the training gradient
+    reads."""
+
+    # (B, slabs, n, n): each length-scale entry's d log k / d log l for its
+    # component's unit covariance k: the scaled square z^2, divided by the
+    # distance r for Matern 1/2 (0 where r is 0)
+    slopes: np.ndarray
+    units: list  # each component's unit-variance covariance, (B, n, n)
+    scaled_spatial: np.ndarray  # the spatial part times the signal variance
+    temporal_part: np.ndarray
+    gram: np.ndarray
+
+    @classmethod
+    def empty(cls, layout: _StackLayout, n: int, rows: int | None = None) -> "_Stack":
+        """Buffers for ``rows`` grams of ``n`` points, or for one without the
+        leading axis; a part that is one component's unit covariance leaves
+        its buffer unwritten."""
+        lead = () if rows is None else (rows,)
+
+        def e():
+            return np.empty((*lead, n, n))
+        slabs = layout.components[-1].rows.stop
+        return cls(np.empty((*lead, slabs, n, n)), [e() for _ in layout.components], e(), e(), e())
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.slopes, *self.units, self.scaled_spatial,
+                                      self.temporal_part, self.gram))
+
+    def copy_row(self, b: int, out: "_Stack") -> "_Stack":
+        """Row ``b`` of every field, copied into the one-vector buffers ``out``."""
+        for field, row in zip((out.slopes, *out.units, out.scaled_spatial, out.temporal_part,
+                               out.gram),
+                              (self.slopes, *self.units, self.scaled_spatial,
+                               self.temporal_part, self.gram)):
+            np.copyto(field, row[b])
+        return out
+
+
+def _stacked_unit(form: KernelForm, squares: np.ndarray, unit: np.ndarray) -> None:
+    """Unit-variance covariance of one plain component on each row of a
+    stack, into ``unit``, from its slabs' scaled squares ``(B, p, n, n)``
+    (or ``(p, n, n)``); Matern 1/2 then divides those squares by the
+    distance it exponentiates, where that is positive.  The slabs are summed
+    in index order and the arithmetic is ``_sum_squares`` and
+    ``_plain_cov``'s, so each row is bitwise theirs."""
+    p = squares.shape[-3]
+    s = squares[..., 0, :, :]
+    if p > 1:
+        s = np.add(s, squares[..., 1, :, :], out=unit)
+        for j in range(2, p):
+            s += squares[..., j, :, :]
+    if form is _SE:
+        np.multiply(s, -0.5, out=unit)
+    else:
+        r = np.sqrt(s, out=unit)[..., None, :, :]
+        np.divide(squares, r, out=squares, where=r > 0)
+        np.negative(unit, out=unit)
+    np.exp(unit, out=unit)
+
+
+def _stacked_cov(layout: _StackLayout, lagged: np.ndarray, exps: np.ndarray,
+                 out: _Stack) -> _Stack:
+    """The noise-free gram of each row of ``exps``, the exponentiated log
+    vectors ``(B, P)`` (or one vector, ``(P,)``), from the dataset's
+    ``lagged`` differences, into the buffers ``out``: every length-scale
+    entry's scaled squares in one stacked pass, then each row bitwise what
+    ``_cov_parts`` builds from that row's vector alone, and the squares
+    turned into slopes.  Returns ``out`` with each part that is a unit
+    covariance pointing at it."""
+    squares = np.divide(lagged, exps[..., layout.lengthscales, None, None], out=out.slopes)
+    squares *= squares
+    for c, unit in zip(layout.components, out.units):
+        _stacked_unit(c.form, squares[..., c.rows, :, :], unit)
+    i = layout.spatial_count
+    scaled = _part_cov(out.units[:i],
+                       [exps[..., v, None, None] for v in layout.spatial_variances],
+                       out.scaled_spatial)
+    if layout.signal:
+        scaled = np.multiply(scaled, exps[..., -2, None, None], out=out.scaled_spatial)
+    temporal = _part_cov(out.units[i:],
+                         [exps[..., v, None, None] for v in layout.temporal_variances],
+                         out.temporal_part)
+    np.multiply(scaled, temporal, out=out.gram)
+    return _Stack(out.slopes, out.units, scaled, temporal, out.gram)
+
+
 def _cov_grads(
     spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, hp: Hyperparameters, parts: _Parts, out
 ) -> np.ndarray:
@@ -410,7 +574,10 @@ def _cov_grads(
     built from the covariance's ``parts`` into the ``(P, n, n)`` stack
     ``out``: a spatial derivative is the part's own times the signal
     variance times the temporal part, a temporal one the part's own times
-    the scaled spatial part."""
+    the scaled spatial part.  With ``_lengthscale_grads``, ``_part_grads``,
+    ``_cov_parts`` and ``_Parts`` it serves only ``grad_gram_log_hp``, the
+    tests' derivative-stack oracle, which the benchmark's tracer patches by
+    name; training contracts instead (``dynabo.gp``)."""
     c = parts.kernel
     i = _part_grads(c.spatial, dx, c.spatial_ells, c.spatial_vars, parts.spatial, out)
     out[:i] *= c.signal
@@ -472,6 +639,8 @@ def grad_gram_log_hp(
 
     Matrices follow the vector order ``_layout`` declares, the one
     ``hp_to_vector`` uses.  The noise derivative is ``noise_variance * I``.
+    Training does not build this stack (see ``dynabo.gp``); the tests hold
+    its contraction to it.
     """
     _check_shapes(spec, hp)
     x, t = _split_points(points, hp.spatial_dim)

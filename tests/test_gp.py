@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
-from dynabo import gp
+from dynabo import gp, kernels
 from dynabo.gp import (
     Dataset,
     FactorizationError,
@@ -666,6 +666,9 @@ def reference_lml(dataset, spec, hp):
 
 
 def reference_lml_and_gradient(dataset, spec, hp):
+    """The gradient as 0.5 * tr((alpha alpha^T - K^-1) dK) over the
+    derivative stack: the oracle the contraction is held to, within a
+    tolerance."""
     value, el, alpha = reference_lml(dataset, spec, hp)
     k_inv = cho_solve((el, True), np.eye(dataset.n))
     grads = grad_gram_log_hp(dataset.points, spec, hp)
@@ -673,6 +676,65 @@ def reference_lml_and_gradient(dataset, spec, hp):
     for i, dk in enumerate(grads):
         out[i] = 0.5 * (alpha @ dk @ alpha - np.sum(k_inv * dk))
     return value, out
+
+
+def reference_lml_and_contracted_gradient(dataset, spec, hp):
+    """The gradient as 0.5 * sum(W * dK) with W = alpha alpha^T - K^-1
+    (Rasmussen & Williams 2006, eq. 5.9) over one triangle, the strict part
+    counted twice, with K^-1 from LAPACK ``dpotri``.  A length-scale's
+    entry is a product of its slope, d log k / d log l of its component's
+    unit covariance k (the scaled square, divided by the distance for
+    Matern 1/2), with W times the gram, for every plain component in one
+    product, or, for a sum component, with W times the other part and the
+    component's unit covariance, scaled by its variance; that variance's
+    entry is the sum of the same matrix, scaled alike.  The signal
+    variance's entry is the sum of W times the gram, and the noise's the
+    noise variance times the trace of W."""
+    value, el, alpha = reference_lml(dataset, spec, hp)
+    n, d = dataset.n, dataset.spatial_dim
+    mask = np.triu(np.full((n, n), 2.0))
+    np.fill_diagonal(mask, 1.0)
+    w = (np.outer(alpha, alpha) - dpotri(el, lower=1)[0].T) * mask
+    x, t = dataset.points[:, :d], dataset.points[:, d:]
+    dx = x.T[:, :, None] - x.T[:, None, :]
+    dt = t.T[:, :, None] - t.T[:, None, :]
+    parts = kernels._cov_parts(spec, dx, dt, hp)
+    wk = w * gram(dataset.points, spec, hp)
+    names = hyperparameter_names(spec, d)
+    out = np.empty(len(names))
+    if spec.signal_variance_free:
+        out[names.index("signal_variance")] = np.sum(wk)
+    plain_slopes, plain_entries = [], []
+    for spatial, form, units, log_ells, log_vars, lags, other in (
+        (True, spec.spatial, parts.spatial, hp.log_spatial_lengthscales,
+         hp.log_spatial_variances, dx, parts.temporal_part),
+        (False, spec.temporal, parts.temporal, hp.log_temporal_lengthscale,
+         hp.log_temporal_variances, dt, parts.scaled_spatial),
+    ):
+        part = "spatial" if spatial else "temporal"
+        ells = np.exp(np.reshape(log_ells, (len(units), -1)))
+        for c, (f, unit) in enumerate(zip(kernels._components(form), units)):
+            slopes = np.array([(lag / ell) ** 2 for lag, ell in zip(lags, ells[c])])
+            if f is KernelForm.MATERN12:
+                r = np.sqrt(sum(slopes))
+                slopes = np.divide(slopes, r, out=slopes, where=r > 0)
+            entries = [i for i, name in enumerate(names)
+                       if name.startswith(part) and "lengthscale" in name]
+            if form is not KernelForm.SUM:
+                plain_slopes += list(slopes)
+                plain_entries += entries
+                continue
+            variance = np.exp(log_vars[c])
+            m = w * other * unit
+            component = ("se", "m12")[c]
+            entries = [i for i in entries if f"_{component}_" in names[i]]
+            out[names.index(f"{part}_{component}_variance")] = np.sum(m) * variance
+            out[entries] = slopes.reshape(len(slopes), -1) @ m.ravel()
+            out[entries] *= variance
+    if plain_slopes:
+        out[plain_entries] = np.reshape(plain_slopes, (len(plain_slopes), -1)) @ wk.ravel()
+    out[-1] = hp.noise_variance * np.sum(np.diag(w))
+    return value, 0.5 * out
 
 
 def temporal_lengthscale_entries(spec, d):
@@ -697,7 +759,8 @@ def reference_train(dataset, spec, init, config, seed):
     Returns the best vector, its marginal likelihood (no prior), the
     iteration count and the number of factorizations ``train`` makes: one per
     evaluation at a vector other than the last one evaluated, since the
-    objective keeps the factor of that one only.  A rerun starts from a point
+    objective keeps the factor of that one only, or, after the screened
+    draws, of the best of them.  A rerun starts from a point
     already evaluated, whose value and gradient ``train`` keeps, so scipy's
     evaluation of its ``x0`` is answered from them."""
     from scipy.optimize import minimize
@@ -769,7 +832,7 @@ def reference_train(dataset, spec, init, config, seed):
             theta = spread(x)
             factorized(theta)
             try:
-                lml, grad = reference_lml_and_gradient(
+                lml, grad = reference_lml_and_contracted_gradient(
                     dataset, spec, hp_from_vector(theta, spec, d)
                 )
             except FactorizationError:
@@ -828,7 +891,11 @@ def reference_train(dataset, spec, init, config, seed):
             theta = project(rng.uniform(bounds[:, 0], bounds[:, 1]))
             screened.append((theta, *objective(theta)))
         values = [value for _, value, _ in screened]
-        run_from(*screened[values.index(max(values))])
+        best = values.index(max(values))
+        # the objective keeps the factor of the best screened row, the
+        # vector its descent evaluates first
+        last = screened[best][0].tobytes()
+        run_from(*screened[best])
     return best_theta, best_lml, total_iters, factorizations
 
 
@@ -840,9 +907,69 @@ def test_objective_is_bit_identical_to_unfused_formulas(spec):
         dataset, hp = random_case(rng, spec, n, d)
         assert log_marginal_likelihood(dataset, spec, hp) == reference_lml(dataset, spec, hp)[0]
         value, grad = lml_and_gradient(dataset, spec, hp)
-        ref_value, ref_grad = reference_lml_and_gradient(dataset, spec, hp)
+        ref_value, ref_grad = reference_lml_and_contracted_gradient(dataset, spec, hp)
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
+
+
+def contraction_cases(rng, spec):
+    """Random datasets at n = 1, 2, 18 and 60, the larger ones with a few
+    duplicated points (a Matern 1/2 distance of 0 off the diagonal)."""
+    for n in (1, 2, 18, 60):
+        for _ in range(2 if n == 60 else 4):
+            d = int(rng.integers(1, 4))
+            dataset, hp = random_case(rng, spec, n, d)
+            points = dataset.points.copy()
+            if n > 2:
+                points[rng.integers(n, size=3)] = points[rng.integers(n, size=3)]
+            yield Dataset(points, dataset.targets), hp
+
+
+@pytest.mark.parametrize("spec", NINE_FORMS)
+def test_contracted_gradient_agrees_with_the_derivative_stack(spec):
+    # each entry within 1e-11 of the magnitudes it sums, |alpha|^T |dK|
+    # |alpha| and sum(|K^-1 * dK|), halved: relative to those the two forms
+    # differ by rounding only (about 1e-15 measured); with and without the
+    # prior, which both subtract alike
+    rng = np.random.default_rng(37)
+    for dataset, hp in contraction_cases(rng, spec):
+        d = dataset.spatial_dim
+        theta = hp_to_vector(hp, spec)
+        value, el, alpha = reference_lml(dataset, spec, hp)
+        k_inv = cho_solve((el, True), np.eye(dataset.n))
+        stack = grad_gram_log_hp(dataset.points, spec, hp)
+        scale = np.array([0.5 * (np.abs(alpha) @ np.abs(dk) @ np.abs(alpha)
+                                 + np.sum(np.abs(k_inv * dk))) for dk in stack])
+        want = reference_lml_and_gradient(dataset, spec, hp)[1]
+        bounds = default_log_bounds(spec, [0.4] * d, 0.4)  # the prior is active
+        z = np.maximum(theta - (0.5 * (bounds[:, 0] + bounds[:, 1]) + math.log(0.1)), 0.0)
+        z[~temporal_lengthscale_entries(spec, d)] = 0.0
+        plain = gp._MarginalLikelihood(dataset, spec).value_and_gradient(theta)
+        assert plain[:2] == (value, value)
+        assert np.all(np.abs(plain[2] - want) <= 1e-11 * scale), (dataset.n, d)
+        got_value, lml, grad = gp._MarginalLikelihood(dataset, spec, bounds).value_and_gradient(theta)
+        assert lml == value
+        assert got_value == pytest.approx(value - 0.5 * float(z @ z), rel=1e-14, abs=1e-14)
+        assert np.allclose(grad - plain[2], -z, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", NINE_FORMS)
+def test_lml_gradient_matches_central_differences_on_every_form(spec):
+    rng = np.random.default_rng(38)
+    h = 1e-5
+    for dataset, hp in contraction_cases(rng, spec):
+        if dataset.n == 60:
+            continue
+        d = dataset.spatial_dim
+        _, grad = lml_and_gradient(dataset, spec, hp)
+        theta = hp_to_vector(hp, spec)
+        for j in range(theta.size):
+            up, down = theta.copy(), theta.copy()
+            up[j] += h
+            down[j] -= h
+            fd = (log_marginal_likelihood(dataset, spec, hp_from_vector(up, spec, d))
+                  - log_marginal_likelihood(dataset, spec, hp_from_vector(down, spec, d))) / (2 * h)
+            assert abs(grad[j] - fd) <= 1e-4 * max(1.0, abs(fd)), (dataset.n, j)
 
 
 @pytest.mark.parametrize(
@@ -965,13 +1092,18 @@ def test_train_probes_each_screened_candidate_once(restarts, monkeypatch):
     bounds = default_log_bounds(spec, [1.0] * d, 1.0)
     init = Hyperparameters.default(d, spec)
     probes = []
-    value = gp._MarginalLikelihood.value
+    value, screen = gp._MarginalLikelihood.value, gp._MarginalLikelihood.screen
 
     def recorded(self, theta):
         probes.append(np.asarray(theta).tobytes())
         return value(self, theta)
 
+    def recorded_rows(self, thetas):
+        probes.extend(row.tobytes() for row in np.asarray(thetas))
+        return screen(self, thetas)
+
     monkeypatch.setattr(gp._MarginalLikelihood, "value", recorded)
+    monkeypatch.setattr(gp._MarginalLikelihood, "screen", recorded_rows)
     # the draws ``train`` makes: inside the box, so the projection keeps them
     draws = np.random.default_rng(3).uniform(
         bounds[:, 0], bounds[:, 1], size=(8 * (restarts - 1), len(bounds))
@@ -984,6 +1116,59 @@ def test_train_probes_each_screened_candidate_once(restarts, monkeypatch):
     result = train(dataset, spec, init, replace(config, max_iters=30), seed=3)
     assert result.iterations > 0
     assert all(probes.count(c) == 1 for c in candidates)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(), KernelSpec(KernelForm.SUM, KernelForm.MATERN12)])
+def test_screened_rows_are_bitwise_their_own_probes(spec, monkeypatch):
+    # a screen builds its grams as stacks; each row reads bitwise what a
+    # one-at-a-time probe reads, a failed factorization reads -inf, and the
+    # best row (the first of equals) keeps its factor for the gradient
+    rng = np.random.default_rng(45)
+    d, n = 2, 12
+    points = rng.uniform(0, 1, size=(n, d + 1))
+    points[[5, 7, 9, 11]] = points[[2, 1, 4, 0]]  # no noise: no positive definite gram
+    dataset = Dataset(points, rng.normal(size=n))
+    bounds = default_log_bounds(spec, [1.0] * d, 1.0)
+    thetas = rng.uniform(bounds[:, 0] / 2, bounds[:, 1] / 2, size=(10, len(bounds)))
+    jittered, failed = 3, 6
+    # every length-scale long and no noise: a gram of near rank one
+    thetas[jittered] = bounds[:, 1]
+    thetas[jittered, -1] = -80.0
+
+    def probed(theta):
+        return gp._MarginalLikelihood(dataset, spec, bounds).value(theta)
+
+    # the best ordinary row first, so that a later chunk must not drop it
+    best = max((i for i in range(10) if i not in (jittered, failed)),
+               key=lambda i: probed(thetas[i])[0])
+    thetas[[0, best]] = thetas[[best, 0]]
+    want = [probed(theta) for theta in thetas]
+    want[failed] = (-np.inf, -np.inf)
+    objective = gp._MarginalLikelihood(dataset, spec, bounds)
+    jitters = []
+
+    def patched(matrix):
+        if len(jitters) == failed:
+            jitters.append(None)
+            raise FactorizationError("patched")
+        out = chol_with_jitter(matrix)
+        jitters.append(out[1])
+        return out
+
+    monkeypatch.setattr(gp, "chol_with_jitter", patched)
+    for chunk in (None, 3):
+        if chunk:  # four stacks: rows 0-2, 3-5, 6-8 and 9
+            monkeypatch.setattr(gp, "_SCREEN_BYTES", chunk * objective._row_bytes + 7)
+        jitters.clear()
+        best, values, lmls = objective.screen(thetas)
+        assert len(jitters) == 10 and jitters[jittered] > 0
+        assert list(zip(values, lmls)) == want
+        assert best == 0 == max(range(10), key=lambda i: want[i][0])
+        jitters.clear()
+        got = objective.value_and_gradient(thetas[0])
+        assert jitters == []  # no second factorization
+        fresh = gp._MarginalLikelihood(dataset, spec, bounds).value_and_gradient(thetas[0])
+        assert got[:2] == fresh[:2] and np.array_equal(got[2], fresh[2])
 
 
 @pytest.mark.parametrize(
@@ -1200,6 +1385,7 @@ import scipy.linalg.lapack, scipy.optimize, scipy.stats
 lapack = scipy.linalg.lapack
 print(_routines.dpotrf is lapack.dpotrf, _routines.dpotrs is lapack.dpotrs,
       _routines.dtrtrs is lapack.dtrtrs, _routines.dtrtri is lapack.dtrtri,
+      _routines.dpotri is lapack.dpotri,
       _routines.dtrmm is scipy.linalg.blas.dtrmm, _routines._lapack is lapack._flapack)
 """
 
@@ -1223,7 +1409,7 @@ def test_gp_runs_the_routines_scipy_linalg_runs(prelude, fallback):
     code = LAPACK_SOURCE.format(prelude=prelude)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == [str(fallback)] + ["True"] * 6
+    assert out.stdout.split() == [str(fallback)] + ["True"] * 7
 
 
 IMPORTS_SOURCE = """
