@@ -45,11 +45,12 @@ from dynabo.gp import (
     GpModel,
     TrainConfig,
     TrainingError,
+    _bounds_array,
     _tie_blocks,
     default_log_bounds,
     train,
 )
-from dynabo.kernels import Hyperparameters, KernelForm, KernelSpec
+from dynabo.kernels import Hyperparameters, KernelForm, KernelSpec, _check_shapes, n_hyperparameters
 from dynabo.optimizer import Box, PsoConfig, latin_hypercube, optimize_acquisition
 from dynabo.problems import Problem
 
@@ -188,8 +189,12 @@ class EngineConfig:
                     "standard_bo fits one isotropic form across all inputs; "
                     "spatial and temporal kernel forms must match and be plain"
                 )
-        # the fit's tie rule, applied here so that no run fails on it midway
-        _tie_blocks(_mode_kernel(self), 0, _mode_tie(self))
+        # the fit's tie rule and the fixed hyperparameters' shapes, checked
+        # here so that no run fails on them midway
+        kernel = _mode_kernel(self)
+        _tie_blocks(kernel, 0, _mode_tie(self))
+        if self.fixed_hp is not None:
+            _check_shapes(kernel, self.fixed_hp)
 
 
 @dataclass(frozen=True)
@@ -339,7 +344,10 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
     """Execute one optimization run; deterministic given ``config.seed``.
 
     Every sample lies in the problem's box and horizon; ``check_horizon``
-    raises ``ValueError`` for a config whose warmup cannot.
+    raises ``ValueError`` for a config whose warmup cannot.  So does a
+    ``fixed_hp`` of another spatial dimension than the problem's, or a
+    ``train.log_bounds`` whose row count does not fit the kernel, before
+    the first evaluation.
     """
     check_horizon(problem, config)
     d = problem.spatial_dim
@@ -347,6 +355,11 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
     mode = config.mode
 
     kernel = _mode_kernel(config)
+    if config.fixed_hp is not None and config.fixed_hp.spatial_dim != d:
+        raise ValueError(f"fixed_hp has spatial dimension {config.fixed_hp.spatial_dim}, "
+                         f"the problem {d}")
+    if config.train.log_bounds is not None:
+        _bounds_array(config.train.log_bounds, n_hyperparameters(kernel, d))
     flexible = config.flexible_heuristics and mode is not Mode.TVB
     tie = _mode_tie(config)
     span = _warmup_span(config)

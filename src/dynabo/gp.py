@@ -644,7 +644,8 @@ class TrainConfig:
     its trust-box runs; 0 keeps the better start as probed.
 
     ``log_bounds`` is the box training stays in (by default
-    ``default_log_bounds`` over the data's extent).  It also places the
+    ``default_log_bounds`` over the data's extent), finite (low, high) rows
+    with low <= high, one per entry of the log vector.  It also places the
     prior on each temporal length-scale: flat up to the centre of that
     entry's row plus log 0.1, a tenth of the temporal width under the
     default bounds, and normal with sd 1 in log units above it.
@@ -667,6 +668,12 @@ class TrainConfig:
             raise ValueError("max_iters must be nonnegative")
         if self.tie_lengthscales not in ("none", "spatial", "all"):
             raise ValueError("tie_lengthscales must be none, spatial, or all")
+        if self.log_bounds is not None:
+            # the row count depends on the kernel and the data: train checks it
+            rows = np.asarray(self.log_bounds, dtype=float)
+            if (rows.ndim != 2 or rows.shape[1] != 2 or not np.isfinite(rows).all()
+                    or (rows[:, 0] > rows[:, 1]).any()):
+                raise ValueError("log_bounds must be finite (low, high) rows with low <= high")
 
 
 @dataclass(frozen=True)
@@ -707,6 +714,15 @@ def default_log_bounds(
         else:
             rows += [[math.log(1e-4), math.log(1e4)]] * len(names)
     return np.array(rows, dtype=float)
+
+
+def _bounds_array(bounds, n_hp: int) -> np.ndarray:
+    """A float copy of ``bounds``, which must hold one (low, high) row per
+    entry of the log vector."""
+    bounds = np.array(bounds, dtype=float)
+    if bounds.shape != (n_hp, 2):
+        raise ValueError(f"bounds must have shape ({n_hp}, 2)")
+    return bounds
 
 
 def _tie_blocks(spec: KernelSpec, d: int, mode: str) -> list[slice]:
@@ -756,9 +772,7 @@ def train(
         t_width = dataset.times.max() - dataset.times.min()
         bounds = default_log_bounds(spec, np.maximum(widths, 1.0), max(t_width, 1.0))
     # a copy: tying below must not write into the caller's array
-    bounds = np.array(bounds, dtype=float)
-    if bounds.shape != (n_hp, 2):
-        raise ValueError(f"bounds must have shape ({n_hp}, 2)")
+    bounds = _bounds_array(bounds, n_hp)
     # the prior's ceiling comes from the temporal row before tying
     maximized = _MarginalLikelihood(dataset, spec, bounds, config.tie_lengthscales == "all")
     tie_blocks = _tie_blocks(spec, d, config.tie_lengthscales)

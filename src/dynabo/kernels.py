@@ -34,12 +34,13 @@ length-scales, slabs and variance sit, ``_lagged`` lays the dataset's
 differences out once in that slab order, and one divide and one square give
 every length-scale entry's scaled squares for every row.  Each component's
 unit covariance, the spatial part times the signal variance, the temporal
-part and the gram follow, row by row bitwise what ``_cov_parts`` builds.
-The stack keeps the squares as slopes, each unit covariance's derivative by
-a log length-scale over the covariance itself (the square, divided by the
-distance for Matern 1/2), and the training gradient contracts against them
-and the parts (``dynabo.gp``).  ``grad_gram_log_hp`` still fills the derivative
-stack (``_cov_grads``), for the tests and the benchmark's tracer only.
+part and the gram follow, row by row bitwise what ``_cov`` builds for that
+row's vector alone.  The stack keeps the squares as slopes, each unit
+covariance's derivative by a log length-scale over the covariance itself
+(the square, divided by the distance for Matern 1/2), and the training
+gradient contracts against them and the parts (``dynabo.gp``).
+``grad_gram_log_hp`` builds the derivative matrices from the same stack,
+for the tests and the benchmark's tracer only.
 
 The covariance code reads the hyperparameters by attribute, from a
 ``Hyperparameters``; training's stack reads the exponentiated log vector by
@@ -310,12 +311,12 @@ def _constants(spec: KernelSpec, hp: Hyperparameters) -> _Kernel:
     )
 
 
-def _part_units(forms: tuple, diffs: np.ndarray, ells: np.ndarray, owned: bool = False) -> list:
-    """Unit-variance covariance of each plain component of one part.
-    Differences the caller ``owned`` are overwritten by the last component
-    (the sum form's first works on a copy)."""
+def _part_units(forms: tuple, diffs: np.ndarray, ells: np.ndarray) -> list:
+    """Unit-variance covariance of each plain component of one part.  The
+    last component overwrites ``diffs`` (the sum form's first works on a
+    copy)."""
     last = len(forms) - 1
-    return [_plain_cov(f, _sum_squares(diffs, ells[c], diffs if owned and c == last else None))
+    return [_plain_cov(f, _sum_squares(diffs, ells[c], diffs if c == last else None))
             for c, f in enumerate(forms)]
 
 
@@ -331,40 +332,6 @@ def _part_cov(units: list, variances, out=None) -> np.ndarray:
     return k
 
 
-def _lengthscale_grads(form: KernelForm, diffs: np.ndarray, ells: np.ndarray, k, out):
-    """Derivatives of a unit-variance plain component ``k`` by each log(l_j),
-    written into ``out[j]``: ``z_j^2`` times ``k`` (SE) or ``k / r``
-    (Matern 1/2, 0 at zero distance).  ``ells`` broadcasts against
-    ``diffs``, one length-scale per slab.  For ``grad_gram_log_hp`` only."""
-    np.divide(diffs, ells, out=out)
-    out *= out
-    if form is _SE:
-        out *= k
-        return
-    # index order, as in _sum_squares: numpy adds the slabs of a leading axis
-    # one by one, except for a 1 x 1 gram, whose distance is 0 in any order
-    r = np.sqrt(np.add.reduce(out, axis=0))
-    # divides only where r > 0, so no zero division to silence
-    out *= np.divide(k, r, out=np.zeros(r.shape), where=r > 0)
-
-
-def _part_grads(forms: tuple, diffs: np.ndarray, ells, variances, units: list, out) -> int:
-    """One part's unit-variance derivatives, written into the leading slots
-    of ``out``: its length-scales (one row per sum component, each times its
-    variance), then the sum form's two variances.  Returns the slot count.
-    For ``grad_gram_log_hp`` only."""
-    p = len(diffs)
-    if len(forms) == 1:
-        _lengthscale_grads(forms[0], diffs, ells[0], units[0], out[:p])
-        return p
-    for c, (f, k, v) in enumerate(zip(forms, units, variances)):
-        block = out[c * p : (c + 1) * p]
-        _lengthscale_grads(f, diffs, ells[c], k, block)
-        block *= v
-        np.multiply(k, v, out=out[2 * p + c])
-    return 2 * p + 2
-
-
 def _split(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> dict:
     """Every ``Hyperparameters`` field of a vector in ``_layout`` order:
     views of ``theta`` in the field's shape, pinned values for the rest."""
@@ -378,38 +345,15 @@ def _split(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> dict:
     return values
 
 
-class _Parts(NamedTuple):
-    """The factors a covariance is built from, for ``_cov_grads``."""
-
-    kernel: _Kernel  # the constants they were built with
-    spatial: list  # unit-variance covariance of each spatial component
-    temporal: list  # the same for the temporal part
-    scaled_spatial: np.ndarray  # the spatial part times the signal variance
-    temporal_part: np.ndarray  # the temporal part
-
-
-def _cov_parts(spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, hp: Hyperparameters) -> _Parts:
-    """The factors of the noise-free covariance (see ``_cov``), leaving the
-    differences as they are: for ``grad_gram_log_hp``, and the reference
-    that training's stacked rows are bitwise."""
-    c = _constants(spec, hp)
-    spatial = _part_units(c.spatial, dx, c.spatial_ells)
-    temporal = _part_units(c.temporal, dt, c.temporal_ells)
-    scaled = _part_cov(spatial, c.spatial_vars) * c.signal
-    return _Parts(c, spatial, temporal, scaled, _part_cov(temporal, c.temporal_vars))
-
-
 def _cov(kernel: _Kernel, dx: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """Noise-free covariance from raw spatial and temporal differences, which
     it overwrites: the spatial part times the signal variance, times the
-    temporal part, built in place: ``_cov_parts`` keeps the factors, and the
-    array that costs raised the peak memory of long runs when predict went
-    through it."""
-    k = _part_cov(_part_units(kernel.spatial, dx, kernel.spatial_ells, owned=True),
-                  kernel.spatial_vars)
+    temporal part, built in place: keeping the factors, as training's stack
+    does (``_stacked_cov``), costs an array that raised the peak memory of
+    long runs when predict went through it."""
+    k = _part_cov(_part_units(kernel.spatial, dx, kernel.spatial_ells), kernel.spatial_vars)
     k *= kernel.signal
-    k *= _part_cov(_part_units(kernel.temporal, dt, kernel.temporal_ells, owned=True),
-                   kernel.temporal_vars)
+    k *= _part_cov(_part_units(kernel.temporal, dt, kernel.temporal_ells), kernel.temporal_vars)
     return k
 
 
@@ -546,9 +490,9 @@ def _stacked_cov(layout: _StackLayout, lagged: np.ndarray, exps: np.ndarray,
     """The noise-free gram of each row of ``exps``, the exponentiated log
     vectors ``(B, P)`` (or one vector, ``(P,)``), from the dataset's
     ``lagged`` differences, into the buffers ``out``: every length-scale
-    entry's scaled squares in one stacked pass, then each row bitwise what
-    ``_cov_parts`` builds from that row's vector alone, and the squares
-    turned into slopes.  Returns ``out`` with each part that is a unit
+    entry's scaled squares in one stacked pass, then each row's parts and
+    gram bitwise what ``_cov`` builds from that row's vector alone, and the
+    squares turned into slopes.  Returns ``out`` with each part that is a unit
     covariance pointing at it."""
     squares = np.divide(lagged, exps[..., layout.lengthscales, None, None], out=out.slopes)
     squares *= squares
@@ -565,31 +509,6 @@ def _stacked_cov(layout: _StackLayout, lagged: np.ndarray, exps: np.ndarray,
                          out.temporal_part)
     np.multiply(scaled, temporal, out=out.gram)
     return _Stack(out.slopes, out.units, scaled, temporal, out.gram)
-
-
-def _cov_grads(
-    spec: KernelSpec, dx: np.ndarray, dt: np.ndarray, hp: Hyperparameters, parts: _Parts, out
-) -> np.ndarray:
-    """Noisy-gram derivatives in ``_layout`` order (see ``grad_gram_log_hp``),
-    built from the covariance's ``parts`` into the ``(P, n, n)`` stack
-    ``out``: a spatial derivative is the part's own times the signal
-    variance times the temporal part, a temporal one the part's own times
-    the scaled spatial part.  With ``_lengthscale_grads``, ``_part_grads``,
-    ``_cov_parts`` and ``_Parts`` it serves only ``grad_gram_log_hp``, the
-    tests' derivative-stack oracle, which the benchmark's tracer patches by
-    name; training contracts instead (``dynabo.gp``)."""
-    c = parts.kernel
-    i = _part_grads(c.spatial, dx, c.spatial_ells, c.spatial_vars, parts.spatial, out)
-    out[:i] *= c.signal
-    out[:i] *= parts.temporal_part
-    j = i + _part_grads(c.temporal, dt, c.temporal_ells, c.temporal_vars, parts.temporal,
-                        out[i:])
-    out[i:j] *= parts.scaled_spatial
-    if spec.signal_variance_free:
-        np.multiply(parts.scaled_spatial, parts.temporal_part, out=out[j])
-    out[-1] = 0.0
-    np.fill_diagonal(out[-1], np.exp(hp.log_noise_variance))
-    return out
 
 
 def _split_points(points: np.ndarray, spatial_dim: int):
@@ -639,14 +558,48 @@ def grad_gram_log_hp(
 
     Matrices follow the vector order ``_layout`` declares, the one
     ``hp_to_vector`` uses.  The noise derivative is ``noise_variance * I``.
-    Training does not build this stack (see ``dynabo.gp``); the tests hold
-    its contraction to it.
+    Built from training's stack (``_stacked_cov``) for the one vector: a
+    spatial entry's component derivative times the signal variance and the
+    temporal part, a temporal one's times the scaled spatial part.
+    Training does not build these (see ``dynabo.gp``); the tests hold its
+    contraction to them.
     """
     _check_shapes(spec, hp)
     x, t = _split_points(points, hp.spatial_dim)
-    dx, dt = _diffs(x, x), _diffs(t, t)
-    out = np.empty((n_hyperparameters(spec, hp.spatial_dim), len(x), len(x)))
-    return list(_cov_grads(spec, dx, dt, hp, _cov_parts(spec, dx, dt, hp), out))
+    layout = _stack_layout(spec, hp.spatial_dim)
+    lagged = _lagged(layout, _diffs(x, x), _diffs(t, t))
+    exps = np.exp(hp_to_vector(hp, spec))
+    stack = _stacked_cov(layout, lagged, exps, _Stack.empty(layout, len(x)))
+    out = np.empty((len(exps), len(x), len(x)))
+    for c, unit in zip(layout.components, stack.units):
+        # a length-scale's: z^2 times k (SE) or k / r (Matern 1/2, 0 at zero
+        # distance), from the squares again, as the stack's Matern 1/2
+        # slopes are divided by r already; times the sum form's variance
+        grads = np.divide(lagged[c.rows], exps[c.lengthscales, None, None],
+                          out=out[c.lengthscales])
+        grads *= grads
+        if c.form is _SE:
+            grads *= unit
+        else:
+            # index order, as in _stacked_unit: numpy adds the slabs of a
+            # leading axis one by one, except for a 1 x 1 gram, whose
+            # distance is 0 in any order
+            r = np.sqrt(np.add.reduce(grads, axis=0))
+            # divides only where r > 0, so no zero division to silence
+            grads *= np.divide(unit, r, out=np.zeros(r.shape), where=r > 0)
+        if c.variance is not None:
+            grads *= exps[c.variance]
+            np.multiply(unit, exps[c.variance], out=out[c.variance])
+    # the spatial entries, then the temporal ones, then signal and noise
+    i = layout.components[layout.spatial_count].lengthscales.start
+    if layout.signal:
+        out[:i] *= exps[-2]
+        out[-2] = stack.gram
+    out[:i] *= stack.temporal_part
+    out[i : len(exps) - 1 - layout.signal] *= stack.scaled_spatial
+    out[-1] = 0.0
+    np.fill_diagonal(out[-1], exps[-1])
+    return list(out)
 
 
 def n_hyperparameters(spec: KernelSpec, spatial_dim: int) -> int:

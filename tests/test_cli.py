@@ -490,6 +490,32 @@ def test_run_polishes_without_loading_scipy_optimize_or_linalg(tmp_path):
     assert out.stdout.splitlines()[-1].split() == ["0", "True", "False", "False"]
 
 
+def test_run_reaches_none_of_the_functions_kept_for_the_tracer(tmp_path, monkeypatch):
+    # the derivative matrices, the public marginal-likelihood functions and
+    # the polish serve the tests' oracles and the benchmark's tracer, which
+    # looks them up by these names; a trained run of every mode calls none
+    from dynabo import gp, kernels, optimizer
+
+    def kept_for_the_tracer(*args, **kwargs):
+        raise AssertionError("a run called a function kept for the tracer")
+
+    for module, name in ((kernels, "grad_gram_log_hp"), (gp, "grad_gram_log_hp"),
+                         (gp, "log_marginal_likelihood"), (gp, "lml_and_gradient"),
+                         (optimizer, "local_refine")):
+        monkeypatch.setattr(module, name, kept_for_the_tracer)
+    raw = {
+        "schema": 1,
+        "problem": {"kind": "standard", "name": "branin_scaled", "seed": 0},
+        "modes": ["standard_bo", "abo_fixed", "abo_adaptive_time", "tvb"],
+        "repetitions": 1,
+        "budget": 8,
+        "pso_particles": 6,
+        "pso_iterations": 5,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", str(write_cfg(tmp_path, raw))]) == 0
+
+
 def test_plot_data_columns_and_oracle(completed_run):
     _, _, out = completed_run
     plot = (out / "trace_abo_fixed_rep0.plot.csv").read_text().splitlines()

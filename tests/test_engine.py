@@ -549,6 +549,65 @@ def test_run_rejects_warmup_span_longer_than_horizon():
     check_horizon(problem, replace(cfg, warmup=WarmupConfig(lhd=2, span=1.0)))
 
 
+# ---- config that no fit can use: rejected before the first evaluation
+
+
+def counted_branin():
+    """branin_scaled (one spatial dimension, horizon (0, 1)) and the list of
+    times its evaluations were asked for."""
+    problem = make_standard("branin_scaled", seed=0)
+    calls = []
+
+    def evaluate(x, t):
+        calls.append(t)
+        return problem.evaluate(x, t)
+
+    return replace(problem, evaluate=evaluate), calls
+
+
+def branin_cfg(**kw):
+    defaults = dict(mode=Mode.ABO_FIXED, budget=3, fixed_interval=0.1,
+                    warmup=WarmupConfig(lhd=2, span=0.2), pso=PsoConfig(particles=6, iterations=5))
+    defaults.update(kw)
+    return EngineConfig(**defaults)
+
+
+def test_fixed_hp_that_does_not_fit_the_mode_kernel_is_rejected_before_running():
+    # tvb fits Matern 1/2 in time, one temporal length-scale: a sum-shaped
+    # fixed_hp has two
+    problem, calls = counted_branin()
+    spec = KernelSpec(KernelForm.SE, KernelForm.SUM)
+    with pytest.raises(ValueError, match="se x matern12 kernel needs log_temporal_lengthscale"):
+        run(problem, branin_cfg(mode=Mode.TVB, kernel=spec,
+                                fixed_hp=Hyperparameters.default(1, spec)))
+    assert calls == []
+
+
+def test_fixed_hp_of_another_dimension_is_rejected_before_running():
+    problem, calls = counted_branin()
+    with pytest.raises(ValueError, match="fixed_hp has spatial dimension 3, the problem 1"):
+        run(problem, branin_cfg(fixed_hp=Hyperparameters.default(3, KernelSpec())))
+    assert calls == []
+
+
+def test_log_bounds_with_the_wrong_row_count_are_rejected_before_running():
+    problem, calls = counted_branin()
+    bounds = gp.default_log_bounds(KernelSpec(), [1.0, 1.0], 1.0)  # a spatial row too many
+    with pytest.raises(ValueError, match=r"bounds must have shape \(4, 2\)"):
+        run(problem, branin_cfg(train=TrainConfig(log_bounds=bounds)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("row", [[1.0, -1.0], [-1.0, np.inf], [np.nan, 0.0]])
+def test_inverted_or_nonfinite_log_bounds_are_rejected_before_running(row):
+    problem, calls = counted_branin()
+    bounds = gp.default_log_bounds(KernelSpec(), [1.0], 1.0)
+    bounds[0] = row
+    with pytest.raises(ValueError, match="low <= high"):
+        run(problem, branin_cfg(train=TrainConfig(log_bounds=bounds)))
+    assert calls == []
+
+
 @pytest.mark.parametrize("mode", [Mode.ABO_FIXED, Mode.TVB, Mode.STANDARD_BO])
 def test_fixed_interval_run_ends_at_horizon(mode):
     prob = drifting_bowl()

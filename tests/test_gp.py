@@ -21,7 +21,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
-from dynabo import gp, kernels
+from dynabo import gp
 from dynabo.gp import (
     Dataset,
     FactorizationError,
@@ -39,13 +39,13 @@ from dynabo.kernels import (
     KernelForm,
     KernelSpec,
     cross_gram,
-    grad_gram_log_hp,
     gram,
     hp_from_vector,
     hp_to_vector,
     hyperparameter_names,
     n_hyperparameters,
 )
+from kernel_oracles import SUM_FORMS, fixed_order_parts, nmd_grad_gram
 
 FORMS = [
     KernelSpec(KernelForm.SE, KernelForm.SE),
@@ -667,11 +667,11 @@ def reference_lml(dataset, spec, hp):
 
 def reference_lml_and_gradient(dataset, spec, hp):
     """The gradient as 0.5 * tr((alpha alpha^T - K^-1) dK) over the
-    derivative stack: the oracle the contraction is held to, within a
-    tolerance."""
+    reference derivative stack: the oracle the contraction is held to,
+    within a tolerance."""
     value, el, alpha = reference_lml(dataset, spec, hp)
     k_inv = cho_solve((el, True), np.eye(dataset.n))
-    grads = grad_gram_log_hp(dataset.points, spec, hp)
+    grads = nmd_grad_gram(dataset.points, spec, hp)
     out = np.empty(len(grads))
     for i, dk in enumerate(grads):
         out[i] = 0.5 * (alpha @ dk @ alpha - np.sum(k_inv * dk))
@@ -689,7 +689,8 @@ def reference_lml_and_contracted_gradient(dataset, spec, hp):
     component's unit covariance, scaled by its variance; that variance's
     entry is the sum of the same matrix, scaled alike.  The signal
     variance's entry is the sum of W times the gram, and the noise's the
-    noise variance times the trace of W."""
+    noise variance times the trace of W.  The units and parts come from
+    the fixed-order reference, which gives them bit for bit."""
     value, el, alpha = reference_lml(dataset, spec, hp)
     n, d = dataset.n, dataset.spatial_dim
     mask = np.triu(np.full((n, n), 2.0))
@@ -698,7 +699,8 @@ def reference_lml_and_contracted_gradient(dataset, spec, hp):
     x, t = dataset.points[:, :d], dataset.points[:, d:]
     dx = x.T[:, :, None] - x.T[:, None, :]
     dt = t.T[:, :, None] - t.T[:, None, :]
-    parts = kernels._cov_parts(spec, dx, dt, hp)
+    spatial_units, temporal_units, scaled_spatial, temporal_part = fixed_order_parts(
+        dataset.points, dataset.points, spec, hp)
     wk = w * gram(dataset.points, spec, hp)
     names = hyperparameter_names(spec, d)
     out = np.empty(len(names))
@@ -706,14 +708,15 @@ def reference_lml_and_contracted_gradient(dataset, spec, hp):
         out[names.index("signal_variance")] = np.sum(wk)
     plain_slopes, plain_entries = [], []
     for spatial, form, units, log_ells, log_vars, lags, other in (
-        (True, spec.spatial, parts.spatial, hp.log_spatial_lengthscales,
-         hp.log_spatial_variances, dx, parts.temporal_part),
-        (False, spec.temporal, parts.temporal, hp.log_temporal_lengthscale,
-         hp.log_temporal_variances, dt, parts.scaled_spatial),
+        (True, spec.spatial, spatial_units, hp.log_spatial_lengthscales,
+         hp.log_spatial_variances, dx, temporal_part),
+        (False, spec.temporal, temporal_units, hp.log_temporal_lengthscale,
+         hp.log_temporal_variances, dt, scaled_spatial),
     ):
         part = "spatial" if spatial else "temporal"
         ells = np.exp(np.reshape(log_ells, (len(units), -1)))
-        for c, (f, unit) in enumerate(zip(kernels._components(form), units)):
+        forms = SUM_FORMS if form is KernelForm.SUM else (form,)
+        for c, (f, unit) in enumerate(zip(forms, units)):
             slopes = np.array([(lag / ell) ** 2 for lag, ell in zip(lags, ells[c])])
             if f is KernelForm.MATERN12:
                 r = np.sqrt(sum(slopes))
@@ -937,7 +940,7 @@ def test_contracted_gradient_agrees_with_the_derivative_stack(spec):
         theta = hp_to_vector(hp, spec)
         value, el, alpha = reference_lml(dataset, spec, hp)
         k_inv = cho_solve((el, True), np.eye(dataset.n))
-        stack = grad_gram_log_hp(dataset.points, spec, hp)
+        stack = nmd_grad_gram(dataset.points, spec, hp)
         scale = np.array([0.5 * (np.abs(alpha) @ np.abs(dk) @ np.abs(alpha)
                                  + np.sum(np.abs(k_inv * dk))) for dk in stack])
         want = reference_lml_and_gradient(dataset, spec, hp)[1]

@@ -27,6 +27,11 @@ from dynabo.kernels import (
     hyperparameter_names,
     n_hyperparameters,
 )
+from kernel_oracles import (
+    fixed_order_cross_gram,
+    index_order_squares,
+    nmd_grad_gram,
+)
 
 ALL_SPECS = [
     KernelSpec(KernelForm.SE, KernelForm.SE),
@@ -129,84 +134,6 @@ def fd_gradient(points, spec, hp, h=1e-5):
     return grads
 
 
-def index_order_squares(z):
-    """Sum of ``z * z`` over the last axis, one term at a time in index order
-    (numpy's ``sum`` would add eight terms or more pairwise)."""
-    s = z[..., 0] * z[..., 0]
-    for j in range(1, z.shape[-1]):
-        s = s + z[..., j] * z[..., j]
-    return s
-
-
-def fixed_order_cross_gram(a, b, spec, hp):
-    """Reference covariance in one fixed elementwise order: differences over
-    length-scales, sum of squares over the last axis in index order,
-    component weights, then signal * spatial * temporal.  Exact equality
-    pins the arithmetic that training's iterates depend on."""
-
-    def plain(form, z):
-        s = index_order_squares(z)
-        return np.exp(-0.5 * s) if form is KernelForm.SE else np.exp(-np.sqrt(s))
-
-    def part(form, diffs, log_ells, log_vars):
-        if form is KernelForm.SUM:
-            va, vb = np.exp(log_vars)
-            return va * plain(KernelForm.SE, diffs / np.exp(log_ells[0])) + vb * plain(
-                KernelForm.MATERN12, diffs / np.exp(log_ells[1])
-            )
-        return plain(form, diffs / np.exp(log_ells))
-
-    d = hp.spatial_dim
-    tls = np.atleast_1d(hp.log_temporal_lengthscale)
-    if spec.temporal is KernelForm.SUM:
-        tls = tls[:, None]
-    k_s = part(spec.spatial, a[:, None, :d] - b[None, :, :d],
-               hp.log_spatial_lengthscales, hp.log_spatial_variances)
-    k_t = part(spec.temporal, a[:, None, d:] - b[None, :, d:], tls, hp.log_temporal_variances)
-    return np.exp(hp.log_signal_variance) * k_s * k_t
-
-
-def nmd_grad_gram(points, spec, hp):
-    """Reference noisy-gram derivatives with the differences laid out
-    ``(n, m, d)`` and each squared distance summed over the last axis in
-    index order, the elementwise order the dimension-major kernels must
-    reproduce."""
-
-    def plain(form, z):
-        s = index_order_squares(z)
-        if form is KernelForm.SE:
-            k = np.exp(-0.5 * s)
-            return k, [k * z[..., j] ** 2 for j in range(z.shape[-1])]
-        r = np.sqrt(s)
-        k = np.exp(-r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(r > 0, k / np.where(r > 0, r, 1.0), 0.0)
-        return k, [scale * z[..., j] ** 2 for j in range(z.shape[-1])]
-
-    def part(form, diffs, log_ells, log_vars):
-        if form is KernelForm.SUM:
-            va, vb = np.exp(log_vars)
-            k_se, g_se = plain(KernelForm.SE, diffs / np.exp(log_ells[0]))
-            k_m12, g_m12 = plain(KernelForm.MATERN12, diffs / np.exp(log_ells[1]))
-            grads = [va * g for g in g_se] + [vb * g for g in g_m12]
-            return va * k_se + vb * k_m12, grads + [va * k_se, vb * k_m12]
-        return plain(form, diffs / np.exp(log_ells))
-
-    d = hp.spatial_dim
-    tls = np.atleast_1d(hp.log_temporal_lengthscale)
-    if spec.temporal is KernelForm.SUM:
-        tls = tls[:, None]
-    x, t = points[:, :d], points[:, d:]
-    k_s, gs = part(spec.spatial, x[:, None] - x[None], hp.log_spatial_lengthscales,
-                   hp.log_spatial_variances)
-    k_t, gt = part(spec.temporal, t[:, None] - t[None], tls, hp.log_temporal_variances)
-    s2 = np.exp(hp.log_signal_variance)
-    grads = [s2 * g * k_t for g in gs] + [s2 * k_s * g for g in gt]
-    if spec.signal_variance_free:
-        grads.append(s2 * k_s * k_t)
-    return grads + [hp.noise_variance * np.eye(len(points))]
-
-
 @pytest.mark.parametrize("spec", NINE_SPECS)
 def test_gram_keeps_fixed_elementwise_order(spec):
     # from d = 8 on a pairwise sum would differ from index order: eight
@@ -218,12 +145,16 @@ def test_gram_keeps_fixed_elementwise_order(spec):
         a[3] = a[0]  # a zero distance, where Matern 1/2 has its kink
         b = rng.uniform(-2, 2, size=(5, d + 1))
         assert np.array_equal(cross_gram(a, b, spec, hp), fixed_order_cross_gram(a, b, spec, hp))
-        noisy = fixed_order_cross_gram(a, a, spec, hp) + hp.noise_variance * np.eye(11)
-        assert np.array_equal(gram(a, spec, hp, with_noise=True), noisy)
-        got, want = grad_gram_log_hp(a, spec, hp), nmd_grad_gram(a, spec, hp)
-        assert len(got) == len(want) == n_hyperparameters(spec, d)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        # and the smallest sets: a 1 x 1 gram, whose Matern 1/2 distance is
+        # 0, and two points
+        for points in (a, a[:1], a[:2]):
+            noisy = (fixed_order_cross_gram(points, points, spec, hp)
+                     + hp.noise_variance * np.eye(len(points)))
+            assert np.array_equal(gram(points, spec, hp, with_noise=True), noisy)
+            got, want = grad_gram_log_hp(points, spec, hp), nmd_grad_gram(points, spec, hp)
+            assert len(got) == len(want) == n_hyperparameters(spec, d)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -465,30 +396,34 @@ def test_squared_distance_sums_in_index_order():
     shapes += [(7, 300, 80), (12, 1, 40), (9, 40, 1), (1, 1, 1), (3, 0, 4)]
     for p, n, m in shapes:
         diffs = rng.uniform(-3.0, 3.0, size=(p, n, m))
-        kept = diffs.copy()
         for form in KernelForm:
             forms = kernels._components(form)
             ells = np.exp(rng.uniform(-2.0, 2.0, size=(len(forms), p, 1, 1)))
             want = [kernels._plain_cov(f, index_order_squares(np.moveaxis(diffs / ells[c], 0, -1)))
                     for c, f in enumerate(forms)]
-            for owned in (False, True):
-                got = kernels._part_units(forms, diffs.copy() if owned else diffs, ells, owned)
-                assert len(got) == len(want)
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w), (form, p, n, m, owned)
-            assert np.array_equal(diffs, kept)
+            got = kernels._part_units(forms, diffs.copy(), ells)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (form, p, n, m)
 
 
 @pytest.mark.parametrize("spec", NINE_SPECS)
 def test_cov_from_constants_is_the_product_of_the_training_parts(spec):
     rng = np.random.default_rng(43)
-    for d, n, m in ((1, 7, 5), (3, 11, 1), (8, 1, 1), (12, 1, 1), (12, 9, 13)):
+    # the square cases against training's stack for the one vector, the
+    # rectangular ones against the fixed-order reference
+    for d, n, m in ((1, 7, 5), (3, 11, 1), (8, 1, 1), (12, 1, 1), (12, 9, 13), (5, 6, 6)):
         hp = random_hp(rng, spec, d)
         xa, xb = rng.uniform(-2, 2, size=(n, d + 1)), rng.uniform(-2, 2, size=(m, d + 1))
         dx = kernels._diffs(xa[:, :d], xb[:, :d])
         dt = kernels._diffs(xa[:, d:], xb[:, d:])
-        parts = kernels._cov_parts(spec, dx, dt, hp)
-        want = parts.scaled_spatial * parts.temporal_part
+        if n == m:
+            layout = kernels._stack_layout(spec, d)
+            want = kernels._stacked_cov(layout, kernels._lagged(layout, dx, dt),
+                                        np.exp(hp_to_vector(hp, spec)),
+                                        kernels._Stack.empty(layout, n)).gram
+        else:
+            want = fixed_order_cross_gram(xa, xb, spec, hp)
         got = kernels._cov(kernels._constants(spec, hp), dx.copy(), dt.copy())
         assert np.array_equal(got, want)
         assert np.array_equal(cross_gram(xa, xb, spec, hp), want)
