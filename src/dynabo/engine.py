@@ -50,7 +50,14 @@ from dynabo.gp import (
     default_log_bounds,
     train,
 )
-from dynabo.kernels import Hyperparameters, KernelForm, KernelSpec, _check_shapes, n_hyperparameters
+from dynabo.kernels import (
+    Hyperparameters,
+    KernelForm,
+    KernelSpec,
+    _check_shapes,
+    _check_spatial_dim,
+    n_hyperparameters,
+)
 from dynabo.optimizer import Box, PsoConfig, latin_hypercube, optimize_acquisition
 from dynabo.problems import Problem
 
@@ -194,7 +201,10 @@ class EngineConfig:
         kernel = _mode_kernel(self)
         _tie_blocks(kernel, 0, _mode_tie(self))
         if self.fixed_hp is not None:
-            _check_shapes(kernel, self.fixed_hp)
+            try:
+                _check_shapes(kernel, self.fixed_hp)
+            except ValueError as err:
+                raise ValueError(f"fixed_hp does not fit mode {self.mode.value}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -355,9 +365,8 @@ def run(problem: Problem, config: EngineConfig) -> RunTrace:
     mode = config.mode
 
     kernel = _mode_kernel(config)
-    if config.fixed_hp is not None and config.fixed_hp.spatial_dim != d:
-        raise ValueError(f"fixed_hp has spatial dimension {config.fixed_hp.spatial_dim}, "
-                         f"the problem {d}")
+    if config.fixed_hp is not None:
+        _check_spatial_dim("fixed_hp", config.fixed_hp, d)
     if config.train.log_bounds is not None:
         _bounds_array(config.train.log_bounds, n_hyperparameters(kernel, d))
     flexible = config.flexible_heuristics and mode is not Mode.TVB

@@ -151,6 +151,7 @@ from dynabo.kernels import (
     Hyperparameters,
     KernelForm,
     KernelSpec,
+    _check_spatial_dim,
     _components,
     _constants,
     _cov,
@@ -529,8 +530,7 @@ class GpModel:
         are ``previous``'s with one row appended (see the module docstring);
         otherwise, or when the new row's pivot is not positive, they are
         computed afresh."""
-        if hp.spatial_dim != dataset.spatial_dim:
-            raise ValueError("hyperparameter dimensionality does not match data")
+        _check_spatial_dim("hp", hp, dataset.spatial_dim)
         mean, std = dataset.target_mean, dataset.target_std
         y = (dataset.targets - mean) / std
         factors = None
@@ -763,8 +763,7 @@ def train(
     ``lml``; raises ``TrainingError`` when no start gives a finite value.
     """
     d = dataset.spatial_dim
-    if init.spatial_dim != d:
-        raise ValueError("warm start dimensionality does not match data")
+    _check_spatial_dim("init", init, d)
     n_hp = n_hyperparameters(spec, d)
     bounds = config.log_bounds
     if bounds is None:

@@ -232,6 +232,13 @@ def _layout(spec: KernelSpec, d: int) -> tuple[tuple[str, tuple, tuple[str, ...]
     return tuple(layout)
 
 
+def _check_spatial_dim(name: str, hp: Hyperparameters, d: int) -> None:
+    """The one rule for given hyperparameters: ``hp``, passed as argument
+    ``name``, must have the problem's ``d`` spatial dimensions."""
+    if hp.spatial_dim != d:
+        raise ValueError(f"{name} has spatial dimension {hp.spatial_dim}, the problem {d}")
+
+
 def _check_shapes(spec: KernelSpec, hp: Hyperparameters) -> None:
     free = {f: shape for f, shape, _ in _layout(spec, hp.spatial_dim)}
     forms = f"{spec.spatial.value} x {spec.temporal.value} kernel"

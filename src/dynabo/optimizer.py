@@ -1,11 +1,20 @@
 """Search-space types, Latin hypercube sampling, and acquisition optimization.
 
-Acquisition search is particle-swarm optimization seeded from a Latin
-hypercube, and returns the swarm's best position without a polish.  A
-dimension whose bounds coincide is a slice: it is held fixed and removed
-from the search space instead of being searched at zero width.
-``PsoConfig`` sets the swarm's size and length; each search takes its seed
-as an argument, as ``latin_hypercube`` does.
+Acquisition search is sized to the box's free coordinates, and returns its
+point without a polish.  A dimension whose bounds coincide is a slice: it is
+held fixed and removed from the search space instead of being searched at
+zero width.  A box with one free coordinate (each fixed-interval step on a
+one-dimensional problem) is scored as one batch of ``_GRID_POINTS`` evenly
+spaced points, as Spearmint (Snoek, Larochelle & Adams, 2012) scores a dense
+candidate set; a parabola through the best interior point and its two
+neighbours then proposes one more point, kept only if it scores strictly
+lower.  The grid is exact for a deterministic objective and has no seed.  A
+box with two or more free coordinates, or a flat grid (no finite score, or a
+spread of at most ``_FLAT_RTOL`` times the best's magnitude, at least 1), is
+searched by particle-swarm optimization seeded from a Latin hypercube, which
+returns the swarm's best position.  ``PsoConfig`` sets the swarm's size and
+length; each search takes its seed as an argument, as ``latin_hypercube``
+does.
 
 ``PsoConfig.iterations`` is a cap; the swarm has two earlier stops.  It
 stops once no particle can move again: every particle sits on its own best
@@ -110,6 +119,12 @@ _SOCIAL = 1.49445
 # stalled iterations in a row
 _STALL_FTOL = 1e-9
 _STALL_ITERS = 15
+
+# the search of a box with one free coordinate: grid size, and the spread
+# (relative to the best score's magnitude, at least 1) at or below which the
+# grid is flat and the swarm searches instead
+_GRID_POINTS = 513
+_FLAT_RTOL = 1e-6
 
 # the polish: L-BFGS-B's iteration cap and relative objective tolerance
 _REFINE_MAX_ITERS = 100
@@ -344,19 +359,60 @@ def _finite_or_inf(values: np.ndarray) -> np.ndarray:
 def optimize_acquisition(
     model, acq: AcquisitionSpec, box: Box, pso: PsoConfig = PsoConfig(), seed: int = 0
 ) -> np.ndarray:
-    """Best scoring point in the box: the swarm's best, from a Latin
-    hypercube seed, clipped to the box; deterministic given ``seed``, which
-    the hypercube and the swarm share.  No polish follows (see the module
-    docstring on ``local_refine``).
+    """Best scoring point in the box.  With one free coordinate it is the
+    best of one scored grid of ``_GRID_POINTS`` points (the first among
+    equals), or the clipped vertex of the parabola through that point and
+    its two neighbours when the vertex scores strictly lower: two batches at
+    most, and ``pso`` and ``seed`` go unused.  With two or more free
+    coordinates, or when the grid is flat, it is the swarm's best, from a
+    Latin hypercube seed, clipped to the box; deterministic given ``seed``,
+    which the hypercube and the swarm share.  No polish follows (see the
+    module docstring on ``local_refine``).
 
-    Every batch the swarm proposes is scored on ``model``;
-    ``evaluate_on_model`` is looked up at each call, so a wrapper installed
-    on this module sees them all.
+    Every batch is scored on ``model``; ``evaluate_on_model`` is looked up
+    at each call, so a wrapper installed on this module sees them all.
     """
 
     def objective(points):
         return evaluate_on_model(acq, model, points)
 
+    free = np.flatnonzero(~box.degenerate)
+    if free.size == 1:
+        point = _grid_minimize(objective, box, int(free[0]))
+        if point is not None:
+            return point
     probes = latin_hypercube(pso.particles, box, seed)
     point, _ = pso_minimize(objective, box, pso, seed, init=probes)
     return box.clip(point)
+
+
+def _grid_minimize(objective, box: Box, j: int):
+    """The best of ``_GRID_POINTS`` evenly spaced points along the one free
+    coordinate ``j``, scored as one batch, then one parabola step through
+    the best interior point and its two neighbours, kept only if it scores
+    strictly lower.  ``None`` for a flat grid: no finite score, or a spread
+    of at most ``_FLAT_RTOL`` times the best's magnitude (at least 1).
+
+    The grid is one batch, not chunks: a row's score depends, in its last
+    bits, on the other rows in its batch, so chunks would score another grid.
+    """
+    lo, hi = box.lower[j], box.upper[j]
+    grid = np.tile(box.lower, (_GRID_POINTS, 1))
+    grid[:, j] = np.linspace(lo, hi, _GRID_POINTS)
+    scores = _batch_eval(objective, grid)
+    i = int(scores.argmin())
+    best = scores[i]
+    # finiteness first: the spread of an all-inf grid would be inf - inf
+    if not np.isfinite(best) or scores.max() - best <= _FLAT_RTOL * max(1.0, abs(best)):
+        return None
+    point = grid[i].copy()
+    if 0 < i < _GRID_POINTS - 1:
+        y0, y1, y2 = scores[i - 1 : i + 2]
+        curvature = y0 - 2.0 * y1 + y2
+        if np.isfinite(curvature) and curvature > 0:
+            h = (hi - lo) / (_GRID_POINTS - 1)
+            vertex = point.copy()
+            vertex[j] = min(max(point[j] + 0.5 * h * (y0 - y2) / curvature, lo), hi)
+            if _batch_eval(objective, vertex[None, :])[0] < best:
+                return vertex
+    return point

@@ -520,6 +520,44 @@ def test_frozen_run_appends_on_every_fit_after_its_last_training(monkeypatch):
     assert events == ["train", "fresh"] * 2 + ["append"] * 6
 
 
+def test_frozen_one_dimensional_searches_score_at_most_two_batches(monkeypatch):
+    # a deterministic cost guard for the search: each step of a frozen
+    # fixed-interval run on a 1-D problem searches one free coordinate, which
+    # is one scored grid and at most one parabola point; the swarm, which
+    # scored about 38 batches a step on the benchmark's frozen_long, only
+    # searches a flat grid
+    from dynabo import optimizer
+
+    searches = []
+    search, evaluate = engine_mod.optimize_acquisition, optimizer.evaluate_on_model
+
+    def counted_search(*args, **kwargs):
+        searches.append([])
+        return search(*args, **kwargs)
+
+    def counted_batch(acq, model, points):
+        scores = evaluate(acq, model, points)
+        searches[-1].append(np.asarray(scores, dtype=float))
+        return scores
+
+    monkeypatch.setattr(engine_mod, "optimize_acquisition", counted_search)
+    monkeypatch.setattr(optimizer, "evaluate_on_model", counted_batch)
+    cfg = EngineConfig(mode=Mode.ABO_FIXED, budget=20, fixed_interval=1.0 / 28,
+                       warmup=WarmupConfig(lhd=2, bo_steps=5), freeze_after_warmup=True)
+    assert run(make_standard("branin_scaled", seed=0), cfg).n_scored == 20
+    assert len(searches) == 25
+    flat = 0
+    for batches in searches:
+        grid = batches[0]
+        assert grid.shape == (513,)
+        best = grid.min()
+        if not np.isfinite(best) or grid.max() - best <= 1e-6 * max(1.0, abs(best)):
+            flat += 1
+        else:
+            assert len(batches) <= 2
+    assert flat <= 5  # only early warmup steps, whose scale training cannot pin yet
+
+
 def test_trained_run_never_appends(monkeypatch):
     events = recording_fits(monkeypatch)
     cfg = small_cfg(budget=4, fixed_hp=None, train=TrainConfig(restarts=2, max_iters=30))
@@ -577,7 +615,8 @@ def test_fixed_hp_that_does_not_fit_the_mode_kernel_is_rejected_before_running()
     # fixed_hp has two
     problem, calls = counted_branin()
     spec = KernelSpec(KernelForm.SE, KernelForm.SUM)
-    with pytest.raises(ValueError, match="se x matern12 kernel needs log_temporal_lengthscale"):
+    with pytest.raises(ValueError, match="fixed_hp does not fit mode tvb: "
+                       "the se x matern12 kernel needs log_temporal_lengthscale"):
         run(problem, branin_cfg(mode=Mode.TVB, kernel=spec,
                                 fixed_hp=Hyperparameters.default(1, spec)))
     assert calls == []

@@ -339,6 +339,17 @@ def test_time_lengthscale_reporting():
     assert GpModel.fit(dataset, summed, hp2).time_lengthscale == pytest.approx(0.5)
 
 
+def test_fit_and_train_name_hyperparameters_of_another_spatial_dimension():
+    # one rule and one message for fit, train and engine.run's fixed_hp
+    spec = KernelSpec()
+    dataset = Dataset(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 2.0]))
+    hp = Hyperparameters.default(2, spec)
+    with pytest.raises(ValueError, match="^hp has spatial dimension 2, the problem 1$"):
+        GpModel.fit(dataset, spec, hp)
+    with pytest.raises(ValueError, match="^init has spatial dimension 2, the problem 1$"):
+        train(dataset, spec, hp, TrainConfig(), 0)
+
+
 def test_predict_rejects_bad_queries():
     spec = KernelSpec(KernelForm.SE, KernelForm.SE)
     dataset = Dataset(np.array([[0.0, 0.0]]), np.array([1.0]))

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -814,3 +815,145 @@ def test_swarm_in_a_corner_is_not_rescored(monkeypatch):
     assert np.array_equal(point, [0.0, 0.0, 0.0])
     assert pairwise_distinct(batches)
     assert len(batches) < pso.iterations + 1
+
+
+# ---- a box with one free coordinate: one scored grid and a parabola step
+
+ONE_FREE_BOXES = {
+    "space": Box([0.0, 0.3], [1.0, 0.3]),  # time pinned, as fixed-interval steps search
+    "time": Box([0.6, 0.0], [0.6, 0.5]),
+}
+ACQUISITIONS = {
+    "lcb": lambda model: LowerConfidenceBound(1.5),
+    # the highest target, so that the improvement is not 0 everywhere
+    "ei": lambda model: ExpectedImprovement(float(model.dataset.targets.max())),
+    "mean": lambda model: PosteriorMean(),
+}
+
+
+def scoring(monkeypatch, evaluate=None):
+    """Patch ``optimizer.evaluate_on_model`` to record every batch it scores
+    with its scores; ``evaluate`` replaces the model's scores."""
+    batches = []
+    evaluate = evaluate or optimizer.evaluate_on_model
+
+    def recorded(acq, model, points):
+        scores = np.asarray(evaluate(acq, model, points), dtype=float)
+        batches.append((points.copy(), scores.copy()))
+        return scores
+
+    monkeypatch.setattr(optimizer, "evaluate_on_model", recorded)
+    return batches
+
+
+def swarm_search(model, acq, box, pso, seed):
+    """The hypercube-seeded swarm alone, as ``pso_minimize`` runs it."""
+
+    def objective(points):
+        return evaluate_on_model(acq, model, points)
+
+    probes = latin_hypercube(pso.particles, box, seed)
+    point, _ = pso_minimize(objective, box, pso, seed, init=probes)
+    return box.clip(point)
+
+
+@pytest.mark.parametrize("box_name", sorted(ONE_FREE_BOXES))
+@pytest.mark.parametrize("acq_name", sorted(ACQUISITIONS))
+@pytest.mark.parametrize("case", range(4))
+def test_one_coordinate_search_scores_one_grid_then_at_most_one_point(
+    case, acq_name, box_name, monkeypatch
+):
+    spec = NINE_SPECS[3 * case % len(NINE_SPECS)]
+    model = random_model(spec, seed=case, d=1)
+    acq = ACQUISITIONS[acq_name](model)
+    box = ONE_FREE_BOXES[box_name]
+    batches = scoring(monkeypatch)
+    point = optimize_acquisition(model, acq, box, seed=case)
+
+    (grid, scores), *rest = batches
+    free = int(np.flatnonzero(~box.degenerate)[0])
+    assert grid.shape == (513, 2)
+    assert np.array_equal(grid[:, free], np.linspace(box.lower[free], box.upper[free], 513))
+    assert np.all(grid[:, 1 - free] == box.lower[1 - free])
+    assert len(rest) <= 1 and all(points.shape == (1, 2) for points, _ in rest)
+
+    # in the box, and never worse than the grid's best: the parabola's point
+    # only when it scored strictly lower, else the grid's first minimum
+    assert box.contains(point)
+    best = int(scores.argmin())
+    if rest and rest[0][1][0] < scores[best]:
+        assert np.array_equal(point, rest[0][0][0])
+    else:
+        assert np.array_equal(point, grid[best])
+
+
+def test_one_coordinate_search_takes_the_parabola_vertex_of_a_quadratic(monkeypatch):
+    # three grid points of a parabola give its vertex, between grid points
+    box = Box([0.0, 0.0], [1.0, 0.0])
+    batches = scoring(monkeypatch, lambda acq, model, points: (points[:, 0] - 0.4321) ** 2)
+    point = optimize_acquisition(None, PosteriorMean(), box)
+    assert len(batches) == 2
+    assert point[0] == pytest.approx(0.4321, abs=1e-12)
+    assert point[1] == 0.0
+
+
+def test_one_coordinate_search_skips_the_parabola_beside_a_non_finite_score(monkeypatch):
+    # the grid's best point has a nan to its right: no parabola step, no
+    # warning, and the best grid point is the result
+    box = Box([0.0, 0.0], [1.0, 0.0])
+    grid = np.linspace(0.0, 1.0, 513)
+
+    def bowl_with_a_hole(acq, model, points):
+        return np.where(points[:, 0] > grid[220], np.nan, (points[:, 0] - 0.5) ** 2)
+
+    batches = scoring(monkeypatch, bowl_with_a_hole)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = optimize_acquisition(None, PosteriorMean(), box)
+    assert len(batches) == 1
+    assert np.array_equal(point, [grid[220], 0.0])
+
+
+def test_flat_one_coordinate_search_is_the_swarm_bit_for_bit(monkeypatch):
+    # every sample lies far beyond the temporal reach of the box's time, so
+    # each predict is the prior: the grid is flat and the swarm decides
+    model = quadratic_model()
+    box = Box([0.0, 1000.0], [1.0, 1000.0])
+    pso = PsoConfig(particles=8, iterations=15)
+    for acq in (LowerConfidenceBound(1.5), PosteriorMean()):
+        want = swarm_search(model, acq, box, pso, seed=6)
+        with monkeypatch.context() as patch:
+            batches = scoring(patch)
+            got = optimize_acquisition(model, acq, box, pso, seed=6)
+        grid, grid_scores = batches[0]
+        assert grid.shape == (513, 2)
+        assert np.all(grid_scores == grid_scores[0])
+        assert len(batches) > 2  # the grid, then the swarm's batches
+        assert np.array_equal(got, want)
+
+
+def test_all_nan_one_coordinate_search_falls_back_to_the_swarm_without_warning(monkeypatch):
+    box = Box([0.0, 0.3], [1.0, 0.3])
+    pso = PsoConfig(particles=6, iterations=4)
+    batches = scoring(monkeypatch, lambda acq, model, points: np.full(len(points), np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = optimize_acquisition(None, PosteriorMean(), box, pso, seed=2)
+    want, _ = pso_minimize(lambda points: np.full(len(points), np.nan), box, pso, 2,
+                           init=latin_hypercube(pso.particles, box, 2))
+    assert batches[0][0].shape == (513, 2)
+    assert len(batches) > 2
+    assert np.array_equal(point, box.clip(want))
+
+
+@pytest.mark.parametrize("acq_name", sorted(ACQUISITIONS))
+def test_two_free_coordinates_are_searched_by_the_swarm_bit_for_bit(acq_name, monkeypatch):
+    model = quadratic_model()
+    acq = ACQUISITIONS[acq_name](model)
+    box = Box([0.0, 0.0], [1.0, 0.5])
+    pso = PsoConfig(particles=8, iterations=15)
+    want = swarm_search(model, acq, box, pso, seed=9)
+    batches = scoring(monkeypatch)
+    got = optimize_acquisition(model, acq, box, pso, seed=9)
+    assert np.array_equal(got, want)
+    assert all(points.shape[0] == pso.particles for points, _ in batches)
