@@ -8,8 +8,10 @@ Verbs:
     mpb-preview <scenario>  print the moving-peaks change schedule
 
 All outputs are plain CSV/JSON with repr-formatted floats, so identical
-configs produce bitwise-identical files at one BLAS thread count; threaded
-BLAS rounds differently once a run holds 128 or more samples.
+configs produce bitwise-identical files at one BLAS thread count.  At
+another count BLAS rounds differently: a trained run can differ from its
+first trained fit on (``dpotri``'s K^-1 in the LML gradient), and any run
+once it holds 128 or more samples (``dpotrf``).
 """
 
 from __future__ import annotations

@@ -68,12 +68,12 @@ only when that fails.
 what every posterior predict on that fit shares: the Cholesky factor ``L``
 of the noisy gram and its inverse, both lower triangular, ``alpha = K^-1 y``
 (LAPACK ``dpotrs`` on ``L``), the target mean and std, the kernel's signal
-variance, the kernels' per-fit constants
-(``kernels._Kernel``: the exponentiated variances and length-scales), and
-the training points dimension-major, ``(d, n, 1)`` spatial and ``(1, n, 1)``
-temporal.  A predict subtracts the query batch from those arrays and builds
-the cross-covariance with the kernels' ``_cov`` on those constants, bitwise
-what ``cross_gram`` gives.  When every query in the batch has the same time,
+variance, the exponentiated log vector and its component table
+(``kernels._stack_layout``), and the training points dimension-major,
+``(d, n, 1)`` spatial and ``(1, n, 1)`` temporal.  A predict subtracts the
+query batch from those arrays and builds the cross-covariance with the
+kernels' ``_cov`` on that vector and table, bitwise what ``cross_gram``
+gives.  When every query in the batch has the same time,
 as in every step of a fixed-interval mode, the temporal factor is one
 ``(n, 1)`` column broadcast over the batch; elementwise arithmetic gives the
 same bits whatever the array's shape.  A predict multiplies the
@@ -152,15 +152,13 @@ from dynabo.kernels import (
     KernelForm,
     KernelSpec,
     _check_spatial_dim,
-    _components,
-    _constants,
     _cov,
     _diffs,
-    _Kernel,
     _lagged,
     _layout,
     _Stack,
     _stack_layout,
+    _StackLayout,
     _stacked_cov,
     cross_gram,  # bench/tracing.py wraps it in this namespace
     grad_gram_log_hp,  # noqa: F401  bench/tracing.py wraps it in this namespace
@@ -329,8 +327,8 @@ class _MarginalLikelihood:
     left out.  Without ``bounds``, or with ``tied`` (the temporal entry
     shares its value with the spatial length-scales), the objective is the
     marginal likelihood exactly.  Every method also returns the marginal
-    likelihood alone.  The temporal entries are found through
-    ``kernels._layout``; they are contiguous.
+    likelihood alone.  The temporal entries are the temporal components'
+    length-scales in ``kernels._stack_layout``; they are contiguous.
 
     Remembers the factorization and the gram's factors of the last vector it
     evaluated, or of the best row of the last ``screen``; a gradient
@@ -342,14 +340,14 @@ class _MarginalLikelihood:
     def __init__(self, dataset: Dataset, spec: KernelSpec, bounds=None, tied: bool = False):
         d, n = dataset.spatial_dim, dataset.n
         x, t = dataset.points[:, :d], dataset.points[:, d:]
-        fields = [f for f, _, names in _layout(spec, d) for _ in names]
-        first = fields.index("log_temporal_lengthscale")
-        count = 0 if tied or bounds is None else fields.count("log_temporal_lengthscale")
-        self._temporal = slice(first, first + count)
+        self._stack_layout = _stack_layout(spec, d)
+        temporal = self._stack_layout.parts[1]
+        first = temporal[0].lengthscales.start
+        stop = first if tied or bounds is None else temporal[-1].lengthscales.stop
+        self._temporal = slice(first, stop)
         rows = np.empty((0, 2)) if bounds is None else bounds[self._temporal]
         self._ceiling = 0.5 * (rows[:, 0] + rows[:, 1]) + _PRIOR_OFFSET
-        self._n_hp = len(fields)
-        self._stack_layout = _stack_layout(spec, d)
+        self._n_hp = n_hyperparameters(spec, d)
         self._lagged = _lagged(self._stack_layout, _diffs(x, x), _diffs(t, t))
         self._y = dataset.normalized_targets
         self._neg_half_y = -0.5 * self._y
@@ -512,7 +510,8 @@ class GpModel:
     _target_mean: float = field(repr=False)
     _target_std: float = field(repr=False)
     _signal_variance: float = field(repr=False)
-    _kernel: _Kernel = field(repr=False)
+    _stack_layout: _StackLayout = field(repr=False)
+    _exps: np.ndarray = field(repr=False)  # the exponentiated log vector
     _space: np.ndarray = field(repr=False)
     _time: np.ndarray = field(repr=False)
     # the time gap beyond which a sample drops out of a predict (see the
@@ -541,16 +540,17 @@ class GpModel:
             factors = el, _tri_inv(el), jitter
         el, el_inv, jitter = factors
         alpha = _cho_solve(el, y)
-        kernel = _constants(spec, hp)
+        layout = _stack_layout(spec, dataset.spatial_dim)
+        exps = np.exp(hp_to_vector(hp, spec))
         columns = dataset.points.T.copy()[:, :, None]
         times = columns[-1, :, 0]
         reach = math.inf
         if (times[1:] >= times[:-1]).all():
-            reach = max(float(ell) * _UNIT_REACH[f]
-                        for f, ell in zip(kernel.temporal, kernel.temporal_ells[:, 0, 0, 0]))
+            reach = max(float(exps[c.lengthscales.start]) * _UNIT_REACH[c.form]
+                        for c in layout.parts[1])
         return cls(
             dataset, spec, hp, jitter, el, el_inv, alpha, mean, std, hp.signal_variance,
-            kernel, columns[:-1], columns[-1:], reach,
+            layout, exps, columns[:-1], columns[-1:], reach,
         )
 
     def _query(self, points) -> np.ndarray:
@@ -578,7 +578,7 @@ class GpModel:
             return np.zeros(m), np.full(m, self._signal_variance)
         dx = self._space[:, first:] - queries[:-1]
         dt = self._time[:, first:] - times
-        k_star = _cov(self._kernel, dx, dt)
+        k_star = _cov(self._stack_layout, self._exps, dx, dt)
         mean = k_star.T @ self._alpha[first:]
         v = _tri_mul(self._factor_inv[first:, first:], k_star)
         v *= v
@@ -728,12 +728,13 @@ def _bounds_array(bounds, n_hp: int) -> np.ndarray:
 def _tie_blocks(spec: KernelSpec, d: int, mode: str) -> list[slice]:
     if mode == "none":
         return []
+    layout = _stack_layout(spec, d)
     if mode == "spatial":  # one block per spatial component
-        return [slice(c * d, (c + 1) * d) for c in range(len(_components(spec.spatial)))]
+        return [c.lengthscales for c in layout.parts[0]]
     # "all": spatial and temporal length-scales share one value
     if spec.has_sum:
         raise ValueError("tie_lengthscales='all' requires plain kernel forms")
-    return [slice(0, d + 1)]  # theta starts with D spatial then 1 temporal
+    return [layout.plain[1]]  # every length-scale entry, all of them plain
 
 
 def train(

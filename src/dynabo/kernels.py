@@ -13,6 +13,11 @@ free, their shapes and their element names.  The vector converters, names,
 counts, shape checks and defaults here, and the training bounds in
 ``dynabo.gp``, all read it.  ``grad_gram_log_hp`` returns analytic
 derivatives with respect to each free log-hyperparameter in that order.
+``_stack_layout`` is the one component table: each part's plain components
+(the form itself, or the sum form's two), where each one's length-scales
+and variance sit in the vector, and its slabs.  Every covariance and every
+index into the vector, ``dynabo.gp``'s tie blocks and prior included, reads
+it, from the vector exponentiated once.
 
 The arithmetic is dimension-major: pairwise differences are laid out
 ``(p, n, m)``, one ``(n, m)`` slab per input dimension.  The scaled squared
@@ -22,29 +27,20 @@ Differences the caller owns (a posterior predict's, or ``cross_gram``'s)
 are overwritten; training's per-dataset ones are divided into its stack's
 buffers.
 
-A covariance is built from per-fit constants (``_Kernel``): each part's
-plain forms (``_components``: the form itself, or the sum form's two), its
-length-scales exponentiated with one row per form, the sum form's component
-variances, and the signal variance.  ``cross_gram`` builds them once per
-call, and ``dynabo.gp`` once per fit for all of its predicts.
-
-Training builds its grams as a stack, one row per log vector
-(``_stacked_cov``): ``_stack_layout`` says where each plain component's
-length-scales, slabs and variance sit, ``_lagged`` lays the dataset's
-differences out once in that slab order, and one divide and one square give
-every length-scale entry's scaled squares for every row.  Each component's
-unit covariance, the spatial part times the signal variance, the temporal
-part and the gram follow, row by row bitwise what ``_cov`` builds for that
-row's vector alone.  The stack keeps the squares as slopes, each unit
-covariance's derivative by a log length-scale over the covariance itself
-(the square, divided by the distance for Matern 1/2), and the training
-gradient contracts against them and the parts (``dynabo.gp``).
+``_cov`` builds one covariance in place from the exponentiated vector;
+``cross_gram`` exponentiates it once per call, and ``dynabo.gp`` once per
+fit for all of its predicts.  Training builds its grams as a stack, one row
+per log vector (``_stacked_cov``): ``_lagged`` lays the dataset's
+differences out once in the table's slab order, and one divide and one
+square give every length-scale entry's scaled squares for every row.  Each
+component's unit covariance, the spatial part times the signal variance,
+the temporal part and the gram follow, row by row bitwise what ``_cov``
+builds for that row's vector alone.  The stack keeps the squares as slopes,
+each unit covariance's derivative by a log length-scale over the covariance
+itself (the square, divided by the distance for Matern 1/2), and the
+training gradient contracts against them and the parts (``dynabo.gp``).
 ``grad_gram_log_hp`` builds the derivative matrices from the same stack,
 for the tests and the benchmark's tracer only.
-
-The covariance code reads the hyperparameters by attribute, from a
-``Hyperparameters``; training's stack reads the exponentiated log vector by
-index, through ``_stack_layout``.
 """
 
 from __future__ import annotations
@@ -291,51 +287,16 @@ def _components(form: KernelForm) -> tuple:
     return _SUM_FORMS if form is _SUM else (form,)
 
 
-class _Kernel(NamedTuple):
-    """A covariance's per-fit constants: what the covariance code would
-    otherwise recompute from the log-hyperparameters on every batch."""
-
-    spatial: tuple  # the spatial part's plain forms (``_components``)
-    spatial_ells: np.ndarray  # its length-scales, (forms, D, 1, 1): one per slab
-    spatial_vars: np.ndarray | None  # the sum form's component variances
-    temporal: tuple  # the same three for the temporal part
-    temporal_ells: np.ndarray  # (forms, 1, 1, 1)
-    temporal_vars: np.ndarray | None
-    signal: float  # exp(log_signal_variance)
-
-
-def _part_constants(form: KernelForm, log_ells, log_vars) -> tuple:
-    forms = _components(form)
-    ells = np.exp(log_ells).reshape(len(forms), -1, 1, 1)  # one row per component
-    return forms, ells, None if log_vars is None else np.exp(log_vars)
-
-
-def _constants(spec: KernelSpec, hp: Hyperparameters) -> _Kernel:
-    return _Kernel(
-        *_part_constants(spec.spatial, hp.log_spatial_lengthscales, hp.log_spatial_variances),
-        *_part_constants(spec.temporal, hp.log_temporal_lengthscale, hp.log_temporal_variances),
-        np.exp(hp.log_signal_variance),
-    )
-
-
-def _part_units(forms: tuple, diffs: np.ndarray, ells: np.ndarray) -> list:
-    """Unit-variance covariance of each plain component of one part.  The
-    last component overwrites ``diffs`` (the sum form's first works on a
-    copy)."""
-    last = len(forms) - 1
-    return [_plain_cov(f, _sum_squares(diffs, ells[c], diffs if c == last else None))
-            for c, f in enumerate(forms)]
-
-
-def _part_cov(units: list, variances, out=None) -> np.ndarray:
-    """One part's covariance from its unit components: the plain form's one
-    component itself, or the sum form's two weighted by their variances,
-    into ``out`` or a new array."""
+def _part_cov(components: tuple, units: list, exps: np.ndarray, out=None) -> np.ndarray:
+    """One part's covariance from its components' unit covariances: the
+    plain form's one itself, or the sum form's two weighted by their
+    variance entries of ``exps`` (one vector, or a stack of them), into
+    ``out`` or a new array."""
     if len(units) == 1:
         return units[0]
-    va, vb = variances
-    k = np.multiply(units[0], va, out=out)
-    k += units[1] * vb
+    a, b = (exps[..., c.variance, None, None] for c in components)
+    k = np.multiply(units[0], a, out=out)
+    k += units[1] * b
     return k
 
 
@@ -352,20 +313,9 @@ def _split(theta: np.ndarray, spec: KernelSpec, spatial_dim: int) -> dict:
     return values
 
 
-def _cov(kernel: _Kernel, dx: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Noise-free covariance from raw spatial and temporal differences, which
-    it overwrites: the spatial part times the signal variance, times the
-    temporal part, built in place: keeping the factors, as training's stack
-    does (``_stacked_cov``), costs an array that raised the peak memory of
-    long runs when predict went through it."""
-    k = _part_cov(_part_units(kernel.spatial, dx, kernel.spatial_ells), kernel.spatial_vars)
-    k *= kernel.signal
-    k *= _part_cov(_part_units(kernel.temporal, dt, kernel.temporal_ells), kernel.temporal_vars)
-    return k
-
-
 class _Component(NamedTuple):
-    """One plain component of a part, where training's stack keeps it."""
+    """One plain component of a part: its entries of the log vector, and
+    its slabs of training's stack."""
 
     form: KernelForm
     spatial: bool  # a component of the spatial part, or of the temporal one
@@ -375,18 +325,21 @@ class _Component(NamedTuple):
 
 
 class _StackLayout(NamedTuple):
-    """Where training's stack finds each plain component, spatial then
-    temporal, and the log vector's entries it reads."""
+    """The one component table: each plain component, spatial then
+    temporal, and where the covariances find their log vector's entries."""
 
     components: tuple
     spatial_count: int  # the spatial part's components, the leading ones
     lengthscales: slice | np.ndarray  # the length-scale entries, in slab order
-    spatial_variances: tuple  # the sum form's variance entries, else empty
-    temporal_variances: tuple
     # the plain components' slabs and length-scale entries, contiguous in
     # both (no variance entry lies between them), or None
     plain: tuple[slice, slice] | None
     signal: bool  # the signal variance is free: the entry before the noise's
+
+    @property
+    def parts(self) -> tuple[tuple, tuple]:
+        """The spatial part's components and the temporal part's."""
+        return self.components[: self.spatial_count], self.components[self.spatial_count :]
 
 
 @functools.cache
@@ -409,17 +362,33 @@ def _stack_layout(spec: KernelSpec, d: int) -> _StackLayout:
                             for c in components])
     if (slots == np.arange(len(slots))).all():  # plain forms: a view, not a gather
         slots = slice(0, len(slots))
-    spatial_count = len(_components(spec.spatial))
     plain = [c for c in components if c.variance is None]
     if plain:
         plain = (slice(plain[0].rows.start, plain[-1].rows.stop),
                  slice(plain[0].lengthscales.start, plain[-1].lengthscales.stop))
-    return _StackLayout(
-        tuple(components), spatial_count, slots,
-        *(tuple(c.variance for c in part if c.variance is not None)
-          for part in (components[:spatial_count], components[spatial_count:])),
-        plain or None, spec.signal_variance_free,
-    )
+    return _StackLayout(tuple(components), len(_components(spec.spatial)), slots,
+                        plain or None, spec.signal_variance_free)
+
+
+def _cov(layout: _StackLayout, exps: np.ndarray, dx: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Noise-free covariance under the exponentiated log vector ``exps``
+    from raw spatial and temporal differences, which it overwrites: the
+    spatial part times the signal variance, times the temporal part, built
+    in place: keeping the factors, as training's stack does
+    (``_stacked_cov``), costs an array that raised the peak memory of long
+    runs when predict went through it.  A part's last component squares
+    into its differences, the sum form's first into a new array."""
+    covs = []
+    for part, diffs in zip(layout.parts, (dx, dt)):
+        units = [_plain_cov(c.form, _sum_squares(diffs, exps[c.lengthscales, None, None],
+                                                 diffs if c is part[-1] else None))
+                 for c in part]
+        covs.append(_part_cov(part, units, exps))
+    k, temporal = covs
+    if layout.signal:
+        k *= exps[-2]
+    k *= temporal
+    return k
 
 
 def _lagged(layout: _StackLayout, dx: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -506,14 +475,10 @@ def _stacked_cov(layout: _StackLayout, lagged: np.ndarray, exps: np.ndarray,
     for c, unit in zip(layout.components, out.units):
         _stacked_unit(c.form, squares[..., c.rows, :, :], unit)
     i = layout.spatial_count
-    scaled = _part_cov(out.units[:i],
-                       [exps[..., v, None, None] for v in layout.spatial_variances],
-                       out.scaled_spatial)
+    scaled = _part_cov(layout.components[:i], out.units[:i], exps, out.scaled_spatial)
     if layout.signal:
         scaled = np.multiply(scaled, exps[..., -2, None, None], out=out.scaled_spatial)
-    temporal = _part_cov(out.units[i:],
-                         [exps[..., v, None, None] for v in layout.temporal_variances],
-                         out.temporal_part)
+    temporal = _part_cov(layout.components[i:], out.units[i:], exps, out.temporal_part)
     np.multiply(scaled, temporal, out=out.gram)
     return _Stack(out.slopes, out.units, scaled, temporal, out.gram)
 
@@ -531,11 +496,11 @@ def cross_gram(
     points_a: np.ndarray, points_b: np.ndarray, spec: KernelSpec, hp: Hyperparameters
 ) -> np.ndarray:
     """Covariance matrix between two point sets, without observation noise."""
-    _check_shapes(spec, hp)
+    exps = np.exp(hp_to_vector(hp, spec))  # checks the shapes
     d = hp.spatial_dim
     xa, ta = _split_points(points_a, d)
     xb, tb = _split_points(points_b, d)
-    return _cov(_constants(spec, hp), _diffs(xa, xb), _diffs(ta, tb))
+    return _cov(_stack_layout(spec, d), exps, _diffs(xa, xb), _diffs(ta, tb))
 
 
 def gram(
@@ -571,11 +536,10 @@ def grad_gram_log_hp(
     Training does not build these (see ``dynabo.gp``); the tests hold its
     contraction to them.
     """
-    _check_shapes(spec, hp)
+    exps = np.exp(hp_to_vector(hp, spec))  # checks the shapes
     x, t = _split_points(points, hp.spatial_dim)
     layout = _stack_layout(spec, hp.spatial_dim)
     lagged = _lagged(layout, _diffs(x, x), _diffs(t, t))
-    exps = np.exp(hp_to_vector(hp, spec))
     stack = _stacked_cov(layout, lagged, exps, _Stack.empty(layout, len(x)))
     out = np.empty((len(exps), len(x), len(x)))
     for c, unit in zip(layout.components, stack.units):

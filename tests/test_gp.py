@@ -641,8 +641,7 @@ def test_tie_blocks_follow_the_layout():
     # "spatial" block holds the spatial length-scales of one component, the
     # "all" block every spatial one and the temporal length-scale, and each
     # spatial length-scale lies in exactly one block
-    d = 3
-    for spec in NINE_FORMS:
+    for spec, d in itertools.product(NINE_FORMS, (1, 3)):
         names = hyperparameter_names(spec, d)
         spatial = [n for n in names if n.startswith("spatial_") and "lengthscale" in n]
         assert gp._tie_blocks(spec, d, "none") == []
@@ -658,6 +657,22 @@ def test_tie_blocks_follow_the_layout():
             continue
         (block,) = [names[block] for block in gp._tie_blocks(spec, d, "all")]
         assert sorted(block) == sorted(spatial + ["temporal_lengthscale"])
+
+
+def test_prior_slice_selects_the_temporal_lengthscales_by_name():
+    # checked against the names of ``kernels._layout``: the prior covers
+    # every temporal length-scale and nothing else, and nothing when the
+    # temporal entry is tied to the spatial ones or there are no bounds
+    rng = np.random.default_rng(7)
+    for spec, d, tie in itertools.product(NINE_FORMS, (1, 3), ("none", "spatial", "all")):
+        names = np.array(hyperparameter_names(spec, d))
+        temporal = [n for n in names if n.startswith("temporal_") and "lengthscale" in n]
+        dataset = Dataset(rng.uniform(0, 1, size=(5, d + 1)), rng.normal(size=5))
+        bounds = default_log_bounds(spec, np.ones(d), 1.0)
+        tied = tie == "all"
+        selected = gp._MarginalLikelihood(dataset, spec, bounds, tied)._temporal
+        assert list(names[selected]) == ([] if tied else temporal), (spec, d, tie)
+        assert list(names[gp._MarginalLikelihood(dataset, spec, None, tied)._temporal]) == []
 
 
 # -- the fused objective against the unfused formulas, bit for bit -----------

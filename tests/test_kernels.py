@@ -382,7 +382,7 @@ def test_gram_psd_property(seed, n):
     assert np.linalg.eigvalsh(k).min() > 0
 
 
-# -- the posterior's covariance from per-fit constants ---------------------------
+# -- the posterior's covariance from the exponentiated log vector ----------------
 
 
 def test_squared_distance_sums_in_index_order():
@@ -401,7 +401,12 @@ def test_squared_distance_sums_in_index_order():
             ells = np.exp(rng.uniform(-2.0, 2.0, size=(len(forms), p, 1, 1)))
             want = [kernels._plain_cov(f, index_order_squares(np.moveaxis(diffs / ells[c], 0, -1)))
                     for c, f in enumerate(forms)]
-            got = kernels._part_units(forms, diffs.copy(), ells)
+            # as ``_cov`` squares a part: the last component into the
+            # differences, the sum form's first into a new array
+            work = diffs.copy()
+            got = [kernels._plain_cov(f, kernels._sum_squares(
+                       work, ells[c], work if c == len(forms) - 1 else None))
+                   for c, f in enumerate(forms)]
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (form, p, n, m)
@@ -409,21 +414,22 @@ def test_squared_distance_sums_in_index_order():
 
 @pytest.mark.parametrize("spec", NINE_SPECS)
 def test_cov_from_constants_is_the_product_of_the_training_parts(spec):
+    # ``_cov`` on a fit's constants, the exponentiated log vector and the
+    # layout training's stack reads: the square cases against that stack
+    # for the one vector, the rectangular ones against the fixed-order
+    # reference
     rng = np.random.default_rng(43)
-    # the square cases against training's stack for the one vector, the
-    # rectangular ones against the fixed-order reference
     for d, n, m in ((1, 7, 5), (3, 11, 1), (8, 1, 1), (12, 1, 1), (12, 9, 13), (5, 6, 6)):
         hp = random_hp(rng, spec, d)
         xa, xb = rng.uniform(-2, 2, size=(n, d + 1)), rng.uniform(-2, 2, size=(m, d + 1))
         dx = kernels._diffs(xa[:, :d], xb[:, :d])
         dt = kernels._diffs(xa[:, d:], xb[:, d:])
+        layout, exps = kernels._stack_layout(spec, d), np.exp(hp_to_vector(hp, spec))
         if n == m:
-            layout = kernels._stack_layout(spec, d)
-            want = kernels._stacked_cov(layout, kernels._lagged(layout, dx, dt),
-                                        np.exp(hp_to_vector(hp, spec)),
+            want = kernels._stacked_cov(layout, kernels._lagged(layout, dx, dt), exps,
                                         kernels._Stack.empty(layout, n)).gram
         else:
             want = fixed_order_cross_gram(xa, xb, spec, hp)
-        got = kernels._cov(kernels._constants(spec, hp), dx.copy(), dt.copy())
+        got = kernels._cov(layout, exps, dx.copy(), dt.copy())
         assert np.array_equal(got, want)
         assert np.array_equal(cross_gram(xa, xb, spec, hp), want)
