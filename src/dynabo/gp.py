@@ -64,7 +64,9 @@ n ~ 18 cost more than the factorization itself.  Reductions call
 factorization tries the plain matrix first and builds the jitter ladder
 only when that fails.
 
-``GpModel.fit`` checks the hyperparameters once, through ``gram``, and keeps
+``GpModel.fit`` checks the hyperparameters through ``gram`` and again when it
+flattens them; an append checks them once, through ``cross_gram``, and takes
+``previous``'s exponentiated vector, which is the same one.  A fit keeps
 what every posterior predict on that fit shares: the Cholesky factor ``L``
 of the noisy gram and its inverse, both lower triangular, ``alpha = K^-1 y``
 (LAPACK ``dpotrs`` on ``L``), the target mean and std, the kernel's signal
@@ -538,10 +540,12 @@ class GpModel:
         if factors is None:
             el, jitter = chol_with_jitter(gram(dataset.points, spec, hp, with_noise=True))
             factors = el, _tri_inv(el), jitter
+            exps = np.exp(hp_to_vector(hp, spec))
+        else:
+            exps = previous._exps  # an append keeps ``previous.hp``: the same vector
         el, el_inv, jitter = factors
         alpha = _cho_solve(el, y)
         layout = _stack_layout(spec, dataset.spatial_dim)
-        exps = np.exp(hp_to_vector(hp, spec))
         columns = dataset.points.T.copy()[:, :, None]
         times = columns[-1, :, 0]
         reach = math.inf

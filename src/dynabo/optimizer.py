@@ -4,17 +4,28 @@ Acquisition search is sized to the box's free coordinates, and returns its
 point without a polish.  A dimension whose bounds coincide is a slice: it is
 held fixed and removed from the search space instead of being searched at
 zero width.  A box with one free coordinate (each fixed-interval step on a
-one-dimensional problem) is scored as one batch of ``_GRID_POINTS`` evenly
+one-dimensional problem) is searched along a line of ``_GRID_POINTS`` evenly
 spaced points, as Spearmint (Snoek, Larochelle & Adams, 2012) scores a dense
-candidate set; a parabola through the best interior point and its two
+candidate set, but only where a minimum can be, in the spirit of DIRECT's
+refinement of the cells that can hold the optimum (Jones, Perttunen &
+Stuckman, 1993).  A coarse batch scores every ``_COARSE_STRIDE``-th point of
+the line, both ends included.  A fine batch then scores the dense points
+within one stride of every coarse local minimum, not only the coarse best:
+two near-equal dips can swap order between the coarse and the dense line,
+and refining the coarse best alone lost track of the moving minimum on
+several engine seeds.  The fine windows are one batch, not one batch each,
+because a row's score depends in its last bits on the other rows of its
+batch.  A parabola through the fine batch's best point and its two dense
 neighbours then proposes one more point, kept only if it scores strictly
-lower.  The grid is exact for a deterministic objective and has no seed.  A
-box with two or more free coordinates, or a flat grid (no finite score, or a
-spread of at most ``_FLAT_RTOL`` times the best's magnitude, at least 1), is
-searched by particle-swarm optimization seeded from a Latin hypercube, which
-returns the swarm's best position.  ``PsoConfig`` sets the swarm's size and
-length; each search takes its seed as an argument, as ``latin_hypercube``
-does.
+lower.  When the acquisition has at most one local minimum across two
+adjacent coarse cells, the dense line's argmin lies in a fine window, so the
+search finds the dense line's point, up to batch rounding.  It is
+deterministic and has no seed.  A box with two or more free coordinates, or
+a flat coarse batch (no finite score, or a spread of at most ``_FLAT_RTOL``
+times the best's magnitude, at least 1), is searched by particle-swarm
+optimization seeded from a Latin hypercube, which returns the swarm's best
+position.  ``PsoConfig`` sets the swarm's size and length; each search takes
+its seed as an argument, as ``latin_hypercube`` does.
 
 ``PsoConfig.iterations`` is a cap; the swarm has two earlier stops.  It
 stops once no particle can move again: every particle sits on its own best
@@ -120,10 +131,12 @@ _SOCIAL = 1.49445
 _STALL_FTOL = 1e-9
 _STALL_ITERS = 15
 
-# the search of a box with one free coordinate: grid size, and the spread
-# (relative to the best score's magnitude, at least 1) at or below which the
-# grid is flat and the swarm searches instead
+# the search of a box with one free coordinate: the dense line's size, the
+# stride of its coarse batch, and the spread (relative to the best score's
+# magnitude, at least 1) at or below which the coarse batch is flat and the
+# swarm searches instead
 _GRID_POINTS = 513
+_COARSE_STRIDE = 8
 _FLAT_RTOL = 1e-6
 
 # the polish: L-BFGS-B's iteration cap and relative objective tolerance
@@ -360,14 +373,14 @@ def optimize_acquisition(
     model, acq: AcquisitionSpec, box: Box, pso: PsoConfig = PsoConfig(), seed: int = 0
 ) -> np.ndarray:
     """Best scoring point in the box.  With one free coordinate it is the
-    best of one scored grid of ``_GRID_POINTS`` points (the first among
-    equals), or the clipped vertex of the parabola through that point and
-    its two neighbours when the vertex scores strictly lower: two batches at
-    most, and ``pso`` and ``seed`` go unused.  With two or more free
-    coordinates, or when the grid is flat, it is the swarm's best, from a
-    Latin hypercube seed, clipped to the box; deterministic given ``seed``,
-    which the hypercube and the swarm share.  No polish follows (see the
-    module docstring on ``local_refine``).
+    coarse-to-fine line search's point (see ``_grid_minimize``): a coarse
+    batch of every ``_COARSE_STRIDE``-th point of a ``_GRID_POINTS``-point
+    line, one fine batch around every coarse local minimum, and at most one
+    parabola point, so three batches at most, and ``pso`` and ``seed`` go
+    unused.  With two or more free coordinates, or when the coarse batch is
+    flat, it is the swarm's best, from a Latin hypercube seed, clipped to the
+    box; deterministic given ``seed``, which the hypercube and the swarm
+    share.  No polish follows (see the module docstring on ``local_refine``).
 
     Every batch is scored on ``model``; ``evaluate_on_model`` is looked up
     at each call, so a wrapper installed on this module sees them all.
@@ -387,32 +400,58 @@ def optimize_acquisition(
 
 
 def _grid_minimize(objective, box: Box, j: int):
-    """The best of ``_GRID_POINTS`` evenly spaced points along the one free
-    coordinate ``j``, scored as one batch, then one parabola step through
-    the best interior point and its two neighbours, kept only if it scores
-    strictly lower.  ``None`` for a flat grid: no finite score, or a spread
-    of at most ``_FLAT_RTOL`` times the best's magnitude (at least 1).
+    """The coarse-to-fine minimum along the one free coordinate ``j`` of a
+    line of ``_GRID_POINTS`` evenly spaced points.
 
-    The grid is one batch, not chunks: a row's score depends, in its last
-    bits, on the other rows in its batch, so chunks would score another grid.
+    The coarse batch is every ``_COARSE_STRIDE``-th point; ``None`` when it
+    is flat: no finite score, or a spread of at most ``_FLAT_RTOL`` times the
+    best's magnitude (at least 1).  A coarse local minimum is a finite coarse
+    score no higher than either coarse neighbour.  The fine batch is the
+    union, in line order, of the dense points less than one stride from each
+    coarse local minimum, clipped to the line: every one, since the coarse
+    best need not sit in the dense best's basin.  The result is the fine
+    batch's first minimum, or the clipped vertex of the parabola through it
+    and its two dense neighbours, when both were scored and the vertex scores
+    strictly lower.
+
+    The fine windows are one batch, not chunks: a row's score depends, in its
+    last bits, on the other rows in its batch, so chunks would score other
+    values.
     """
     lo, hi = box.lower[j], box.upper[j]
-    grid = np.tile(box.lower, (_GRID_POINTS, 1))
-    grid[:, j] = np.linspace(lo, hi, _GRID_POINTS)
-    scores = _batch_eval(objective, grid)
-    i = int(scores.argmin())
-    best = scores[i]
-    # finiteness first: the spread of an all-inf grid would be inf - inf
-    if not np.isfinite(best) or scores.max() - best <= _FLAT_RTOL * max(1.0, abs(best)):
+    line = np.linspace(lo, hi, _GRID_POINTS)
+    coarse = _batch_eval(objective, _on_line(box, j, line[::_COARSE_STRIDE]))
+    best = coarse.min()
+    # finiteness first: the spread of an all-inf batch would be inf - inf
+    if not np.isfinite(best) or coarse.max() - best <= _FLAT_RTOL * max(1.0, abs(best)):
         return None
-    point = grid[i].copy()
-    if 0 < i < _GRID_POINTS - 1:
+    walled = np.concatenate(([np.inf], coarse, [np.inf]))
+    minima = np.flatnonzero(
+        np.isfinite(coarse) & (coarse <= walled[:-2]) & (coarse <= walled[2:])
+    )
+    window = np.arange(1 - _COARSE_STRIDE, _COARSE_STRIDE)
+    near = np.unique(
+        np.clip(minima[:, None] * _COARSE_STRIDE + window, 0, _GRID_POINTS - 1)
+    )
+    points = _on_line(box, j, line[near])
+    scores = _batch_eval(objective, points)
+    i = int(scores.argmin())
+    point = points[i].copy()
+    if 0 < i < near.size - 1 and near[i + 1] - near[i - 1] == 2:
         y0, y1, y2 = scores[i - 1 : i + 2]
         curvature = y0 - 2.0 * y1 + y2
         if np.isfinite(curvature) and curvature > 0:
             h = (hi - lo) / (_GRID_POINTS - 1)
             vertex = point.copy()
             vertex[j] = min(max(point[j] + 0.5 * h * (y0 - y2) / curvature, lo), hi)
-            if _batch_eval(objective, vertex[None, :])[0] < best:
+            if _batch_eval(objective, vertex[None, :])[0] < y1:
                 return vertex
     return point
+
+
+def _on_line(box: Box, j: int, xs: np.ndarray) -> np.ndarray:
+    """The points of ``box`` at coordinate ``j`` values ``xs``, every other
+    coordinate at its lower bound."""
+    points = np.tile(box.lower, (xs.size, 1))
+    points[:, j] = xs
+    return points

@@ -520,12 +520,13 @@ def test_frozen_run_appends_on_every_fit_after_its_last_training(monkeypatch):
     assert events == ["train", "fresh"] * 2 + ["append"] * 6
 
 
-def test_frozen_one_dimensional_searches_score_at_most_two_batches(monkeypatch):
+def test_frozen_one_dimensional_searches_score_a_bounded_number_of_rows(monkeypatch):
     # a deterministic cost guard for the search: each step of a frozen
     # fixed-interval run on a 1-D problem searches one free coordinate, which
-    # is one scored grid and at most one parabola point; the swarm, which
-    # scored about 38 batches a step on the benchmark's frozen_long, only
-    # searches a flat grid
+    # is a 65-point coarse batch of the 513-point line, one fine batch of at
+    # most 15 points around each coarse local minimum, and at most one
+    # parabola point; the swarm, which scored about 38 batches a step on the
+    # benchmark's frozen_long, only searches a flat coarse batch
     from dynabo import optimizer
 
     searches = []
@@ -546,16 +547,23 @@ def test_frozen_one_dimensional_searches_score_at_most_two_batches(monkeypatch):
                        warmup=WarmupConfig(lhd=2, bo_steps=5), freeze_after_warmup=True)
     assert run(make_standard("branin_scaled", seed=0), cfg).n_scored == 20
     assert len(searches) == 25
-    flat = 0
+    flat = rows = 0
     for batches in searches:
-        grid = batches[0]
-        assert grid.shape == (513,)
-        best = grid.min()
-        if not np.isfinite(best) or grid.max() - best <= 1e-6 * max(1.0, abs(best)):
+        coarse = batches[0]
+        assert coarse.shape == (65,)
+        best = coarse.min()
+        if not np.isfinite(best) or coarse.max() - best <= 1e-6 * max(1.0, abs(best)):
             flat += 1
-        else:
-            assert len(batches) <= 2
+            continue
+        walled = np.r_[np.inf, coarse, np.inf]
+        minima = int(np.sum(np.isfinite(coarse) & (coarse <= walled[:-2])
+                            & (coarse <= walled[2:])))
+        searched = sum(b.size for b in batches)
+        assert len(batches) <= 3
+        assert searched <= 65 + 15 * minima + 1
+        rows += searched
     assert flat <= 5  # only early warmup steps, whose scale training cannot pin yet
+    assert rows <= 25 * 513 // 3  # a third of the 513-point line per search
 
 
 def test_trained_run_never_appends(monkeypatch):

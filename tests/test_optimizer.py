@@ -817,7 +817,8 @@ def test_swarm_in_a_corner_is_not_rescored(monkeypatch):
     assert len(batches) < pso.iterations + 1
 
 
-# ---- a box with one free coordinate: one scored grid and a parabola step
+# ---- a box with one free coordinate: a coarse batch, one fine batch around
+# every coarse local minimum, and a parabola step
 
 ONE_FREE_BOXES = {
     "space": Box([0.0, 0.3], [1.0, 0.3]),  # time pinned, as fixed-interval steps search
@@ -857,12 +858,58 @@ def swarm_search(model, acq, box, pso, seed):
     return box.clip(point)
 
 
+LINE = np.linspace(0.0, 1.0, 513)
+
+
+def fine_indices(coarse):
+    """The dense line's indices that the fine batch scores: those within 7 of
+    each finite coarse score no higher than either coarse neighbour."""
+    near = set()
+    for k, value in enumerate(coarse):
+        left = coarse[k - 1] if k > 0 else np.inf
+        right = coarse[k + 1] if k + 1 < len(coarse) else np.inf
+        if np.isfinite(value) and value <= left and value <= right:
+            near.update(range(max(8 * k - 7, 0), min(8 * k + 7, 512) + 1))
+    return np.array(sorted(near))
+
+
+def dense_line_search(model, acq, box, pso, seed):
+    """The search the coarse-to-fine one stands in for: the whole 513-point
+    line scored as one batch, then the parabola step through its first
+    minimum, or the swarm when that batch is flat."""
+
+    def objective(points):
+        return evaluate_on_model(acq, model, points)
+
+    j = int(np.flatnonzero(~box.degenerate)[0])
+    lo, hi = box.lower[j], box.upper[j]
+    grid = np.tile(box.lower, (513, 1))
+    grid[:, j] = np.linspace(lo, hi, 513)
+    scores = optimizer._batch_eval(objective, grid)
+    i = int(scores.argmin())
+    best = scores[i]
+    if not np.isfinite(best) or scores.max() - best <= 1e-6 * max(1.0, abs(best)):
+        return swarm_search(model, acq, box, pso, seed)
+    point = grid[i].copy()
+    if 0 < i < 512:
+        y0, y1, y2 = scores[i - 1 : i + 2]
+        curvature = y0 - 2.0 * y1 + y2
+        if np.isfinite(curvature) and curvature > 0:
+            vertex = point.copy()
+            vertex[j] = min(max(point[j] + 0.5 * (hi - lo) / 512 * (y0 - y2) / curvature, lo), hi)
+            if optimizer._batch_eval(objective, vertex[None, :])[0] < best:
+                return vertex
+    return point
+
+
 @pytest.mark.parametrize("box_name", sorted(ONE_FREE_BOXES))
 @pytest.mark.parametrize("acq_name", sorted(ACQUISITIONS))
 @pytest.mark.parametrize("case", range(4))
 def test_one_coordinate_search_scores_one_grid_then_at_most_one_point(
     case, acq_name, box_name, monkeypatch
 ):
+    # the line is scored as a coarse batch and one fine batch, then at most
+    # one parabola point
     spec = NINE_SPECS[3 * case % len(NINE_SPECS)]
     model = random_model(spec, seed=case, d=1)
     acq = ACQUISITIONS[acq_name](model)
@@ -870,53 +917,110 @@ def test_one_coordinate_search_scores_one_grid_then_at_most_one_point(
     batches = scoring(monkeypatch)
     point = optimize_acquisition(model, acq, box, seed=case)
 
-    (grid, scores), *rest = batches
+    (coarse_points, coarse), (fine_points, fine), *rest = batches
     free = int(np.flatnonzero(~box.degenerate)[0])
-    assert grid.shape == (513, 2)
-    assert np.array_equal(grid[:, free], np.linspace(box.lower[free], box.upper[free], 513))
-    assert np.all(grid[:, 1 - free] == box.lower[1 - free])
+    line = np.linspace(box.lower[free], box.upper[free], 513)
+    assert coarse_points.shape == (65, 2)
+    assert np.array_equal(coarse_points[:, free], line[::8])
+    near = fine_indices(coarse)
+    assert np.array_equal(fine_points[:, free], line[near])
+    for points in (coarse_points, fine_points):
+        assert np.all(points[:, 1 - free] == box.lower[1 - free])
     assert len(rest) <= 1 and all(points.shape == (1, 2) for points, _ in rest)
 
-    # in the box, and never worse than the grid's best: the parabola's point
-    # only when it scored strictly lower, else the grid's first minimum
+    # in the box, and never worse than the fine batch's best: the parabola's
+    # point, tried only beside two scored dense neighbours and taken only
+    # when it scored strictly lower, else the fine batch's first minimum
     assert box.contains(point)
-    best = int(scores.argmin())
-    if rest and rest[0][1][0] < scores[best]:
+    best = int(fine.argmin())
+    if rest:
+        assert 0 < best < near.size - 1 and near[best + 1] - near[best - 1] == 2
+    if rest and rest[0][1][0] < fine[best]:
         assert np.array_equal(point, rest[0][0][0])
     else:
-        assert np.array_equal(point, grid[best])
+        assert np.array_equal(point, fine_points[best])
 
 
 def test_one_coordinate_search_takes_the_parabola_vertex_of_a_quadratic(monkeypatch):
-    # three grid points of a parabola give its vertex, between grid points
+    # three dense points of a parabola give its vertex, between line points
     box = Box([0.0, 0.0], [1.0, 0.0])
     batches = scoring(monkeypatch, lambda acq, model, points: (points[:, 0] - 0.4321) ** 2)
     point = optimize_acquisition(None, PosteriorMean(), box)
-    assert len(batches) == 2
+    assert [len(points) for points, _ in batches] == [65, 15, 1]
     assert point[0] == pytest.approx(0.4321, abs=1e-12)
     assert point[1] == 0.0
 
 
 def test_one_coordinate_search_skips_the_parabola_beside_a_non_finite_score(monkeypatch):
-    # the grid's best point has a nan to its right: no parabola step, no
-    # warning, and the best grid point is the result
+    # the best dense point has a nan to its right: no parabola step, no
+    # warning, and the best dense point is the result
     box = Box([0.0, 0.0], [1.0, 0.0])
-    grid = np.linspace(0.0, 1.0, 513)
 
     def bowl_with_a_hole(acq, model, points):
-        return np.where(points[:, 0] > grid[220], np.nan, (points[:, 0] - 0.5) ** 2)
+        return np.where(points[:, 0] > LINE[220], np.nan, (points[:, 0] - 0.5) ** 2)
 
     batches = scoring(monkeypatch, bowl_with_a_hole)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         point = optimize_acquisition(None, PosteriorMean(), box)
-    assert len(batches) == 1
-    assert np.array_equal(point, [grid[220], 0.0])
+    # the last finite coarse point, 216, is the one coarse minimum
+    assert len(batches) == 2
+    assert np.array_equal(batches[1][0][:, 0], LINE[209:224])
+    assert np.array_equal(point, [LINE[220], 0.0])
+
+
+def two_dips(acq, model, points):
+    """A shallow dip on the coarse point 128 and a deeper, lopsided one at
+    327: the coarse points beside 327 score -0.996 at 320, seven points up
+    its gentle side, and -0.96 at 328, one point up its steep side, both
+    above the shallow dip's -1 at 128."""
+    x = points[:, 0]
+    shallow = -1.0 + 5.12 * np.abs(x - LINE[128])
+    deep = -1.01 + np.where(x < LINE[327], 1.024 * (LINE[327] - x), 25.6 * (x - LINE[327]))
+    return np.minimum(shallow, deep)
+
+
+def test_one_coordinate_search_refines_every_coarse_minimum(monkeypatch):
+    # the coarse best lies in the shallow dip; the deeper dip's dense point
+    # sits seven points from its coarse minimum, at the edge of its window
+    box = Box([0.0, 0.3], [1.0, 0.3])
+    batches = scoring(monkeypatch, two_dips)
+    point = optimize_acquisition(None, PosteriorMean(), box)
+    (_, coarse), (fine_points, _) = batches  # 328 is unscored: no parabola
+    assert int(coarse.argmin()) == 16
+    assert np.array_equal(fine_points[:, 0], np.r_[LINE[121:136], LINE[313:328]])
+    assert np.array_equal(point, [LINE[327], 0.3])
+
+
+def test_one_coordinate_search_decides_flatness_on_the_coarse_batch(monkeypatch):
+    # one coarse point stands out, so the coarse batch is not flat; every
+    # other coarse point is a minimum, and their windows leave out only that
+    # point, so the fine batch is flat: its first point is the result
+    box = Box([0.0, 0.3], [1.0, 0.3])
+    batches = scoring(monkeypatch, lambda acq, model, points: (points[:, 0] == LINE[256]) * 1.0)
+    point = optimize_acquisition(None, PosteriorMean(), box)
+    assert len(batches) == 2
+    assert np.array_equal(batches[1][0][:, 0], np.delete(LINE, 256))
+    assert np.array_equal(point, [0.0, 0.3])
+
+
+def test_one_coordinate_search_agrees_with_the_dense_line(monkeypatch):
+    # the coarse-to-fine search stands in for scoring the whole line as one
+    # batch: on random models it finds the dense line's point, up to the
+    # last bits that a batch's other rows move
+    pso = PsoConfig(particles=8, iterations=15)
+    for case in range(40):
+        model = random_model(NINE_SPECS[case % len(NINE_SPECS)], seed=100 + case, d=1)
+        for make_acq, box in itertools.product(ACQUISITIONS.values(), ONE_FREE_BOXES.values()):
+            acq = make_acq(model)
+            want = dense_line_search(model, acq, box, pso, seed=case)
+            got = optimize_acquisition(model, acq, box, pso, seed=case)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-9), (case, acq, box)
 
 
 def test_flat_one_coordinate_search_is_the_swarm_bit_for_bit(monkeypatch):
     # every sample lies far beyond the temporal reach of the box's time, so
-    # each predict is the prior: the grid is flat and the swarm decides
+    # each predict is the prior: the coarse batch is flat and the swarm decides
     model = quadratic_model()
     box = Box([0.0, 1000.0], [1.0, 1000.0])
     pso = PsoConfig(particles=8, iterations=15)
@@ -925,10 +1029,11 @@ def test_flat_one_coordinate_search_is_the_swarm_bit_for_bit(monkeypatch):
         with monkeypatch.context() as patch:
             batches = scoring(patch)
             got = optimize_acquisition(model, acq, box, pso, seed=6)
-        grid, grid_scores = batches[0]
-        assert grid.shape == (513, 2)
-        assert np.all(grid_scores == grid_scores[0])
-        assert len(batches) > 2  # the grid, then the swarm's batches
+        coarse, coarse_scores = batches[0]
+        assert coarse.shape == (65, 2)
+        assert np.all(coarse_scores == coarse_scores[0])
+        # the coarse batch, then the swarm's batches
+        assert len(batches) > 2 and batches[1][0].shape == (pso.particles, 2)
         assert np.array_equal(got, want)
 
 
@@ -941,8 +1046,8 @@ def test_all_nan_one_coordinate_search_falls_back_to_the_swarm_without_warning(m
         point = optimize_acquisition(None, PosteriorMean(), box, pso, seed=2)
     want, _ = pso_minimize(lambda points: np.full(len(points), np.nan), box, pso, 2,
                            init=latin_hypercube(pso.particles, box, 2))
-    assert batches[0][0].shape == (513, 2)
-    assert len(batches) > 2
+    assert batches[0][0].shape == (65, 2)
+    assert len(batches) > 2 and batches[1][0].shape == (pso.particles, 2)
     assert np.array_equal(point, box.clip(want))
 
 
